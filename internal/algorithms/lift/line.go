@@ -1,6 +1,9 @@
 package lift
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -15,6 +18,12 @@ import (
 // the final output of the virtual node simulating that incident edge.
 // Virtual inputs are the virtual identities (InputFn may override this by
 // mapping the two endpoint identities to an input).
+//
+// Every virtual message travels owner → relay → owner, where the relay is
+// the host endpoint the two virtual nodes share. The simulation names
+// virtual nodes by host ports rather than identities: the relay knows both
+// edges as two of its own ports, so routing and delivery are table lookups
+// built once in round 1 (see DESIGN.md, "Line-lift data layout").
 func LineGraph(algo local.Algorithm, inputFn func(a, b int64) any) local.Algorithm {
 	return local.AlgorithmFunc{
 		AlgoName: "line(" + algo.Name() + ")",
@@ -32,49 +41,71 @@ func edgeID(a, b int64) int64 {
 	return graph.PackIDs(a, b)
 }
 
-// lineItem is one virtual message in flight: from virtual node src to
-// virtual node dst.
+// lineItem is one virtual message on one host hop. The hop's host port
+// names one of the two virtual nodes; at names the other as a port of the
+// relay (the shared endpoint s):
+//
+//   - phase A, owner → s: the sender is the edge the bundle arrived on, and
+//     the destination is {s, Neighbors_s[at]};
+//   - phase B, s → owner: the destination is the receiver's edge the bundle
+//     arrived on, and the sender is {s, Neighbors_s[at]}.
 type lineItem struct {
-	src, dst int64
+	at      int32
+	payload local.Message
+}
+
+// lineBundle is everything one host sends over one port in one round. In
+// phase A, done announces that the sender's virtual node on this edge
+// terminated with output out. Bundles are sent by pointer into a per-round
+// arena and never rewritten: receivers (and the α-synchronizer of Compose)
+// may retain them.
+type lineBundle struct {
+	items []lineItem
+	done  bool
+	out   any
+}
+
+// relayItem is a virtual message this host relays in the next phase B,
+// from edge {me, Neighbors[src]} to edge {me, Neighbors[dst]}.
+type relayItem struct {
+	src, dst int32
 	payload  local.Message
 }
 
-// lineBundle travels one host hop. Direction A: owner → other endpoint
-// (also carrying the owner's owned-edge status flags). Direction B: shared
-// endpoint → owner of the destination edge.
-type lineBundle struct {
-	items []lineItem
-	// doneEdges lists virtual nodes (owned by the sender) that have
-	// terminated, with their final outputs.
-	doneEdges []lineDone
+// lineRoute says where a virtual port's messages go in phase A.
+type lineRoute struct {
+	// remote: the relay is the other endpoint of the sending edge (send over
+	// its host port); otherwise the relay is this host.
+	remote bool
+	// at is the port, at the relay, of the destination's far endpoint.
+	at int32
 }
 
-type lineDone struct {
-	edge int64
-	out  any
-}
-
-// lineVirtual is one simulated line-graph node.
+// lineVirtual is one simulated line-graph node: the edge to the neighbour
+// on host port p of its owner, stored at owned[p].
 type lineVirtual struct {
-	id    int64   // packed edge identity
-	other int64   // the non-owner endpoint identity
-	nbrs  []int64 // virtual neighbour identities, sorted
-	node  local.Node
+	node  local.Node // nil: the neighbour owns this edge
 	t     int
 	done  bool
-	out   any
-	inbox []local.Message // by virtual port, for the next virtual round
+	fresh bool // terminated this virtual round; announce in this phase A
+	// inbox collects the next virtual round's messages by virtual port;
+	// spare is the previous round's inbox, cleared before it is reused.
+	inbox, spare []local.Message
+	route        []lineRoute // by virtual port
+	// mine[p'] is the virtual port of edge {me, Neighbors[p']}; theirs[j]
+	// that of edge {other, other's Neighbors[j]}; -1 for this edge itself.
+	mine, theirs []int32
 }
 
 // step runs one virtual round on the accumulated inbox.
 func (v *lineVirtual) step() []local.Message {
-	inbox := v.inbox
-	v.inbox = make([]local.Message, len(v.nbrs))
-	send, done := v.node.Round(v.t, inbox)
+	in := v.inbox
+	clear(v.spare)
+	v.inbox, v.spare = v.spare, in
+	send, done := v.node.Round(v.t, in)
 	v.t++
 	if done {
-		v.done = true
-		v.out = v.node.Output()
+		v.done, v.fresh = true, true
 	}
 	return send
 }
@@ -85,10 +116,18 @@ type lineNode struct {
 	inputFn  func(a, b int64) any
 	hostSeed int64
 
-	owned    map[int64]*lineVirtual // edges this host owns
-	edgeDone map[int64]bool         // incident edges that terminated
-	outputs  []any                  // by host port
-	buffered map[int64][]lineItem   // phase-B items to forward, by shared endpoint = me
+	owned    []lineVirtual // by host port of the other endpoint
+	outputs  []any         // by host port
+	edgeDone []bool        // by host port
+	live     int           // incident edges not yet terminated
+
+	// Per-round scratch, reused: relay holds this host's own phase-A items
+	// for its phase B; queue[p] and queued the items bound for port p this
+	// round; send is the host send slice.
+	relay  []relayItem
+	queue  [][]lineItem
+	queued int
+	send   []local.Message
 }
 
 func (n *lineNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
@@ -96,192 +135,242 @@ func (n *lineNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	case r == 0:
 		// Setup: broadcast my incident-edge list (my neighbours' identities).
 		n.outputs = make([]any, n.info.Degree)
-		n.edgeDone = make(map[int64]bool, n.info.Degree)
+		n.edgeDone = make([]bool, n.info.Degree)
+		n.live = n.info.Degree
 		if n.info.Degree == 0 {
 			return nil, true
 		}
 		return local.Broadcast(append([]int64(nil), n.info.Neighbors...), n.info.Degree), false
 	case r == 1:
 		n.setup(recv)
-		fallthrough
-	default:
 	}
-	if (r-1)%2 == 0 {
-		return n.phaseA(r, recv), n.allDone()
+	if r%2 == 1 {
+		return n.phaseA(r, recv), n.live == 0
 	}
 	return n.phaseB(recv), false
 }
 
-// setup builds the virtual nodes owned by this host from the neighbour
-// lists received in round 0.
+// lineKey is one virtual neighbour during setup: its identity and its
+// route, which also says whether it is {me, Neighbors[at]} (relay me) or
+// {other, other's Neighbors[at]} (relay other).
+type lineKey struct {
+	id    int64
+	route lineRoute
+}
+
+// setup builds the virtual nodes owned by this host, with their routing and
+// delivery tables, from the neighbour lists received in round 0.
 func (n *lineNode) setup(recv []local.Message) {
-	me := n.info.ID
-	n.owned = make(map[int64]*lineVirtual)
-	n.buffered = make(map[int64][]lineItem)
-	for p, other := range n.info.Neighbors {
+	me, nbrs := n.info.ID, n.info.Neighbors
+	deg := len(nbrs)
+	n.owned = make([]lineVirtual, deg)
+	n.queue = make([][]lineItem, deg)
+	n.send = make([]local.Message, deg)
+	var keys []lineKey
+	for p, other := range nbrs {
 		if me > other {
 			continue // the smaller endpoint owns the edge
 		}
 		otherList, _ := recv[p].([]int64)
-		v := &lineVirtual{id: edgeID(me, other), other: other}
-		for _, w := range n.info.Neighbors {
+		keys = keys[:0]
+		for q, w := range nbrs {
 			if w != other {
-				v.nbrs = append(v.nbrs, edgeID(me, w))
+				keys = append(keys, lineKey{id: edgeID(me, w), route: lineRoute{at: int32(q)}})
 			}
 		}
-		for _, w := range otherList {
+		for j, w := range otherList {
 			if w != me {
-				v.nbrs = append(v.nbrs, edgeID(other, w))
+				keys = append(keys, lineKey{id: edgeID(other, w), route: lineRoute{remote: true, at: int32(j)}})
 			}
 		}
-		sortIDs(v.nbrs)
-		var input any = v.id
+		slices.SortFunc(keys, func(a, b lineKey) int { return cmp.Compare(a.id, b.id) })
+
+		k := len(keys)
+		ids := make([]int64, k)
+		ports := make([]int32, deg+len(otherList))
+		for i := range ports {
+			ports[i] = -1
+		}
+		v := &n.owned[p]
+		v.mine, v.theirs = ports[:deg:deg], ports[deg:]
+		v.route = make([]lineRoute, k)
+		for q, key := range keys {
+			ids[q], v.route[q] = key.id, key.route
+			if key.route.remote {
+				v.theirs[key.route.at] = int32(q)
+			} else {
+				v.mine[key.route.at] = int32(q)
+			}
+		}
+		inboxes := make([]local.Message, 2*k)
+		v.inbox, v.spare = inboxes[:k:k], inboxes[k:]
+
+		id := edgeID(me, other)
+		var input any = id
 		if n.inputFn != nil {
 			input = n.inputFn(me, other)
 		}
-		info := local.Info{
-			ID:        v.id,
-			Degree:    len(v.nbrs),
-			Neighbors: append([]int64(nil), v.nbrs...),
+		v.node = n.algo.New(local.Info{
+			ID:        id,
+			Degree:    k,
+			Neighbors: ids,
 			Input:     input,
-			Rand:      childRand(n.hostSeed, v.id),
-		}
-		v.node = n.algo.New(info)
-		v.inbox = make([]local.Message, len(v.nbrs))
-		n.owned[v.id] = v
+			Rand:      childRand(n.hostSeed, id),
+		})
 	}
 }
 
 // phaseA ingests phase-B deliveries, runs one virtual round on every live
-// owned edge and emits bundles toward the shared endpoints.
+// owned edge and emits bundles toward the relays.
 func (n *lineNode) phaseA(r int, recv []local.Message) []local.Message {
 	if r > 1 {
 		n.ingest(recv)
 	}
-	outgoing := make(map[int64][]lineItem) // by endpoint identity to route via
-	doneByOther := make(map[int64][]lineDone)
-	for _, v := range n.owned {
-		if v.done {
+	for p := range n.owned {
+		v := &n.owned[p]
+		if v.node == nil || v.done {
 			continue
 		}
-		send := v.step()
-		for q, msg := range send {
+		for q, msg := range v.step() {
 			if msg == nil {
 				continue
 			}
-			dst := v.nbrs[q]
-			// The shared endpoint of v.id and dst is the endpoint of v that
-			// is also an endpoint of dst.
-			a, b := graph.UnpackIDs(dst)
-			var via int64
-			if a == n.info.ID || b == n.info.ID {
-				via = n.info.ID
+			rt := v.route[q]
+			if rt.remote {
+				n.enqueue(p, lineItem{at: rt.at, payload: msg})
 			} else {
-				via = v.other
-			}
-			item := lineItem{src: v.id, dst: dst, payload: msg}
-			if via == n.info.ID {
-				n.buffered[via] = append(n.buffered[via], item)
-			} else {
-				outgoing[via] = append(outgoing[via], item)
+				n.relay = append(n.relay, relayItem{src: int32(p), dst: rt.at, payload: msg})
 			}
 		}
 		if v.done {
-			// Announce termination with the final output to both endpoints.
-			out := lineDone{edge: v.id, out: v.out}
-			n.recordDone(out)
-			doneByOther[v.other] = append(doneByOther[v.other], out)
+			n.recordDone(p, v.node.Output())
 		}
 	}
-	send := make([]local.Message, n.info.Degree)
-	for p, other := range n.info.Neighbors {
-		items := outgoing[other]
-		dones := doneByOther[other]
-		if len(items) > 0 || len(dones) > 0 {
-			send[p] = lineBundle{items: items, doneEdges: dones}
-		}
-	}
-	return send
+	return n.flush()
 }
 
-// phaseB forwards buffered items to the owners of their destination edges
-// and delivers locally owned destinations.
-func (n *lineNode) phaseB(recv []local.Message) []local.Message {
-	for _, m := range recv {
-		if b, ok := m.(lineBundle); ok {
-			n.buffered[n.info.ID] = append(n.buffered[n.info.ID], b.items...)
-			for _, d := range b.doneEdges {
-				n.recordDone(d)
-			}
-		}
-	}
-	outgoing := make(map[int64][]lineItem)
-	for _, item := range n.buffered[n.info.ID] {
-		owner, _ := graph.UnpackIDs(item.dst) // the smaller endpoint owns
-		if owner == n.info.ID {
-			n.deliver(item)
-			continue
-		}
-		// I am the other endpoint of dst, so its owner is my host neighbour.
-		outgoing[owner] = append(outgoing[owner], item)
-	}
-	delete(n.buffered, n.info.ID)
-	send := make([]local.Message, n.info.Degree)
-	for p, other := range n.info.Neighbors {
-		if items := outgoing[other]; len(items) > 0 {
-			send[p] = lineBundle{items: items}
-		}
-	}
-	return send
-}
-
-// deliver places an item into the inbox of a locally owned virtual node.
-func (n *lineNode) deliver(item lineItem) {
-	v := n.owned[item.dst]
-	if v == nil || v.done {
-		return
-	}
-	if q := portOf(v.nbrs, item.src); q >= 0 {
-		v.inbox[q] = item.payload
-	}
-}
-
-// ingest consumes phase-B deliveries addressed to owned edges.
+// ingest delivers phase-B bundles: a bundle arriving on port p carries
+// messages for the owned edge at p.
 func (n *lineNode) ingest(recv []local.Message) {
-	for _, m := range recv {
-		b, ok := m.(lineBundle)
+	for p, m := range recv {
+		b, ok := m.(*lineBundle)
 		if !ok {
 			continue
 		}
-		for _, item := range b.items {
-			n.deliver(item)
+		v := &n.owned[p]
+		if v.node == nil || v.done {
+			continue
 		}
-		for _, d := range b.doneEdges {
-			n.recordDone(d)
+		for _, it := range b.items {
+			if int(it.at) < len(v.theirs) {
+				if q := v.theirs[it.at]; q >= 0 {
+					v.inbox[q] = it.payload
+				}
+			}
 		}
 	}
 }
 
-// recordDone marks an incident edge as finished and stores its output under
-// the matching host port.
-func (n *lineNode) recordDone(d lineDone) {
-	if n.edgeDone[d.edge] {
+// phaseB relays the items of phase-A bundles and this host's own relay
+// items to the owners of their destination edges, delivering directly
+// into the edges this host owns, and records the announced terminations.
+func (n *lineNode) phaseB(recv []local.Message) []local.Message {
+	for p, m := range recv {
+		b, ok := m.(*lineBundle)
+		if !ok {
+			continue
+		}
+		for _, it := range b.items {
+			n.forward(int32(p), it.at, it.payload)
+		}
+		if b.done {
+			n.recordDone(p, b.out)
+		}
+	}
+	for _, it := range n.relay {
+		n.forward(it.src, it.dst, it.payload)
+	}
+	clear(n.relay)
+	n.relay = n.relay[:0]
+	return n.flush()
+}
+
+// forward moves one message from edge {me, Neighbors[src]} to edge
+// {me, Neighbors[dst]}: into its inbox if this host owns it, otherwise
+// toward its owner over port dst.
+func (n *lineNode) forward(src, dst int32, payload local.Message) {
+	v := &n.owned[dst]
+	if v.node == nil {
+		n.enqueue(int(dst), lineItem{at: src, payload: payload})
 		return
 	}
-	n.edgeDone[d.edge] = true
-	a, b := graph.UnpackIDs(d.edge)
-	other := a
-	if a == n.info.ID {
-		other = b
+	if v.done {
+		return
 	}
-	if p := n.info.NeighborPort(other); p >= 0 {
-		n.outputs[p] = d.out
+	if q := v.mine[src]; q >= 0 {
+		v.inbox[q] = payload
 	}
 }
 
-// allDone reports whether every incident edge has terminated.
-func (n *lineNode) allDone() bool {
-	return len(n.edgeDone) == n.info.Degree
+func (n *lineNode) enqueue(p int, it lineItem) {
+	n.queue[p] = append(n.queue[p], it)
+	n.queued++
+}
+
+// flush packs this round's queues and termination announcements into
+// bundles. All items share one arena and all bundles another; both are
+// fresh every round because receivers may retain what they are sent,
+// while the queues and the send slice itself are reused.
+func (n *lineNode) flush() []local.Message {
+	clear(n.send)
+	nb := 0
+	for p := range n.queue {
+		if len(n.queue[p]) > 0 || n.owned[p].fresh {
+			nb++
+		}
+	}
+	if nb == 0 {
+		return n.send
+	}
+	bundles := make([]lineBundle, nb)
+	var items []lineItem
+	if n.queued > 0 {
+		items = make([]lineItem, 0, n.queued)
+	}
+	next := 0
+	for p, q := range n.queue {
+		v := &n.owned[p]
+		if len(q) == 0 && !v.fresh {
+			continue
+		}
+		b := &bundles[next]
+		next++
+		if len(q) > 0 {
+			start := len(items)
+			items = append(items, q...)
+			b.items = items[start:len(items):len(items)]
+			clear(q)
+			n.queue[p] = q[:0]
+		}
+		if v.fresh {
+			b.done, b.out = true, n.outputs[p]
+			v.fresh = false
+		}
+		n.send[p] = b
+	}
+	n.queued = 0
+	return n.send
+}
+
+// recordDone marks the incident edge at host port p as finished with
+// output out.
+func (n *lineNode) recordDone(p int, out any) {
+	if n.edgeDone[p] {
+		return
+	}
+	n.edgeDone[p] = true
+	n.live--
+	n.outputs[p] = out
 }
 
 func (n *lineNode) Output() any { return n.outputs }
