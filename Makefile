@@ -1,8 +1,8 @@
 # Build/test/bench entry points, including the PGO workflow from ISSUE 10:
 # `make pgo` regenerates the committed default.pgo profile from the
-# representative localbench sweep and distributes it into every cmd/* main
-# package (the Go toolchain auto-applies a default.pgo only when it sits in
-# the main package's own directory), and `make verify-pgo` proves the
+# representative localbench sweep over scenarios/paper and distributes it
+# into every cmd/* main package (the Go toolchain auto-applies a default.pgo
+# only when it sits in the main package's own directory), and `make verify-pgo` proves the
 # committed profile is loadable and actually applied by a plain `go build`
 # (the CI pgo-gate job runs it on every commit).
 
@@ -17,19 +17,23 @@ build:
 test: build
 	$(GO) test ./...
 
+# The same package list as the CI test job's race step.
 race:
-	$(GO) test -race ./internal/bitset/ ./internal/local/ ./internal/sweep/ \
-		./internal/serve/ ./internal/fabric/ ./internal/job/
+	$(GO) test -race -short ./internal/bitset ./internal/local ./internal/graph \
+		./internal/sweep ./internal/engines ./internal/scenario ./internal/serve \
+		./internal/fabric/... ./internal/job ./internal/algorithms/lift \
+		./internal/algorithms/matching
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitset/ ./internal/local/
 
-# Regenerate default.pgo: run the full experiment sweep $(PGO_ITERS) times
-# under one CPU profile, then copy the profile next to each main package.
+# Regenerate default.pgo: run the paper corpus (scenarios/paper) $(PGO_ITERS)
+# times under one CPU profile, then copy the profile next to each main
+# package.
 # The root default.pgo is the canonical artifact; the cmd/*/default.pgo
 # copies are what `go build ./...` picks up per binary.
 pgo:
-	$(GO) run ./cmd/localbench -pgo default.pgo -pgo-iters $(PGO_ITERS)
+	$(GO) run ./cmd/localbench -scenarios scenarios/paper -pgo default.pgo -pgo-iters $(PGO_ITERS)
 	for d in cmd/*/; do cp default.pgo $$d; done
 
 # Assert the committed profile is loadable and applied: a default build of a

@@ -9,16 +9,19 @@
 //     (node-steps, steps/job, frontier occupancy) are held to the same
 //     standard.
 //
-//   - Pinned hot-path experiments (-pin, default the transformer-heavy
-//     tables) must not regress their wall time by more than -tolerance
-//     (default 20%). Because the committed baseline and the fresh file are
-//     usually produced on different machines (author laptop vs CI runner),
-//     the gate is machine-normalized by default: old wall times are
-//     rescaled by the speed ratio measured on the *non-pinned* experiments
-//     (so the gated quantity never dilutes its own denominator), and only a
-//     pinned hot path growing relative to that reference trips the gate.
-//     -normalize=false compares raw wall times (same-machine A/B runs);
-//     -tolerance -1 disables the timing gate entirely.
+//   - Pinned hot-path groups (-pin, default the transformer-heavy E1, E3
+//     and E6 specs of scenarios/paper) must not regress their wall time by
+//     more than -tolerance (default 20%). A pin is a case-sensitive prefix
+//     of the records' experiment (scenario) names, and its group is every
+//     record it matches; a pin that matches no record is an error, so a
+//     renamed corpus cannot silently disarm the gate. Because the committed
+//     baseline and the fresh file are usually produced on different
+//     machines (author laptop vs CI runner), the gate is machine-normalized
+//     by default: old wall times are rescaled by the speed ratio measured on
+//     the *non-pinned* records (so the gated quantity never dilutes its own
+//     denominator), and only a pinned hot path growing relative to that
+//     reference trips the gate. -normalize=false compares raw wall times
+//     (same-machine A/B runs); -tolerance -1 disables the timing gate.
 //
 //   - The instructions-per-job trend (schema v4: sweep ns per node-step)
 //     must not regress by more than -instr-tolerance (default 20%) after
@@ -26,25 +29,27 @@
 //     moved up or down, so wins land in the CI log too; -instr-tolerance -1
 //     disables only this gate.
 //
-// Files that cannot be compared meaningfully — different seed/large flags,
-// different -parallel/-workers settings, or an unknown schema version — are
+// Files that cannot be compared meaningfully — different seeds, different
+// -parallel/-workers settings, or an unknown schema version — are
 // an error, not a silent skip: a stale or misgenerated baseline must not
 // disable the gate while CI stays green.
 //
 // Usage:
 //
 //	benchguard -old BENCH.json -new BENCH.ci.json [-tolerance 0.20]
-//	           [-instr-tolerance 0.20] [-pin E1,E3,E6] [-normalize=true]
+//	           [-instr-tolerance 0.20] [-pin paper-e01-,paper-e03-,paper-e06-]
+//	           [-normalize=true]
 //
 // CI regenerates BENCH.ci.json on every commit and runs this guard against
 // the committed BENCH.json, so a hot-path regression fails the build with a
-// per-experiment wall-time table instead of drifting by unnoticed.
+// per-pin wall-time table instead of drifting by unnoticed.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -54,15 +59,40 @@ import (
 var (
 	flagOld       = flag.String("old", "BENCH.json", "committed baseline")
 	flagNew       = flag.String("new", "BENCH.ci.json", "freshly regenerated results")
-	flagTolerance = flag.Float64("tolerance", 0.20, "max allowed wall-time regression on pinned experiments (negative disables timing checks)")
+	flagTolerance = flag.Float64("tolerance", 0.20, "max allowed wall-time regression on pinned groups (negative disables timing checks)")
 	flagInstrTol  = flag.Float64("instr-tolerance", 0.20, "max allowed ns-per-node-step regression on the schema-v4 instruction trend (negative disables it)")
-	flagPin       = flag.String("pin", "E1,E3,E6", "comma-separated experiments pinned for the timing check")
-	flagNormalize = flag.Bool("normalize", true, "compare per-experiment shares of total wall time (machine-independent) instead of raw wall times")
+	flagPin       = flag.String("pin", "paper-e01-,paper-e03-,paper-e06-", "comma-separated experiment-name prefixes pinned for the timing check (case-sensitive; each must match a record)")
+	flagNormalize = flag.Bool("normalize", true, "rescale old wall times by the machine-speed ratio of the non-pinned records instead of comparing raw wall times")
 )
+
+// options are the guard's thresholds, split from the flags so tests can
+// drive guard directly.
+type options struct {
+	tolerance, instrTol float64
+	pins                []string
+	normalize           bool
+}
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	opt := options{
+		tolerance: *flagTolerance,
+		instrTol:  *flagInstrTol,
+		normalize: *flagNormalize,
+	}
+	for _, p := range strings.Split(*flagPin, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			opt.pins = append(opt.pins, p)
+		}
+	}
+	old, err := load(*flagOld)
+	if err == nil {
+		var fresh *benchfmt.Doc
+		if fresh, err = load(*flagNew); err == nil {
+			err = guard(os.Stdout, old, fresh, opt)
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(1)
 	}
@@ -84,49 +114,36 @@ func load(path string) (*benchfmt.Doc, error) {
 	return &d, nil
 }
 
-func run() error {
-	old, err := load(*flagOld)
-	if err != nil {
-		return err
-	}
-	fresh, err := load(*flagNew)
-	if err != nil {
-		return err
-	}
+// guard runs every check on a (committed, fresh) pair, reporting to w.
+func guard(w io.Writer, old, fresh *benchfmt.Doc, opt options) error {
 	if err := checkDeterministic(old, fresh); err != nil {
 		return err
 	}
-	fmt.Printf("benchguard: %d records deterministic-identical (seed %d)\n", len(old.Results), old.Seed)
-	if *flagTolerance < 0 && *flagInstrTol < 0 {
-		fmt.Println("benchguard: timing checks disabled")
+	fmt.Fprintf(w, "benchguard: %d records deterministic-identical (seed %d)\n", len(old.Results), old.Seed)
+	for _, p := range opt.pins {
+		if !matchesAny(old, p) {
+			return fmt.Errorf("pin %q matches no record (pins are case-sensitive experiment-name prefixes)", p)
+		}
+	}
+	if opt.tolerance < 0 && opt.instrTol < 0 {
+		fmt.Fprintln(w, "benchguard: timing checks disabled")
 		return nil
 	}
 	if old.Parallel != fresh.Parallel || old.Workers != fresh.Workers {
 		return fmt.Errorf("parallel/workers differ (%d/%d vs %d/%d): regenerate both files with the same flags, or pass -tolerance -1 to skip timing",
 			old.Parallel, old.Workers, fresh.Parallel, fresh.Workers)
 	}
-	return checkTimings(old, fresh)
+	return checkTimings(w, old, fresh, opt)
 }
 
 // checkDeterministic requires the reproduction (what ran, and what it
 // computed) to be unchanged record for record.
 func checkDeterministic(old, fresh *benchfmt.Doc) error {
-	if old.Seed != fresh.Seed || old.Large != fresh.Large {
-		return fmt.Errorf("incomparable files: seed/large flags differ (%d/%v vs %d/%v)",
-			old.Seed, old.Large, fresh.Seed, fresh.Large)
+	if old.Seed != fresh.Seed {
+		return fmt.Errorf("incomparable files: seeds differ (%d vs %d)", old.Seed, fresh.Seed)
 	}
 	if len(old.Results) != len(fresh.Results) {
 		return fmt.Errorf("record count changed: %d vs %d", len(old.Results), len(fresh.Results))
-	}
-	if (old.Corpus == nil) != (fresh.Corpus == nil) {
-		return fmt.Errorf("corpus block present in one file only (old %v, new %v): regenerate both with the same localbench",
-			old.Corpus != nil, fresh.Corpus != nil)
-	}
-	if o, n := old.Corpus, fresh.Corpus; o != nil {
-		if o.Family != n.Family || o.N != n.N || o.Edges != n.Edges || o.ImageBytes != n.ImageBytes {
-			return fmt.Errorf("corpus block deterministic fields diverged: %s/n=%d/edges=%d/image=%dB vs %s/n=%d/edges=%d/image=%dB",
-				o.Family, o.N, o.Edges, o.ImageBytes, n.Family, n.N, n.Edges, n.ImageBytes)
-		}
 	}
 	if (old.Instr == nil) != (fresh.Instr == nil) {
 		return fmt.Errorf("instruction block present in one file only (old %v, new %v): regenerate both with the same localbench",
@@ -152,43 +169,58 @@ func checkDeterministic(old, fresh *benchfmt.Doc) error {
 	return nil
 }
 
-// checkTimings compares per-experiment wall time on the pinned experiments,
-// benchstat-style. With -normalize, old wall times are rescaled by the
-// machine-speed ratio measured on the non-pinned experiments, cancelling
-// uniform host differences without letting a pinned regression inflate its
-// own denominator (a 1.5x slowdown of the heaviest pinned experiment would
-// otherwise drag the whole-suite factor up and mask itself).
-func checkTimings(old, fresh *benchfmt.Doc) error {
-	pins := map[string]bool{}
-	for _, p := range strings.Split(*flagPin, ",") {
-		if p = strings.TrimSpace(strings.ToUpper(p)); p != "" {
-			pins[p] = true
+// matchesAny reports whether pin prefixes any record's experiment name.
+func matchesAny(d *benchfmt.Doc, pin string) bool {
+	for _, r := range d.Results {
+		if strings.HasPrefix(r.Experiment, pin) {
+			return true
 		}
 	}
-	sum := func(d *benchfmt.Doc) (perExp map[string]int64, total, unpinned int64) {
-		perExp = map[string]int64{}
+	return false
+}
+
+// pinOf returns the first pin prefixing experiment, or "".
+func pinOf(pins []string, experiment string) string {
+	for _, p := range pins {
+		if strings.HasPrefix(experiment, p) {
+			return p
+		}
+	}
+	return ""
+}
+
+// checkTimings compares per-pin wall time, benchstat-style: each pin's group
+// is the sum over the records it matches. With normalize, old wall times are
+// rescaled by the machine-speed ratio measured on the non-pinned records,
+// cancelling uniform host differences without letting a pinned regression
+// inflate its own denominator (a 1.5x slowdown of the heaviest pinned group
+// would otherwise drag the whole-suite factor up and mask itself).
+func checkTimings(w io.Writer, old, fresh *benchfmt.Doc, opt options) error {
+	sum := func(d *benchfmt.Doc) (perPin map[string]int64, total, unpinned int64) {
+		perPin = map[string]int64{}
 		for _, r := range d.Results {
-			perExp[r.Experiment] += r.WallNs
 			total += r.WallNs
-			if !pins[r.Experiment] {
+			if p := pinOf(opt.pins, r.Experiment); p != "" {
+				perPin[p] += r.WallNs
+			} else {
 				unpinned += r.WallNs
 			}
 		}
-		return perExp, total, unpinned
+		return perPin, total, unpinned
 	}
 	oldWall, oldTotal, oldRef := sum(old)
 	newWall, newTotal, newRef := sum(fresh)
 	if oldTotal == 0 || newTotal == 0 {
-		fmt.Println("benchguard: no wall-time data; skipping timing checks")
+		fmt.Fprintln(w, "benchguard: no wall-time data; skipping timing checks")
 		return nil
 	}
-	// factor rescales old wall times onto the new machine: with -normalize
+	// factor rescales old wall times onto the new machine: with normalize
 	// it is the speed ratio of the non-pinned reference set (falling back to
 	// the whole suite when everything is pinned), without it 1 (raw
 	// comparison).
 	factor := 1.0
 	mode := "raw"
-	if *flagNormalize {
+	if opt.normalize {
 		if oldRef > 0 && newRef > 0 {
 			factor = float64(newRef) / float64(oldRef)
 			mode = fmt.Sprintf("normalized vs non-pinned reference, machine factor %.2fx", factor)
@@ -197,34 +229,25 @@ func checkTimings(old, fresh *benchfmt.Doc) error {
 			mode = fmt.Sprintf("normalized vs whole suite (no non-pinned reference), machine factor %.2fx", factor)
 		}
 	}
-	fmt.Printf("benchguard: timing mode: %s\n", mode)
-	fmt.Println("| experiment | old ms | new ms | delta | pinned |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Fprintf(w, "benchguard: timing mode: %s\n", mode)
+	fmt.Fprintln(w, "| pin | old ms | new ms | delta |")
+	fmt.Fprintln(w, "|---|---|---|---|")
 	var failures []string
-	for _, exp := range experimentOrder(old) {
-		o, n := oldWall[exp], newWall[exp]
+	for _, p := range opt.pins {
+		o, n := oldWall[p], newWall[p]
 		if o == 0 {
 			continue
 		}
 		delta := float64(n)/(float64(o)*factor) - 1
-		pinned := ""
-		if pins[exp] {
-			pinned = "yes"
-			if *flagTolerance >= 0 && delta > *flagTolerance {
-				failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (limit %.0f%%)",
-					exp, 100*delta, 100**flagTolerance))
-			}
+		if opt.tolerance >= 0 && delta > opt.tolerance {
+			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (limit %.0f%%)",
+				p, 100*delta, 100*opt.tolerance))
 		}
-		fmt.Printf("| %s | %.1f | %.1f | %+.1f%% | %s |\n",
-			exp, float64(o)/1e6, float64(n)/1e6, 100*delta, pinned)
-	}
-	if o, n := old.Corpus, fresh.Corpus; o != nil && n != nil && o.WarmNs > 0 && n.WarmNs > 0 {
-		fmt.Printf("corpus disk tier: cold/warm %.1fx → %.1fx (%s n=%d, image %d bytes)\n",
-			o.Speedup, n.Speedup, n.Family, n.N, n.ImageBytes)
+		fmt.Fprintf(w, "| %s | %.1f | %.1f | %+.1f%% |\n", p, float64(o)/1e6, float64(n)/1e6, 100*delta)
 	}
 	if old.Sweep.JobsPerSec > 0 && fresh.Sweep.JobsPerSec > 0 {
 		delta := fresh.Sweep.JobsPerSec/old.Sweep.JobsPerSec - 1
-		fmt.Printf("sweep throughput: %.1f → %.1f jobs/s (%+.1f%%), engine allocs %d → %d\n",
+		fmt.Fprintf(w, "sweep throughput: %.1f → %.1f jobs/s (%+.1f%%), engine allocs %d → %d\n",
 			old.Sweep.JobsPerSec, fresh.Sweep.JobsPerSec, 100*delta,
 			old.Sweep.EngineAllocs, fresh.Sweep.EngineAllocs)
 	}
@@ -235,28 +258,15 @@ func checkTimings(old, fresh *benchfmt.Doc) error {
 	if o, n := old.Instr, fresh.Instr; o != nil && n != nil && o.NsPerStep > 0 && n.NsPerStep > 0 {
 		adjusted := o.NsPerStep * factor
 		delta := n.NsPerStep/adjusted - 1
-		fmt.Printf("instruction budget: %.1f → %.1f ns/step (%+.1f%% after normalization; %.0f steps/job, frontier occupancy %.3f)\n",
+		fmt.Fprintf(w, "instruction budget: %.1f → %.1f ns/step (%+.1f%% after normalization; %.0f steps/job, frontier occupancy %.3f)\n",
 			o.NsPerStep, n.NsPerStep, 100*delta, n.StepsPerJob, n.FrontierOccupancy)
-		if *flagInstrTol >= 0 && delta > *flagInstrTol {
+		if opt.instrTol >= 0 && delta > opt.instrTol {
 			failures = append(failures, fmt.Sprintf("ns/step regressed %.1f%% (limit %.0f%%)",
-				100*delta, 100**flagInstrTol))
+				100*delta, 100*opt.instrTol))
 		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("pinned hot-path regression: %s", strings.Join(failures, "; "))
 	}
 	return nil
-}
-
-// experimentOrder returns the experiments in first-appearance order.
-func experimentOrder(d *benchfmt.Doc) []string {
-	seen := map[string]bool{}
-	var order []string
-	for _, r := range d.Results {
-		if !seen[r.Experiment] {
-			seen[r.Experiment] = true
-			order = append(order, r.Experiment)
-		}
-	}
-	return order
 }

@@ -1,35 +1,24 @@
-// Command localbench regenerates the measured counterpart of every Table 1
-// row and corollary of Korman–Sereni–Viennot as markdown tables: for each
-// experiment it runs the non-uniform baseline with correct guesses and the
-// uniform algorithm produced by the paper's transformers, and reports the
-// round counts and their ratio. EXPERIMENTS.md is built from this output.
+// Command localbench runs a directory of declarative scenario specs (see
+// internal/scenario) and prints one markdown section per scenario. The
+// paper's Table 1 rows, Corollary 1 and Observation 2.1 live as specs under
+// scenarios/paper (DESIGN.md §3 maps each experiment to its specs);
+// EXPERIMENTS.md and the committed BENCH.json are regenerated from them.
 //
 // Usage:
 //
-//	localbench [-exp all|E1|E2|E3|E4|E6|E7|E8|E9|E10|E13] [-seed N] [-large]
-//	           [-parallel N] [-workers N] [-json path] [-corpus-dir dir]
-//	           [-cpuprofile path] [-memprofile path]
 //	localbench -scenarios dir [-exp name] [-seed N] [-parallel N]
-//	           [-workers N] [-json path] [-corpus-dir dir] [...]
-//	localbench -pgo default.pgo [-pgo-iters N] [-exp ...] [-seed N] [...]
+//	           [-workers N] [-json path] [-corpus-dir dir]
+//	           [-cpuprofile path] [-memprofile path]
+//	localbench -scenarios dir -pgo default.pgo [-pgo-iters N] [...]
 //
-// With -scenarios, the hard-coded experiment set is replaced by the
-// declarative corpus in the given directory (see internal/scenario and the
-// committed scenarios/): every *.json spec is validated, expanded into sweep
-// jobs and rendered as one markdown section per scenario. -exp then filters
-// scenarios by name instead of experiment id, and -seed shifts every
-// scenario's seed grid (-seed 1, the default, runs the corpus exactly as
-// committed). Scenario output contains only deterministic fields, so it is
-// byte-identical for every -parallel and -workers value — CI's scenario gate
-// diffs a sequential against a fully parallel run of the whole corpus.
-//
-// Otherwise execution is two-phase: every experiment plans its simulations as jobs,
-// the whole batch runs through the internal/sweep scheduler (N whole
-// simulations in flight with -parallel N; graphs come from a shared
-// graph.Corpus so no family is generated twice), and the tables are rendered
-// afterwards in plan order. Tables and the deterministic JSON fields are
-// therefore byte-identical for every -parallel and -workers value; only the
-// wall-clock changes.
+// Every *.json spec in the directory is validated, expanded into sweep jobs
+// and run through the internal/sweep scheduler (N whole simulations in
+// flight with -parallel N; graphs come from a shared graph.Corpus so no
+// family is generated twice). -exp filters scenarios by name, and -seed
+// shifts every scenario's seed grid (-seed 1, the default, runs the corpus
+// exactly as committed). The output contains only deterministic fields, so
+// it is byte-identical for every -parallel and -workers value — CI diffs a
+// sequential against a fully parallel run.
 //
 // With -corpus-dir, the graph corpus is backed by the content-addressed CSR
 // image store in that directory (the same format cmd/graphgen -store writes
@@ -38,17 +27,15 @@
 // image for the next run or replica. The output is byte-identical either
 // way — the store only changes where the CSR bytes come from.
 //
-// With -json, a machine-readable result set (schema documented in
-// EXPERIMENTS.md) is additionally written to the given path; the committed
-// BENCH.json at the repo root tracks the perf trajectory across PRs and is
-// guarded by cmd/benchguard in CI. In experiment mode the document includes
-// the corpus cold/warm block: the largest committed family generated from
-// scratch versus loaded from its CSR image (see internal/benchfmt
-// .CorpusBench), measured in -corpus-dir when set or a throwaway store
-// otherwise. The profile flags capture standard pprof profiles of the whole
-// run, so hot-path regressions can be diagnosed without editing code.
+// With -json, the complete schema-4 benchfmt document (schema documented in
+// EXPERIMENTS.md: per-job wall time, allocations and node-steps, the sweep
+// block and the instruction-budget block) is additionally written to the
+// given path; BENCH.json at the repo root is this document for
+// scenarios/paper and is guarded by cmd/benchguard in CI. The profile flags
+// capture standard pprof profiles of the whole run, so hot-path regressions
+// can be diagnosed without editing code.
 //
-// With -pgo, the planned experiment sweep is executed repeatedly under a CPU
+// With -pgo, the loaded scenario batch is executed repeatedly under a CPU
 // profile written to the given path — the representative workload profile
 // committed as default.pgo next to each main package, which makes every
 // plain `go build` profile-guided (see DESIGN.md §2.13 and `make pgo`).
@@ -65,15 +52,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"github.com/unilocal/unilocal/internal/algorithms/luby"
-	"github.com/unilocal/unilocal/internal/benchfmt"
 	"github.com/unilocal/unilocal/internal/cliutil"
-	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
-	"github.com/unilocal/unilocal/internal/local"
-	"github.com/unilocal/unilocal/internal/problems"
 	"github.com/unilocal/unilocal/internal/scenario"
 	"github.com/unilocal/unilocal/internal/serve"
 	"github.com/unilocal/unilocal/internal/sweep"
@@ -87,113 +68,42 @@ func main() {
 }
 
 var (
-	flagExp      = flag.String("exp", "all", "experiment id (E1,E2,E3,E4,E6,E7,E8,E9,E10,E13) or 'all'; with -scenarios, a scenario name")
-	flagScen     = flag.String("scenarios", "", "run the declarative scenario corpus in this directory instead of the built-in experiments")
+	flagExp      = flag.String("exp", "all", "scenario name to run, or 'all'")
+	flagScen     = flag.String("scenarios", "", "directory of scenario specs to run (required; scenarios/paper holds the paper's experiments)")
 	flagSeed     = flag.Int64("seed", 1, "simulation seed")
-	flagLarge    = flag.Bool("large", false, "use larger size sweeps")
 	flagParallel = flag.Int("parallel", 1, "simulations in flight (0 = GOMAXPROCS); output is byte-identical for any value")
 	flagWorkers  = flag.Int("workers", 0, "engine worker count per simulation (0 = auto, 1 = sequential)")
 	flagJSON     = flag.String("json", "", "write machine-readable results to this path")
 	flagCorpus   = flag.String("corpus-dir", "", "content-addressed CSR image store directory backing the graph corpus (shared with graphgen -store and localserved -corpus-dir)")
 	flagCPU      = flag.String("cpuprofile", "", "write a CPU profile to this path")
 	flagMem      = flag.String("memprofile", "", "write a heap profile to this path")
-	flagPGO      = flag.String("pgo", "", "run the experiment sweep repeatedly under a CPU profile and write it to this path (the default.pgo workflow); suppresses all other output")
-	flagPGOIters = flag.Int("pgo-iters", 3, "sweep repetitions under -pgo (more = smoother profile)")
+	flagPGO      = flag.String("pgo", "", "run the scenario batch repeatedly under a CPU profile and write it to this path (the default.pgo workflow); suppresses all other output")
+	flagPGOIters = flag.Int("pgo-iters", 3, "batch repetitions under -pgo (more = smoother profile)")
 )
-
-// recMeta is the planning-time half of a benchfmt.Record: everything known
-// before the job runs, plus the baseline job whose rounds this job's ratio
-// divides by.
-type recMeta struct {
-	exp     string
-	label   string
-	algo    string
-	n       int
-	ratioOf int // job index of the non-uniform baseline, or -1
-}
-
-// plan accumulates the jobs of all selected experiments and the deferred
-// table renderers that consume their results. Planning, execution and
-// rendering are strictly separated so the scheduler is free to complete jobs
-// in any order while stdout and the JSON records keep the sequential
-// ordering.
-type plan struct {
-	corpus  *graph.Corpus
-	exp     string // experiment currently planning, stamped into jobs/renders
-	jobs    []sweep.Job
-	metas   []recMeta
-	renders []render
-	results []sweep.Result
-}
-
-type render struct {
-	exp string
-	fn  func() error
-}
-
-func newPlan() *plan {
-	return &plan{corpus: graph.NewCorpus()}
-}
-
-// submit plans one simulation and returns its job index.
-func (p *plan) submit(label string, g *graph.Graph, a local.Algorithm, seed int64) int {
-	idx := len(p.jobs)
-	p.jobs = append(p.jobs, sweep.Job{
-		Label: p.exp + "/" + label,
-		Graph: g,
-		Algo:  func() local.Algorithm { return a },
-		Seed:  seed,
-	})
-	p.metas = append(p.metas, recMeta{exp: p.exp, label: label, algo: a.Name(), n: g.N(), ratioOf: -1})
-	return idx
-}
-
-// addRender defers output that depends on results.
-func (p *plan) addRender(fn func() error) {
-	p.renders = append(p.renders, render{exp: p.exp, fn: fn})
-}
-
-// res returns job i's simulation result or its error.
-func (p *plan) res(i int) (*local.Result, error) {
-	r := p.results[i]
-	return r.Res, r.Err
-}
-
-// header plans a table header.
-func (p *plan) header(title, caption string) {
-	p.addRender(func() error {
-		fmt.Printf("\n### %s\n\n%s\n\n", title, caption)
-		fmt.Println("| graph | n | non-uniform rounds | uniform rounds | ratio |")
-		fmt.Println("|---|---|---|---|---|")
-		return nil
-	})
-}
-
-// row plans the baseline/uniform pair of one table row and its rendering.
-func (p *plan) row(label string, g *graph.Graph, baseline, uniform local.Algorithm, check func([]any) error) {
-	nu := p.submit(label+"/nonuniform", g, baseline, *flagSeed)
-	un := p.submit(label+"/uniform", g, uniform, *flagSeed)
-	p.metas[un].ratioOf = nu
-	p.addRender(func() error {
-		nuRes, err := p.res(nu)
-		if err != nil {
-			return err
-		}
-		unRes, err := p.res(un)
-		if err != nil {
-			return err
-		}
-		if err := check(unRes.Outputs); err != nil {
-			return fmt.Errorf("uniform output invalid on %s: %w", label, err)
-		}
-		fmt.Printf("| %s | %d | %d | %d | %.2f |\n",
-			label, g.N(), nuRes.Rounds, unRes.Rounds, float64(unRes.Rounds)/float64(nuRes.Rounds))
-		return nil
-	})
-}
 
 func run() error {
 	flag.Parse()
+	if *flagScen == "" {
+		return fmt.Errorf("-scenarios dir is required (scenarios/paper holds the paper's experiments)")
+	}
+	if *flagPGO != "" && *flagCPU != "" {
+		return fmt.Errorf("-pgo and -cpuprofile both start the CPU profiler; use one")
+	}
+	specs, err := loadSpecs()
+	if err != nil {
+		return err
+	}
+	corpus := graph.NewCorpus()
+	if *flagCorpus != "" {
+		store, err := graph.OpenStore(*flagCorpus)
+		if err != nil {
+			return err
+		}
+		corpus.AttachStore(store)
+	}
+	if *flagPGO != "" {
+		return runPGO(specs, corpus)
+	}
 	if *flagCPU != "" {
 		f, err := os.Create(*flagCPU)
 		if err != nil {
@@ -205,77 +115,75 @@ func run() error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *flagScen != "" {
-		if err := runScenarios(); err != nil {
-			return err
-		}
-		return writeMemProfile()
-	}
-	exps := map[string]func(*plan) error{
-		"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E6": e6,
-		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E13": e13,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E6", "E7", "E8", "E9", "E10", "E13"}
-	want := strings.ToUpper(*flagExp)
-	p := newPlan()
-	if *flagCorpus != "" {
-		store, err := graph.OpenStore(*flagCorpus)
-		if err != nil {
-			return err
-		}
-		p.corpus.AttachStore(store)
-	}
-	ran := false
-	for _, id := range order {
-		if want != "ALL" && want != id {
-			continue
-		}
-		p.exp = id
-		if err := exps[id](p); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *flagExp)
-	}
-
-	if *flagPGO != "" {
-		return runPGO(p)
-	}
-
-	results, stats := sweep.Run(p.jobs, sweep.Options{
-		Parallel:      *flagParallel,
-		EngineWorkers: *flagWorkers,
-	})
-	p.results = results
-	for _, r := range p.renders {
-		if err := r.fn(); err != nil {
-			return fmt.Errorf("%s: %w", r.exp, err)
-		}
-	}
-
-	if *flagJSON != "" {
-		if err := writeJSON(*flagJSON, p, stats); err != nil {
-			return err
-		}
+	if err := runScenarios(specs, corpus); err != nil {
+		return err
 	}
 	return writeMemProfile()
 }
 
-// runPGO executes the planned sweep -pgo-iters times under one CPU profile
-// and writes it to the -pgo path. The sweep is the same job set BENCH.json
-// measures — the engine's word scans, the lane traffic and the transformer
-// wrappers in their real mix — so the profile steers PGO at the loops that
-// matter. The first iteration warms the run-state pools; later iterations
-// profile the steady state a long-lived server actually runs in.
-func runPGO(p *plan) error {
-	if *flagCPU != "" {
-		return fmt.Errorf("-pgo and -cpuprofile both start the CPU profiler; use one")
+// loadSpecs loads and validates the -scenarios directory, filtered by -exp.
+func loadSpecs() ([]*scenario.Spec, error) {
+	if err := cliutil.Dir("-scenarios", *flagScen); err != nil {
+		return nil, err
 	}
-	iters := *flagPGOIters
-	if iters < 1 {
-		iters = 1
+	specs, err := scenario.LoadDir(*flagScen)
+	if err != nil {
+		return nil, err
+	}
+	want := strings.ToLower(*flagExp)
+	if want == "all" {
+		return specs, nil
+	}
+	for _, s := range specs {
+		if s.Name == want {
+			return []*scenario.Spec{s}, nil
+		}
+	}
+	return nil, fmt.Errorf("no scenario named %q in %s", want, *flagScen)
+}
+
+// runScenarios runs the specs through serve.Execute — the same
+// request→document path cmd/localserved serves — and prints the
+// deterministic markdown (plus the JSON document under -json). Sharing the
+// path is what makes a served response byte-identical to this command's
+// output for the same spec.
+func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
+	out, err := serve.Execute(specs, serve.ExecOptions{
+		Corpus:        corpus,
+		SeedOffset:    *flagSeed - 1,
+		Parallel:      *flagParallel,
+		EngineWorkers: *flagWorkers,
+	})
+	if err != nil {
+		return err
+	}
+	if _, err := os.Stdout.Write(out.Markdown); err != nil {
+		return err
+	}
+	if *flagJSON == "" {
+		return nil
+	}
+	doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, *flagSeed, *flagParallel, *flagWorkers)
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(*flagJSON, append(data, '\n'), 0o644)
+}
+
+// runPGO expands the specs once and runs the batch -pgo-iters times under
+// one CPU profile written to the -pgo path. Over scenarios/paper this is the
+// job set BENCH.json measures — the engine's word scans, the lane traffic
+// and the transformer wrappers in their real mix — so the profile steers PGO
+// at the loops that matter. The first iteration warms the run-state pools;
+// later iterations profile the steady state a long-lived server runs in.
+func runPGO(specs []*scenario.Spec, corpus *graph.Corpus) error {
+	batch, err := scenario.Expand(specs, scenario.ExpandOptions{Corpus: corpus, SeedOffset: *flagSeed - 1})
+	if err != nil {
+		return err
 	}
 	f, err := os.Create(*flagPGO)
 	if err != nil {
@@ -286,8 +194,8 @@ func runPGO(p *plan) error {
 		return err
 	}
 	defer pprof.StopCPUProfile()
-	for i := 0; i < iters; i++ {
-		results, _ := sweep.Run(p.jobs, sweep.Options{
+	for i := 0; i < max(*flagPGOIters, 1); i++ {
+		results, _ := sweep.Run(batch.Jobs, sweep.Options{
 			Parallel:      *flagParallel,
 			EngineWorkers: *flagWorkers,
 		})
@@ -310,474 +218,4 @@ func writeMemProfile() error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
-}
-
-// runScenarios executes the declarative corpus under -scenarios: load and
-// validate the directory, optionally filter by -exp, then run through
-// serve.Execute — the same request→document path cmd/localserved serves —
-// and print the deterministic markdown (plus the JSON document under
-// -json). Sharing the path is what makes a served response byte-identical
-// to this command's output for the same spec.
-func runScenarios() error {
-	if err := cliutil.Dir("-scenarios", *flagScen); err != nil {
-		return err
-	}
-	specs, err := scenario.LoadDir(*flagScen)
-	if err != nil {
-		return err
-	}
-	if want := strings.ToLower(*flagExp); want != "all" {
-		var keep []*scenario.Spec
-		for _, s := range specs {
-			if s.Name == want {
-				keep = append(keep, s)
-			}
-		}
-		if len(keep) == 0 {
-			return fmt.Errorf("no scenario named %q in %s", want, *flagScen)
-		}
-		specs = keep
-	}
-	corpus := graph.NewCorpus()
-	if *flagCorpus != "" {
-		store, err := graph.OpenStore(*flagCorpus)
-		if err != nil {
-			return err
-		}
-		corpus.AttachStore(store)
-	}
-	out, err := serve.Execute(specs, serve.ExecOptions{
-		Corpus:        corpus,
-		SeedOffset:    *flagSeed - 1,
-		Parallel:      *flagParallel,
-		EngineWorkers: *flagWorkers,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stdout.Write(out.Markdown); err != nil {
-		return err
-	}
-	if *flagJSON != "" {
-		doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, *flagSeed, *flagParallel, *flagWorkers)
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*flagJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeJSON emits the per-job records (in plan order) with a schema header
-// and the sweep throughput block; the types live in internal/benchfmt,
-// shared with cmd/benchguard.
-func writeJSON(path string, p *plan, stats sweep.Stats) error {
-	collected := make([]benchfmt.Record, 0, len(p.metas))
-	for i, m := range p.metas {
-		r := p.results[i]
-		if r.Err != nil {
-			return r.Err
-		}
-		rec := benchfmt.Record{
-			Experiment: m.exp,
-			Label:      m.label,
-			Algorithm:  m.algo,
-			N:          m.n,
-			Rounds:     r.Res.Rounds,
-			Messages:   r.Res.Messages,
-			WallNs:     r.Wall.Nanoseconds(),
-			Allocs:     r.Allocs,
-			Steps:      r.Res.Steps,
-		}
-		if m.ratioOf >= 0 {
-			base := p.results[m.ratioOf]
-			rec.Ratio = float64(r.Res.Rounds) / float64(base.Res.Rounds)
-		}
-		collected = append(collected, rec)
-	}
-	cb, err := corpusBench()
-	if err != nil {
-		return fmt.Errorf("corpus bench: %w", err)
-	}
-	doc := benchfmt.Doc{
-		SchemaVersion: benchfmt.SchemaVersion,
-		GeneratedBy:   "cmd/localbench",
-		Seed:          *flagSeed,
-		Parallel:      *flagParallel,
-		Workers:       *flagWorkers,
-		Large:         *flagLarge,
-		Sweep: benchfmt.SweepStats{
-			Jobs:         stats.Jobs,
-			Workers:      stats.Workers,
-			WallNs:       stats.Wall.Nanoseconds(),
-			JobsPerSec:   stats.JobsPerSec,
-			EngineAllocs: stats.EngineAllocs,
-		},
-		Corpus:  cb,
-		Results: collected,
-	}
-	if stats.NodeSteps > 0 {
-		doc.Instr = &benchfmt.InstrStats{
-			NodeSteps:         stats.NodeSteps,
-			StepsPerJob:       float64(stats.NodeSteps) / float64(stats.Jobs),
-			NsPerStep:         float64(stats.Wall.Nanoseconds()) / float64(stats.NodeSteps),
-			FrontierOccupancy: stats.FrontierOccupancy,
-		}
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// corpusBench measures the disk tier on the largest committed family (E8's
-// gnp at n=16384): cold is a fresh generation through a store-less corpus,
-// warm is a second corpus loading the CSR image a store-attached build
-// persisted. The image lands in -corpus-dir when set (pre-warming the shared
-// store as a side effect), otherwise in a throwaway directory. Family, n,
-// edge count and image size are deterministic and guarded by benchguard; the
-// wall times record the machine's cold/warm ratio.
-func corpusBench() (*benchfmt.CorpusBench, error) {
-	const n = 16384
-	p, seed := 8/float64(n-1), int64(n)
-	dir := *flagCorpus
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "localbench-corpus-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	store, err := graph.OpenStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	// Ensure the image exists: build once through the store (a pre-warmed
-	// -corpus-dir makes this itself a disk hit).
-	warmer := graph.NewCorpus()
-	warmer.AttachStore(store)
-	if _, err := warmer.GNP(n, p, seed); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	g, err := graph.NewCorpus().GNP(n, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	coldNs := time.Since(start).Nanoseconds()
-
-	loader := graph.NewCorpus()
-	loader.AttachStore(store)
-	start = time.Now()
-	if _, err := loader.GNP(n, p, seed); err != nil {
-		return nil, err
-	}
-	warmNs := time.Since(start).Nanoseconds()
-
-	cb := &benchfmt.CorpusBench{
-		Family: "gnp", N: n, Edges: g.NumEdges(),
-		ColdNs: coldNs, WarmNs: warmNs,
-	}
-	if warmNs > 0 {
-		cb.Speedup = float64(coldNs) / float64(warmNs)
-	}
-	images, err := store.Images()
-	if err != nil {
-		return nil, err
-	}
-	for _, img := range images {
-		if img.Nodes == int64(n) && img.Edges == int64(cb.Edges) {
-			cb.ImageBytes = img.Bytes
-		}
-	}
-	return cb, nil
-}
-
-func sizes(small []int, large []int) []int {
-	if *flagLarge {
-		return large
-	}
-	return small
-}
-
-func misCheck(g *graph.Graph) func([]any) error {
-	return func(outputs []any) error {
-		in, err := problems.Bools(outputs)
-		if err != nil {
-			return err
-		}
-		return problems.ValidMIS(g, in)
-	}
-}
-
-func e1(p *plan) error {
-	p.header("E1 — Det. MIS / (Δ+1)-coloring, O(Δ + log* n) row (Theorem 1)",
-		"colormis with correct {Δ, m} vs the Theorem 1 uniform transform (MIS pruner).")
-	uniform := engines.UniformMISDelta()
-	for _, n := range sizes([]int{256, 1024, 4096}, []int{1024, 4096, 16384}) {
-		cyc, err := p.corpus.Cycle(n)
-		if err != nil {
-			return err
-		}
-		reg, err := p.corpus.RandomRegular(n, 4, int64(n))
-		if err != nil {
-			return err
-		}
-		gnp, err := p.corpus.GNP(n, 8/float64(n-1), int64(n))
-		if err != nil {
-			return err
-		}
-		for _, fam := range []struct {
-			name string
-			g    *graph.Graph
-		}{{"cycle", cyc}, {"regular4", reg}, {"gnp8", gnp}} {
-			p.row(fam.name, fam.g, engines.NonUniformMISDelta(engines.GraphParams(fam.g)), uniform, misCheck(fam.g))
-		}
-	}
-	return nil
-}
-
-func e2(p *plan) error {
-	p.header("E2 — Det. MIS with size-only knowledge (PS slot; greedy substitution)",
-		"truncated greedy-by-identity with correct m vs its Theorem 1 uniform transform.")
-	uniform := engines.UniformMISID()
-	for _, n := range sizes([]int{64, 256, 1024}, []int{256, 1024, 8192}) {
-		g, err := p.corpus.GNP(n, 6/float64(n-1), int64(n))
-		if err != nil {
-			return err
-		}
-		p.row("gnp6", g, engines.NonUniformMISID(engines.GraphParams(g)), uniform, misCheck(g))
-	}
-	return nil
-}
-
-func e3(p *plan) error {
-	p.header("E3 — Det. MIS on bounded arboricity (Theorem 1, product bound; Theorem 3)",
-		"H-partition MIS with correct {a, n, m} vs the uniform transform with the Obs 4.1 product set-sequence.")
-	uniform := engines.UniformMISArb()
-	for _, n := range sizes([]int{256, 1024}, []int{1024, 8192}) {
-		for _, a := range []int{1, 3} {
-			g := p.corpus.ForestUnion(n, a, int64(n*a))
-			p.row(fmt.Sprintf("forest(a≤%d)", a), g, engines.NonUniformMISArb(engines.GraphParams(g)), uniform, misCheck(g))
-		}
-	}
-	return nil
-}
-
-func e4(p *plan) error {
-	p.header("E4 — λ(Δ+1)-coloring trade-off (Theorem 5)",
-		"non-uniform λ-coloring with correct {Δ, m} vs the Theorem 5 uniform coloring; rounds fall as λ grows.")
-	n := sizes([]int{512}, []int{2048})[0]
-	g, err := p.corpus.RandomRegular(n, 8, int64(n))
-	if err != nil {
-		return err
-	}
-	for _, lambda := range []int{1, 2, 4, 8} {
-		uniform, err := engines.UniformLambdaColoring(lambda)
-		if err != nil {
-			return err
-		}
-		check := func(outputs []any) error {
-			colors, err := problems.Ints(outputs)
-			if err != nil {
-				return err
-			}
-			return problems.ValidColoring(g, colors, 0)
-		}
-		p.row(fmt.Sprintf("regular8, λ=%d", lambda), g,
-			engines.NonUniformLambdaColoring(lambda)(engines.GraphParams(g)), uniform, check)
-	}
-	return nil
-}
-
-func e6(p *plan) error {
-	p.header("E6 — Maximal matching (Theorem 1 + P_MM)",
-		"line-graph matching with correct {Δ, m} vs its uniform transform (HKP slot, see DESIGN.md §4).")
-	uniform := engines.UniformMatching()
-	for _, n := range sizes([]int{256, 1024}, []int{1024, 4096}) {
-		g, err := p.corpus.GNP(n, 5/float64(n-1), int64(n))
-		if err != nil {
-			return err
-		}
-		check := func(outputs []any) error { return problems.ValidMaximalMatching(g, outputs) }
-		p.row("gnp5", g, engines.NonUniformMatching(engines.GraphParams(g)), uniform, check)
-	}
-	return nil
-}
-
-func e7(p *plan) error {
-	p.header("E7 — Randomized (2,β)-ruling set (Theorem 2: Monte Carlo → Las Vegas)",
-		"truncated power-graph Luby with correct n vs the uniform Las Vegas transform (P(2,β) pruner).")
-	n := sizes([]int{512}, []int{2048})[0]
-	g, err := p.corpus.GNP(n, 8/float64(n-1), int64(n))
-	if err != nil {
-		return err
-	}
-	for _, beta := range []int{1, 2, 3} {
-		uniform := engines.LasVegasRulingSet(beta)
-		check := func(outputs []any) error {
-			in, err := problems.Bools(outputs)
-			if err != nil {
-				return err
-			}
-			return problems.ValidRulingSet(g, in, 2, beta)
-		}
-		p.row(fmt.Sprintf("gnp8, β=%d", beta), g,
-			engines.NonUniformRulingSet(beta)(engines.GraphParams(g)), uniform, check)
-	}
-	return nil
-}
-
-func e8(p *plan) error {
-	p.addRender(func() error {
-		fmt.Printf("\n### E8 — Rand. MIS, uniform O(log n) (Luby)\n\n")
-		fmt.Println("| graph | n | rounds (avg over 5 seeds) | log2(n) |")
-		fmt.Println("|---|---|---|---|")
-		return nil
-	})
-	for _, n := range sizes([]int{1024, 4096, 16384}, []int{4096, 16384, 65536}) {
-		g, err := p.corpus.GNP(n, 8/float64(n-1), int64(n))
-		if err != nil {
-			return err
-		}
-		idxs := make([]int, 0, 5)
-		for seed := int64(0); seed < 5; seed++ {
-			idxs = append(idxs, p.submit(fmt.Sprintf("gnp8/seed=%d", seed), g, luby.New(), seed))
-		}
-		p.addRender(func() error {
-			total := 0
-			for _, i := range idxs {
-				res, err := p.res(i)
-				if err != nil {
-					return err
-				}
-				if err := misCheck(g)(res.Outputs); err != nil {
-					return err
-				}
-				total += res.Rounds
-			}
-			lg := 0
-			for v := n; v > 1; v >>= 1 {
-				lg++
-			}
-			fmt.Printf("| gnp8 | %d | %.1f | %d |\n", n, float64(total)/5, lg)
-			return nil
-		})
-	}
-	return nil
-}
-
-func e9(p *plan) error {
-	p.addRender(func() error {
-		fmt.Printf("\n### E9 — Corollary 1(i): min of three engines (Theorem 4)\n\n")
-		fmt.Println("| graph | n | Δ | best-MIS rounds | Δ-engine rounds | id-engine rounds | arb-engine rounds |")
-		fmt.Println("|---|---|---|---|---|---|---|")
-		return nil
-	})
-	combined := engines.BestMIS()
-	cyc, err := p.corpus.Cycle(sizes([]int{1024}, []int{4096})[0])
-	if err != nil {
-		return err
-	}
-	for _, fam := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", p.corpus.Star(sizes([]int{1024}, []int{4096})[0])},
-		{"clique", p.corpus.Complete(sizes([]int{64}, []int{128})[0])},
-		{"cycle", cyc},
-	} {
-		g := fam.g
-		best := p.submit(fam.name, g, combined, *flagSeed)
-		rd := p.submit(fam.name, g, engines.NonUniformMISDelta(engines.GraphParams(g)), *flagSeed)
-		ri := p.submit(fam.name, g, engines.NonUniformMISID(engines.GraphParams(g)), *flagSeed)
-		ra := p.submit(fam.name, g, engines.NonUniformMISArb(engines.GraphParams(g)), *flagSeed)
-		p.addRender(func() error {
-			rounds := make([]int, 4)
-			for j, i := range []int{best, rd, ri, ra} {
-				res, err := p.res(i)
-				if err != nil {
-					return err
-				}
-				rounds[j] = res.Rounds
-			}
-			fmt.Printf("| %s | %d | %d | %d | %d | %d | %d |\n",
-				fam.name, g.N(), g.MaxDegree(), rounds[0], rounds[1], rounds[2], rounds[3])
-			return nil
-		})
-	}
-	return nil
-}
-
-func e10(p *plan) error {
-	p.addRender(func() error {
-		fmt.Printf("\n### E10 — Section 5.1: uniform (deg+1)-coloring from uniform MIS\n\n")
-		fmt.Println("| graph | n | rounds | max color | Δ+1 |")
-		fmt.Println("|---|---|---|---|---|")
-		return nil
-	})
-	uniform := engines.UniformDegPlusOneColoring(engines.LubyMIS())
-	for _, n := range sizes([]int{256, 1024}, []int{1024, 4096}) {
-		g, err := p.corpus.GNP(n, 6/float64(n-1), int64(n))
-		if err != nil {
-			return err
-		}
-		idx := p.submit("gnp6", g, uniform, *flagSeed)
-		p.addRender(func() error {
-			res, err := p.res(idx)
-			if err != nil {
-				return err
-			}
-			colors, err := problems.Ints(res.Outputs)
-			if err != nil {
-				return err
-			}
-			if err := problems.ValidColoring(g, colors, g.MaxDegree()+1); err != nil {
-				return err
-			}
-			fmt.Printf("| gnp6 | %d | %d | %d | %d |\n", n, res.Rounds, problems.MaxColor(colors), g.MaxDegree()+1)
-			return nil
-		})
-	}
-	return nil
-}
-
-func e13(p *plan) error {
-	p.addRender(func() error {
-		fmt.Printf("\n### E13 — Observation 2.1: composition under skewed wake-up\n\n")
-		fmt.Println("| graph | n | max delay | composed rounds | bound (delay + T_luby + slack) |")
-		fmt.Println("|---|---|---|---|---|")
-		return nil
-	})
-	n := sizes([]int{1024}, []int{4096})[0]
-	g, err := p.corpus.GNP(n, 6/float64(n-1), int64(n))
-	if err != nil {
-		return err
-	}
-	plainIdx := p.submit("gnp6/plain", g, luby.New(), *flagSeed)
-	maxDelay := 16
-	delayed := local.WithWakeup(luby.New(), func(id int64) int { return int(id % 17) })
-	wakeIdx := p.submit("gnp6/wakeup", g, delayed, *flagSeed)
-	p.addRender(func() error {
-		plain, err := p.res(plainIdx)
-		if err != nil {
-			return err
-		}
-		res, err := p.res(wakeIdx)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("| gnp6 | %d | %d | %d | %d |\n", n, maxDelay, res.Rounds, maxDelay+plain.Rounds+4)
-		return nil
-	})
-	return nil
 }

@@ -18,15 +18,16 @@
 // frontier, persistent worker pool — DESIGN.md §2) and the per-experiment
 // index (§3), EXPERIMENTS.md for measured reproductions of Table 1 and
 // Figure 1, and the examples/ directory for runnable entry points. The
-// implementation lives under internal/; the benchmark harness
-// (bench_test.go, cmd/) is the top-level interface for regenerating the
-// paper's evaluation, and the declarative scenario corpus under scenarios/
-// (DESIGN.md §2.7, cmd/localbench -scenarios, cmd/scenarioctl) opens the
-// workload beyond the hard-coded experiment set. The same scenario stack is
-// served by the long-lived cmd/localserved service (internal/serve,
-// DESIGN.md §2.8): clients POST one spec each and receive the deterministic
-// document, with request cancellation threaded into the engine's round loop
-// and the graph corpus bounded by LRU eviction. With -spool the service
+// implementation lives under internal/. The paper's evaluation is data: its
+// experiments are the declarative scenario specs under scenarios/paper,
+// which cmd/localbench -scenarios runs to regenerate EXPERIMENTS.md and
+// BENCH.json, beside the Go benchmarks in bench_test.go; the open corpus
+// under scenarios/ (DESIGN.md §2.7, cmd/scenarioctl) takes the same
+// pipeline to graphs and regimes the paper does not name. The same
+// scenario stack is served by the long-lived cmd/localserved service
+// (internal/serve, DESIGN.md §2.8): clients POST one spec each and receive
+// the deterministic document, with request cancellation threaded into the
+// engine's round loop and the graph corpus bounded by LRU eviction. With -spool the service
 // additionally mounts the durable async job API (internal/job, DESIGN.md
 // §2.10): submissions are journaled to a crash-safe spool, executions
 // checkpoint at shard boundaries and resume across restarts — even after

@@ -1,5 +1,6 @@
 // Package benchfmt declares the BENCH.json schema shared by its writer
-// (cmd/localbench) and its guard (cmd/benchguard), so the two cannot drift
+// (cmd/localbench -scenarios, through scenario.Doc) and its guard
+// (cmd/benchguard), so the two cannot drift
 // apart silently: a field added or renamed here is marshalled and compared
 // by both sides, and the schema tables in EXPERIMENTS.md document exactly
 // these types.
@@ -8,9 +9,9 @@ package benchfmt
 // SchemaVersion is the current BENCH.json schema version. Version 4 added
 // the instruction-budget trend: per-record node-steps and the Instr block
 // (deterministic steps-per-job plus the machine-dependent ns/step trend
-// benchguard pins); version 3 added the optional corpus cold/warm block
-// (CorpusBench); version 2 switched Allocs to the scheduler's per-worker
-// counters.
+// benchguard pins); version 3 added an optional corpus cold/warm block,
+// since dropped (BenchmarkCorpusColdVsWarm in internal/graph measures that
+// pair); version 2 switched Allocs to the scheduler's per-worker counters.
 const SchemaVersion = 4
 
 // Record is one measured simulation.
@@ -32,8 +33,8 @@ type Record struct {
 	// Steps is the run's total node-steps (Σ per-round live-frontier sizes)
 	// — the engine's deterministic work measure, identical at any worker
 	// count and pinned by benchguard like rounds and messages. Zero (and
-	// omitted) in documents that scrub machine-independent work metrics,
-	// such as the scenario corpus's deterministic view.
+	// omitted) in the served deterministic view, whose shard-merged twin
+	// (scenario.SlotsDoc) carries only rounds and messages per slot.
 	Steps int64 `json:"steps,omitempty"`
 	// Ratio is uniform rounds / non-uniform rounds, on uniform records only.
 	Ratio float64 `json:"ratio,omitempty"`
@@ -64,37 +65,19 @@ type InstrStats struct {
 	FrontierOccupancy float64 `json:"frontier_occupancy"`
 }
 
-// CorpusBench is the two-tier graph-corpus measurement: how long the
-// largest benchmarked family takes to generate from scratch (cold) versus
-// loading its content-addressed CSR image from the disk tier (warm,
-// mmap-backed where the platform supports it). Family, N, Edges and
-// ImageBytes are deterministic in the seed and guarded by cmd/benchguard;
-// the wall times track the disk tier's speedup across PRs but are
-// machine-dependent and never gated.
-type CorpusBench struct {
-	Family     string  `json:"family"`
-	N          int     `json:"n"`
-	Edges      int     `json:"edges"`
-	ImageBytes int64   `json:"image_bytes"`
-	ColdNs     int64   `json:"cold_ns"`
-	WarmNs     int64   `json:"warm_ns"`
-	Speedup    float64 `json:"speedup"`
-}
-
 // Doc is the top-level BENCH.json document.
 type Doc struct {
-	SchemaVersion int        `json:"schema_version"`
-	GeneratedBy   string     `json:"generated_by"`
-	Seed          int64      `json:"seed"`
-	Parallel      int        `json:"parallel"`
-	Workers       int        `json:"workers"`
-	Large         bool       `json:"large"`
-	Sweep         SweepStats `json:"sweep"`
+	SchemaVersion int    `json:"schema_version"`
+	GeneratedBy   string `json:"generated_by"`
+	Seed          int64  `json:"seed"`
+	Parallel      int    `json:"parallel"`
+	Workers       int    `json:"workers"`
+	// Large is always false: the size switch it recorded is gone, and the
+	// field stays only so served documents keep their committed bytes.
+	Large bool       `json:"large"`
+	Sweep SweepStats `json:"sweep"`
 	// Instr is the instruction-budget block (schema ≥ 4); absent in
 	// documents whose records carry no step counts.
-	Instr *InstrStats `json:"instr,omitempty"`
-	// Corpus is the disk-tier cold/warm measurement; absent when the run
-	// skipped it (schema ≤ 2 files, or -json without a measurable family).
-	Corpus  *CorpusBench `json:"corpus,omitempty"`
-	Results []Record     `json:"results"`
+	Instr   *InstrStats `json:"instr,omitempty"`
+	Results []Record    `json:"results"`
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// benchStoreParams matches cmd/localbench's corpusBench — the largest
-// committed family (E8's gnp at n=16384) — so the Go benchmark and the
-// BENCH.json corpus block measure the same cold/warm pair.
+// benchStoreParams name the largest family of the paper corpus (E8's gnp at
+// n=16384, scenarios/paper/paper-e08-gnp8-16384.json); TestStoreRoundTrip
+// pins its edge count and image size.
 const (
 	benchStoreN    = 16384
 	benchStoreSeed = int64(benchStoreN)

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"testing"
 )
@@ -28,14 +29,26 @@ func storeTestGraphs(t *testing.T) map[CorpusKey]*Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench, err := GNP(benchStoreN, benchStoreP(), benchStoreSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[CorpusKey]*Graph{
 		{Family: "gnp", A: 200, F: 42, Seed: 3}:       gnp,
 		{Family: "geometric", A: 256, F: 43, Seed: 2}: geo,
 		{Family: "ba", A: 300, B: 3, Seed: 7}:         ba,
 		{Family: "cycle", A: 50}:                      cyc,
 		{Family: "path", A: 1}:                        Path(1),
+		{Family: "gnp", A: benchStoreN, F: math.Float64bits(benchStoreP()), Seed: benchStoreSeed}: bench,
 	}
 }
+
+// Pinned shape of BenchmarkCorpusColdVsWarm's graph and its image, so the
+// pair that benchmark times cannot drift unnoticed.
+const (
+	benchStoreEdges      = 65451
+	benchStoreImageBytes = 1771532
+)
 
 // TestStoreRoundTrip pins the disk tier's core contract: Save then Load
 // reproduces every observable field of the graph, including the derived CSR
@@ -90,6 +103,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if len(images) != len(graphs) {
 		t.Fatalf("store lists %d images, want %d", len(images), len(graphs))
+	}
+	pinned := false
+	for _, img := range images {
+		pinned = pinned || img.Nodes == benchStoreN && img.Edges == benchStoreEdges && img.Bytes == benchStoreImageBytes
+	}
+	if !pinned {
+		t.Errorf("no image of %d nodes, %d edges, %d bytes (BenchmarkCorpusColdVsWarm's graph) in %+v",
+			benchStoreN, benchStoreEdges, benchStoreImageBytes, images)
 	}
 }
 

@@ -279,8 +279,9 @@ func SlotsDoc(p *Plan, info GraphInfo, slots []SlotOutcome, seed int64) (*benchf
 	}, nil
 }
 
-// Doc assembles the benchfmt document for a completed batch: one record per
-// job in batch order (Experiment = scenario name), plus the sweep throughput
+// Doc assembles the complete schema-4 benchfmt document for a completed
+// batch: one record per job in batch order (Experiment = scenario name, with
+// its node-steps), the sweep throughput block and the instruction-budget
 // block. Unlike Render it does not re-validate outputs; run Render first (or
 // check errors yourself) before trusting the records.
 func Doc(b *Batch, results []sweep.Result, stats sweep.Stats, seed int64, parallel, workers int) (*benchfmt.Doc, error) {
@@ -300,13 +301,14 @@ func Doc(b *Batch, results []sweep.Result, stats sweep.Stats, seed int64, parall
 			Messages:   r.Res.Messages,
 			WallNs:     r.Wall.Nanoseconds(),
 			Allocs:     r.Allocs,
+			Steps:      r.Res.Steps,
 		}
 		if m.RatioOf >= 0 && results[m.RatioOf].Res != nil {
 			rec.Ratio = float64(r.Res.Rounds) / float64(results[m.RatioOf].Res.Rounds)
 		}
 		records = append(records, rec)
 	}
-	return &benchfmt.Doc{
+	doc := &benchfmt.Doc{
 		SchemaVersion: benchfmt.SchemaVersion,
 		GeneratedBy:   "cmd/localbench -scenarios",
 		Seed:          seed,
@@ -320,5 +322,14 @@ func Doc(b *Batch, results []sweep.Result, stats sweep.Stats, seed int64, parall
 			EngineAllocs: stats.EngineAllocs,
 		},
 		Results: records,
-	}, nil
+	}
+	if stats.NodeSteps > 0 {
+		doc.Instr = &benchfmt.InstrStats{
+			NodeSteps:         stats.NodeSteps,
+			StepsPerJob:       float64(stats.NodeSteps) / float64(stats.Jobs),
+			NsPerStep:         float64(stats.Wall.Nanoseconds()) / float64(stats.NodeSteps),
+			FrontierOccupancy: stats.FrontierOccupancy,
+		}
+	}
+	return doc, nil
 }

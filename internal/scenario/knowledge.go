@@ -115,9 +115,13 @@ const (
 	SchedPermuted = "permuted"
 	// SchedStaggeredPermuted composes both adversaries.
 	SchedStaggeredPermuted = "staggered-permuted"
+	// SchedModular wakes each node id mod (max_delay+1) rounds late: the
+	// fixed, seedless wake-up skew of the Observation 2.1 experiment.
+	SchedModular = "modular"
 )
 
-// defaultMaxDelay is the staggered wake-up bound when max_delay is unset.
+// defaultMaxDelay is the staggered and modular wake-up bound when max_delay
+// is unset.
 const defaultMaxDelay = 8
 
 // SchedSpec selects a deterministic adversarial scheduler for every run of a
@@ -125,9 +129,9 @@ const defaultMaxDelay = 8
 // any -workers/-parallel setting and reproducible from the seeds alone.
 type SchedSpec struct {
 	// Kind is one of "", "lockstep", "staggered", "permuted",
-	// "staggered-permuted" ("" = lockstep).
+	// "staggered-permuted", "modular" ("" = lockstep).
 	Kind string `json:"kind,omitempty"`
-	// MaxDelay bounds the staggered wake-up delay (staggered kinds only;
+	// MaxDelay bounds the wake-up delay (staggered kinds and modular only;
 	// default 8).
 	MaxDelay int `json:"max_delay,omitempty"`
 	// Seed drives the adversarial schedule, mixed with each job's run seed.
@@ -143,11 +147,16 @@ func (ss SchedSpec) staggers() bool {
 	return ss.Kind == SchedStaggered || ss.Kind == SchedStaggeredPermuted
 }
 
+// delays reports whether the kind wakes nodes late (and so takes max_delay).
+func (ss SchedSpec) delays() bool {
+	return ss.staggers() || ss.Kind == SchedModular
+}
+
 func (ss SchedSpec) permutes() bool {
 	return ss.Kind == SchedPermuted || ss.Kind == SchedStaggeredPermuted
 }
 
-// effectiveMaxDelay is the wake-up delay bound a staggered schedule uses.
+// effectiveMaxDelay is the wake-up delay bound a delaying schedule uses.
 func (ss SchedSpec) effectiveMaxDelay() int {
 	if ss.MaxDelay != 0 {
 		return ss.MaxDelay
@@ -159,20 +168,23 @@ func (ss SchedSpec) effectiveMaxDelay() int {
 func (ss SchedSpec) Validate() error {
 	var errs []error
 	switch ss.Kind {
-	case "", SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted:
+	case "", SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted, SchedModular:
 	default:
-		errs = append(errs, fmt.Errorf("scheduler: unknown kind %q (have: %s, %s, %s, %s)",
-			ss.Kind, SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted))
+		errs = append(errs, fmt.Errorf("scheduler: unknown kind %q (have: %s, %s, %s, %s, %s)",
+			ss.Kind, SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted, SchedModular))
 		return errors.Join(errs...)
 	}
 	if ss.MaxDelay < 0 {
 		errs = append(errs, fmt.Errorf("scheduler: max_delay %d must be >= 0", ss.MaxDelay))
 	}
-	if !ss.staggers() && ss.MaxDelay != 0 {
-		errs = append(errs, fmt.Errorf("scheduler: max_delay is only meaningful for the %s kinds", SchedStaggered))
+	if !ss.delays() && ss.MaxDelay != 0 {
+		errs = append(errs, fmt.Errorf("scheduler: max_delay is only meaningful for the %s and %s kinds", SchedStaggered, SchedModular))
 	}
 	if ss.IsDefault() && ss.Seed != 0 {
 		errs = append(errs, fmt.Errorf("scheduler: the %s kind takes no seed (rounds are not perturbed)", SchedLockstep))
+	}
+	if ss.Kind == SchedModular && ss.Seed != 0 {
+		errs = append(errs, fmt.Errorf("scheduler: the %s kind takes no seed (delays are a function of the identity alone)", SchedModular))
 	}
 	return errors.Join(errs...)
 }
@@ -185,15 +197,22 @@ func (ss SchedSpec) String() string {
 		return SchedLockstep
 	case ss.staggers():
 		return fmt.Sprintf("%s(max=%d, seed=%d)", ss.Kind, ss.effectiveMaxDelay(), ss.Seed)
+	case ss.Kind == SchedModular:
+		return fmt.Sprintf("%s(max=%d)", ss.Kind, ss.effectiveMaxDelay())
 	default:
 		return fmt.Sprintf("%s(seed=%d)", ss.Kind, ss.Seed)
 	}
 }
 
 // wrapAlgo applies the wake-up half of the schedule to one job's algorithm.
-// The delay seed mixes the scheduler seed with the job seed, so two seeds of
-// one spec face different (but individually reproducible) wake-up patterns.
+// A staggered delay seed mixes the scheduler seed with the job seed, so two
+// seeds of one spec face different (but individually reproducible) wake-up
+// patterns; the modular pattern depends on the identity alone.
 func (ss SchedSpec) wrapAlgo(a local.Algorithm, jobSeed int64) local.Algorithm {
+	if ss.Kind == SchedModular {
+		mod := int64(ss.effectiveMaxDelay()) + 1
+		return local.WithWakeup(a, func(id int64) int { return int(id % mod) })
+	}
 	if !ss.staggers() {
 		return a
 	}

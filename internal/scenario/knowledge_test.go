@@ -32,6 +32,7 @@ func TestKnowledgeSpecValidate(t *testing.T) {
 			return s
 		}(),
 		func() *Spec { s := validSpec(); s.Scheduler = SchedSpec{Kind: SchedPermuted, Seed: 3}; return s }(),
+		func() *Spec { s := validSpec(); s.Scheduler = SchedSpec{Kind: SchedModular, MaxDelay: 16}; return s }(),
 	}
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
@@ -73,6 +74,9 @@ func TestKnowledgeSpecValidate(t *testing.T) {
 		}, "only meaningful"},
 		{"seed on lockstep", func(s *Spec) {
 			s.Scheduler = SchedSpec{Seed: 7}
+		}, "takes no seed"},
+		{"seed on modular", func(s *Spec) {
+			s.Scheduler = SchedSpec{Kind: SchedModular, MaxDelay: 16, Seed: 7}
 		}, "takes no seed"},
 	}
 	for _, c := range cases {

@@ -278,7 +278,10 @@ func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
 // every non-deterministic field scrubbed: wall times, allocation counters
 // and the server's own parallelism are zeroed, so the JSON body — like the
 // markdown one — is a pure function of (spec, seed) and safe to cache and
-// diff across worker counts. CLI consumers that want timing keep using
+// diff across worker counts. Node-steps and the instruction block are
+// dropped too: a shard reports only rounds and messages per slot, so
+// scenario.SlotsDoc cannot rebuild them and the two paths must agree byte
+// for byte. CLI consumers that want timing and steps keep using
 // localbench -json.
 func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
 	doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, seed, 0, 0)
@@ -287,9 +290,11 @@ func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
 	}
 	doc.GeneratedBy = "cmd/localserved"
 	doc.Sweep = benchfmt.SweepStats{Jobs: out.Stats.Jobs}
+	doc.Instr = nil
 	for i := range doc.Results {
 		doc.Results[i].WallNs = 0
 		doc.Results[i].Allocs = 0
+		doc.Results[i].Steps = 0
 	}
 	return doc, nil
 }
