@@ -9,7 +9,7 @@
 //
 //	localserved [-addr host:port] [-parallel N] [-workers N]
 //	            [-corpus-limit N] [-corpus-dir dir] [-corpus-mem BYTES]
-//	            [-cache N] [-max-inflight N] [-queue N]
+//	            [-max-inflight N] [-queue N]
 //	            [-timeout D] [-drain-timeout D] [-fault exit-after=N]
 //	            [-spool dir] [-job-workers N] [-job-shards N] [-job-rate F]
 //	            [-job-burst N] [-job-max-per-client N]
@@ -92,7 +92,6 @@ var (
 	flagCorpus      = flag.Int("corpus-limit", serve.DefaultCorpusLimit, "max cached graphs, LRU-evicted (<0 = unbounded)")
 	flagCorpusDir   = flag.String("corpus-dir", "", "content-addressed CSR image store directory; replicas sharing it build each graph once and restarts warm-start from disk")
 	flagCorpusMem   = flag.Int64("corpus-mem", 0, "max estimated in-heap graph bytes in the corpus, LRU-evicted (0 = unbounded); with -corpus-dir, evicted graphs reload from disk")
-	flagCache       = flag.Int("cache", serve.DefaultCacheSize, "max cached responses (<0 = disable)")
 	flagInFlight    = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
 	flagQueue       = flag.Int("queue", serve.DefaultQueueDepth, "max requests waiting for a slot before 429 (<0 = none)")
 	flagTimeout     = flag.Duration("timeout", 0, "per-request execution deadline (0 = none)")
@@ -139,7 +138,6 @@ func run(ctx context.Context, addr string, ready chan<- string) error {
 		CorpusLimit:    *flagCorpus,
 		CorpusStore:    store,
 		CorpusMemBytes: *flagCorpusMem,
-		CacheSize:      *flagCache,
 		MaxInFlight:    *flagInFlight,
 		QueueDepth:     *flagQueue,
 		Timeout:        *flagTimeout,

@@ -108,8 +108,10 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			jobError(w, http.StatusTooManyRequests, "%s", qe.Reason)
 		case errors.Is(err, ErrDraining):
 			jobError(w, http.StatusServiceUnavailable, "draining")
-		default:
+		case errors.Is(err, ErrInvalid):
 			jobError(w, http.StatusBadRequest, "%v", err)
+		default:
+			jobError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}

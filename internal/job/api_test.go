@@ -8,12 +8,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/fabric/faultinject"
 	"github.com/unilocal/unilocal/internal/scenario"
 )
 
@@ -135,6 +137,46 @@ func TestAPISubmitStatusResult(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: %d, want 400", res.StatusCode)
+	}
+	// So is a spec the executor's work bounds refuse.
+	api, _ = newTestAPI(t, func(c *Config) {
+		c.CheckSpec = func(*scenario.Spec) error { return errors.New("too big") }
+	})
+	srv2 := httptest.NewServer(api)
+	defer srv2.Close()
+	res, err = http.Post(srv2.URL+"/jobs", "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over the work bounds: %d, want 400", res.StatusCode)
+	}
+}
+
+// TestAPISubmitJournalFault: a submission the journal cannot make durable is
+// the server's fault (500, retriable), not the client's, and leaves no job.
+func TestAPISubmitJournalFault(t *testing.T) {
+	disk := &faultinject.Disk{Seed: 7, Rules: []faultinject.DiskRule{
+		{Match: faultinject.OpSync, Every: 1, FsyncError: true},
+	}}
+	api, m := newTestAPI(t, func(c *Config) {
+		c.Hooks = Hooks{Append: disk.Append, Sync: disk.Sync, WriteFile: disk.WriteFile}
+	})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+
+	res, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("submit over a failed fsync: %d, want 500 (%s)", res.StatusCode, body)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("failed submission left jobs behind: %+v", jobs)
 	}
 }
 

@@ -602,16 +602,21 @@ func TestDiskFaultTornAppend(t *testing.T) {
 // not be durable, so the job must not be acknowledged.
 func TestDiskFaultFsync(t *testing.T) {
 	disk := &faultinject.Disk{Seed: 7, Rules: []faultinject.DiskRule{
-		{Match: faultinject.OpSync, Every: 2, FsyncError: true},
+		{Match: faultinject.OpSync, Every: 1, FsyncError: true},
 	}}
+	disk.SetDisabled(true)
 	m := newManager(t, t.TempDir(), func(c *Config) {
 		c.Hooks = Hooks{Append: disk.Append, Sync: disk.Sync, WriteFile: disk.WriteFile}
 	})
 	defer drain(t, m)
-	// Sync 1 is the first submit (fires rule? Every:2 → fires on 2nd sync).
-	if _, _, err := m.Submit(parseSpec(t, testSpec), 1, "a"); err != nil {
+	st, _, err := m.Submit(parseSpec(t, testSpec), 1, "a")
+	if err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
+	// The worker journals the first job's progress too; once it is done,
+	// the next sync is the second submission's own.
+	waitState(t, m, st.ID, StateDone)
+	disk.SetDisabled(false)
 	spec2 := parseSpec(t, strings.Replace(testSpec, "job-luby", "job-luby-2", 1))
 	if _, _, err := m.Submit(spec2, 1, "a"); err == nil {
 		t.Fatal("submit acknowledged over a failed fsync")

@@ -6,7 +6,8 @@
 // loses at most the shard in flight, duplicate submissions coalesce onto one
 // execution even across restarts, and the recovered result document is
 // byte-identical to an uninterrupted run (the determinism contract of
-// DESIGN.md §2.8, extended to §2.10's job lifecycle).
+// DESIGN.md §2.8, extended to §2.10's job lifecycle). The job table never
+// evicts: terminal entries are kept for the life of the process.
 //
 // The package deliberately does not import the serve package: the executor
 // is injected as a function (serve.Server.ShardExecutor matches it), which
@@ -44,10 +45,9 @@ const (
 const (
 	DefaultWorkers      = 2
 	DefaultShardsPerJob = 4
-	DefaultRate         = 4    // submissions per second per client
-	DefaultBurst        = 8    // bucket size
-	DefaultMaxPerClient = 16   // queued+running jobs per client
-	DefaultMaxJobs      = 4096 // retained job entries (terminal ones evict)
+	DefaultRate         = 4  // submissions per second per client
+	DefaultBurst        = 8  // bucket size
+	DefaultMaxPerClient = 16 // queued+running jobs per client
 )
 
 // ErrDraining refuses submissions while the manager drains for shutdown.
@@ -55,6 +55,11 @@ var ErrDraining = errors.New("job: manager draining")
 
 // ErrNotFound reports an unknown job ID.
 var ErrNotFound = errors.New("job: unknown job")
+
+// ErrInvalid wraps every submission refusal the client caused — a spec that
+// fails planning or the executor's work bounds — so the API can answer 400
+// for those alone. Journal and canonicalization failures are the server's.
+var ErrInvalid = errors.New("job: invalid submission")
 
 // ExecFunc runs one shard of one spec's grid and returns the deterministic
 // graph header and the shard's slot outcomes. serve.Server.ShardExecutor
@@ -432,7 +437,8 @@ func (m *Manager) append(rec *Record) error {
 // submission coalesces onto it (coalesced=true): done/failed/running/queued
 // jobs answer with their current state, canceled ones are requeued. New
 // submissions pay the client's rate-limit token and queue quota, and are
-// journaled durably before Submit returns.
+// journaled durably before Submit returns. A spec the client got wrong
+// fails with ErrInvalid; a journal failure does not wrap it.
 func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Status, coalesced bool, err error) {
 	canonical, err := json.Marshal(spec)
 	if err != nil {
@@ -480,12 +486,12 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 	}
 	if m.cfg.CheckSpec != nil {
 		if err := m.cfg.CheckSpec(spec); err != nil {
-			return Status{}, false, fmt.Errorf("%w", err)
+			return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 	}
 	plan, err := scenario.PlanOf(spec, seed-1)
 	if err != nil {
-		return Status{}, false, err
+		return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	shards := m.cfg.ShardsPerJob
 	if shards > plan.Jobs() {

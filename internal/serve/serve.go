@@ -12,16 +12,25 @@
 // does not retain every family ever requested), request contexts thread all
 // the way into the engine's round loop (a client disconnect or server
 // timeout stops a batch instead of running it to completion), admission is
-// bounded with 429 overflow, repeated requests hit a keyed response cache,
-// and /healthz + /metrics expose the state an operator needs to drain or
-// debug the process.
+// bounded with 429 overflow, and /healthz + /metrics expose the state an
+// operator needs to drain or debug the process.
+//
+// Request lifecycle: parse → work-bound check → canonicalize → table lookup
+// → admission → execute → render → settle. The execution table is keyed by
+// execution identity (seed + canonical spec, plus the shard for a shard
+// request). A lookup finds a settled execution (answered from memory), a
+// pending one (the request waits for its leader), or nothing (the request
+// leads). The leader settles its execution once, with both formats or the
+// shard document, or with a deterministic 400/422 that later requests
+// replay. Settled executions stay in one LRU of 64; transient outcomes
+// (429, 499, 504, 5xx) leave the table, so the next request leads.
 //
 // Determinism contract: response bodies are pure functions of (spec, seed,
 // format) — markdown contains only deterministic fields, and the JSON
 // document is scrubbed of wall-clock and allocation noise — so they are
 // byte-identical for any Parallel/EngineWorkers configuration, across
-// restarts, and before/after cache eviction. CI's server smoke job diffs a
-// served response against localbench output for the same spec.
+// restarts, and before/after eviction from the table. CI's server smoke job
+// diffs a served response against localbench output for the same spec.
 package serve
 
 import (
@@ -47,7 +56,6 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultCorpusLimit  = 256
-	DefaultCacheSize    = 64
 	DefaultQueueDepth   = 64
 	DefaultMaxBodyBytes = 1 << 20
 	DefaultMaxNodes     = 1 << 20
@@ -85,9 +93,6 @@ type Config struct {
 	// attached, evicted graphs reload from disk, so a small budget plus a
 	// warm store serves graphs far larger than the budget.
 	CorpusMemBytes int64
-	// CacheSize bounds the keyed response cache; 0 means DefaultCacheSize,
-	// negative disables caching.
-	CacheSize int
 	// MaxInFlight caps concurrently executing requests; 0 means GOMAXPROCS.
 	MaxInFlight int
 	// QueueDepth caps requests waiting for an execution slot; beyond it the
@@ -114,13 +119,12 @@ type Config struct {
 // Server is the HTTP serving layer. Create with New; it implements
 // http.Handler (POST /run, GET /healthz, GET /metrics).
 type Server struct {
-	cfg     Config
-	corpus  *graph.Corpus
-	cache   *respCache
-	flights *flightGroup
-	mux     *http.ServeMux
-	sem     chan struct{}
-	start   time.Time
+	cfg    Config
+	corpus *graph.Corpus
+	table  *execTable
+	mux    *http.ServeMux
+	sem    chan struct{}
+	start  time.Time
 
 	draining atomic.Bool
 	inFlight atomic.Int64
@@ -141,7 +145,7 @@ type Server struct {
 	stepSlots    atomic.Uint64
 }
 
-// New returns a ready Server. The graph corpus and response cache live for
+// New returns a ready Server. The graph corpus and execution table live for
 // the Server's lifetime and are shared across all requests.
 func New(cfg Config) *Server {
 	if cfg.Parallel <= 0 {
@@ -149,9 +153,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CorpusLimit == 0 {
 		cfg.CorpusLimit = DefaultCorpusLimit
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultCacheSize
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = runtime.GOMAXPROCS(0)
@@ -186,12 +187,11 @@ func New(cfg Config) *Server {
 		corpus.SetMemLimit(cfg.CorpusMemBytes)
 	}
 	s := &Server{
-		cfg:     cfg,
-		corpus:  corpus,
-		cache:   newRespCache(cfg.CacheSize),
-		flights: newFlightGroup(),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		start:   time.Now(),
+		cfg:    cfg,
+		corpus: corpus,
+		table:  newExecTable(),
+		sem:    make(chan struct{}, cfg.MaxInFlight),
+		start:  time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", s.handleRun)
@@ -330,33 +330,23 @@ func (s *Server) admit(ctx context.Context) (func(), int) {
 	}, 0
 }
 
+// Response content types. One whole-grid execution renders both the
+// markdown and the JSON document; a shard execution renders the JSON shard
+// document.
+const (
+	mdCT   = "text/markdown; charset=utf-8"
+	jsonCT = "application/json"
+)
+
 // runRequest is one parsed POST /run, threaded from handleRun to the
-// single-flight leader.
+// execution's leader.
 type runRequest struct {
 	spec  *scenario.Spec
 	shard *scenario.Shard // nil for a whole-grid request
 	seed  int64
-	// format is "md" or "json"; ignored when shard is non-nil (a shard
-	// response is always the JSON shard document).
+	// format is "md" or "json"; always "json" for a shard request (its
+	// response is the JSON shard document).
 	format string
-	// variant keys the response body within a flight and the cache: the
-	// format, or "shard:i/n".
-	variant string
-	// baseKey is seed + canonical spec — the execution identity shared by
-	// both formats of a whole-grid request.
-	baseKey string
-}
-
-func (req *runRequest) cacheKey() string { return req.variant + "\x00" + req.baseKey }
-
-// flightKey excludes the format for whole-grid requests — one execution
-// renders both formats, so md and json requests coalesce — but includes the
-// shard, so different shards of one spec execute concurrently.
-func (req *runRequest) flightKey() string {
-	if req.shard != nil {
-		return req.cacheKey()
-	}
-	return req.baseKey
 }
 
 // handleRun is POST /run: body is one scenario.Spec (same strict JSON schema
@@ -398,6 +388,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "format and shard are mutually exclusive (a shard response is always the JSON shard document)")
 			return
 		}
+		format = "json"
 	} else {
 		if format == "" {
 			format = "md"
@@ -432,70 +423,40 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The cache key is the canonical (re-marshalled) spec, not the raw body:
-	// two clients formatting the same scenario differently share one entry.
+	// The execution key is the canonical (re-marshalled) spec, not the raw
+	// body: two clients formatting the same scenario differently share one
+	// execution. It excludes the format — one execution renders both — but
+	// includes the shard, so different shards of one spec run concurrently.
 	canonical, err := json.Marshal(spec)
 	if err != nil {
 		s.failed.Add(1)
 		httpError(w, http.StatusInternalServerError, "canonicalizing spec: %v", err)
 		return
 	}
-	req := &runRequest{
-		spec:    spec,
-		shard:   shard,
-		seed:    seed,
-		format:  format,
-		variant: format,
-		baseKey: strconv.FormatInt(seed, 10) + "\x00" + string(canonical),
-	}
+	key := strconv.FormatInt(seed, 10) + "\x00" + string(canonical)
 	if shard != nil {
-		req.variant = "shard:" + shard.String()
+		key = "shard:" + shard.String() + "\x00" + key
 	}
 
-	for {
-		if body, ct, ok := s.cache.get(req.cacheKey()); ok {
-			s.cached.Add(1)
-			s.ok.Add(1)
-			writeResponse(w, ct, "hit", body)
-			return
-		}
-		f, leader := s.flights.join(req.flightKey())
-		if leader {
-			s.lead(w, r, f, req)
-			return
-		}
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			s.canceled.Add(1)
-			httpError(w, statusClientClosedRequest, "canceled while coalesced")
-			return
-		}
-		if body, ct, ok := f.lookup(req.variant); ok {
-			s.coalesced.Add(1)
-			s.ok.Add(1)
-			writeResponse(w, ct, "coalesced", body)
-			return
-		}
-		if f.replayStatus != 0 {
-			// The leader hit a deterministic client error; re-running the
-			// identical request would fail identically.
-			s.coalesced.Add(1)
-			s.badRequests.Add(1)
-			httpError(w, f.replayStatus, "%s", f.replayMsg)
-			return
-		}
-		// The leader's outcome was transient (rejected, canceled, failed):
-		// loop — next round hits the cache, joins a newer flight, or leads.
+	e, how, err := s.table.acquire(r.Context(), key)
+	if err != nil {
+		s.canceled.Add(1)
+		httpError(w, statusClientClosedRequest, "canceled while coalesced")
+		return
 	}
+	if how == cacheMiss {
+		s.lead(w, r, e, &runRequest{spec: spec, shard: shard, seed: seed, format: format})
+		return
+	}
+	s.respond(w, e, format, how)
 }
 
-// lead executes a request as its flight's leader: admission, execution,
-// rendering, cache fill, and publication of the outcome to coalesced
-// waiters. finish runs on every path, so waiters never block on a leader
-// that errored out.
-func (s *Server) lead(w http.ResponseWriter, r *http.Request, f *flight, req *runRequest) {
-	defer s.flights.finish(f)
+// lead runs a request's execution as its leader: admission, execution,
+// rendering and the response. It records a settled outcome on e — the
+// rendered documents or a deterministic client error — and finish runs on
+// every path, so waiters never block on a leader that errored out.
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *execution, req *runRequest) {
+	defer s.table.finish(e)
 
 	release, status := s.admit(r.Context())
 	if status != 0 {
@@ -523,13 +484,11 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, f *flight, req *ru
 		EngineWorkers: s.cfg.EngineWorkers,
 		Context:       ctx,
 	}
-	const mdCT = "text/markdown; charset=utf-8"
-	const jsonCT = "application/json"
 
 	if req.shard != nil {
 		doc, stats, err := ExecuteShard(req.spec, *req.shard, opts)
 		if err != nil {
-			s.execError(w, f, err)
+			s.execError(w, e, err)
 			return
 		}
 		s.recordStats(stats)
@@ -539,67 +498,53 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, f *flight, req *ru
 			httpError(w, http.StatusInternalServerError, "encoding shard document: %v", err)
 			return
 		}
-		data = append(data, '\n')
-		s.cache.put(req.cacheKey(), data, jsonCT)
-		f.publish(req.variant, jsonCT, data)
-		s.ok.Add(1)
-		writeResponse(w, jsonCT, "miss", data)
-		return
-	}
-
-	out, err := Execute([]*scenario.Spec{req.spec}, opts)
-	if err != nil {
-		s.execError(w, f, err)
-		return
-	}
-	s.recordStats(out.Stats)
-
-	// One execution serves both formats: the JSON document derives from the
-	// same Outcome the markdown does, so render both now — they feed the
-	// cache's two format entries and any coalesced waiter that asked for the
-	// other format — instead of re-running the whole batch later.
-	mdBody := out.Markdown
-	doc, err := DeterministicDoc(out, req.seed)
-	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusInternalServerError, "building document: %v", err)
-		return
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusInternalServerError, "encoding document: %v", err)
-		return
-	}
-	jsonBody := append(data, '\n')
-	s.cache.put("md\x00"+req.baseKey, mdBody, mdCT)
-	s.cache.put("json\x00"+req.baseKey, jsonBody, jsonCT)
-	f.publish("md", mdCT, mdBody)
-	f.publish("json", jsonCT, jsonBody)
-	s.ok.Add(1)
-	if req.format == "md" {
-		writeResponse(w, mdCT, "miss", mdBody)
+		e.json = append(data, '\n')
 	} else {
-		writeResponse(w, jsonCT, "miss", jsonBody)
+		out, err := Execute([]*scenario.Spec{req.spec}, opts)
+		if err != nil {
+			s.execError(w, e, err)
+			return
+		}
+		s.recordStats(out.Stats)
+
+		// One execution serves both formats: the JSON document derives from
+		// the same Outcome the markdown does, so render both now — a later
+		// or coalesced request for the other format is answered from this
+		// execution instead of re-running the whole batch.
+		doc, err := DeterministicDoc(out, req.seed)
+		if err != nil {
+			s.failed.Add(1)
+			httpError(w, http.StatusInternalServerError, "building document: %v", err)
+			return
+		}
+		data, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			s.failed.Add(1)
+			httpError(w, http.StatusInternalServerError, "encoding document: %v", err)
+			return
+		}
+		e.md, e.json = out.Markdown, append(data, '\n')
 	}
+	e.status = http.StatusOK
+	s.respond(w, e, req.format, cacheMiss)
 }
 
 // execError maps an Execute/ExecuteShard error to its HTTP response.
-// Deterministic client errors (bad spec, max_rounds expiry) are additionally
-// published to the flight so coalesced waiters replay them; transient
-// outcomes (cancellation, timeout, server fault) are not — a waiter retries
-// those itself.
-func (s *Server) execError(w http.ResponseWriter, f *flight, err error) {
+// Deterministic client errors (bad spec, max_rounds expiry) settle the
+// execution, so identical requests replay them; transient outcomes
+// (cancellation, timeout, server fault) leave it unsettled, and the next
+// identical request runs again.
+func (s *Server) execError(w http.ResponseWriter, e *execution, err error) {
 	switch {
 	case errors.Is(err, ErrSpec):
-		s.badRequests.Add(1)
-		s.deterministicError(w, f, http.StatusBadRequest, "bad scenario: %v", err)
+		e.status, e.msg = http.StatusBadRequest, fmt.Sprintf("bad scenario: %v", err)
+		s.respond(w, e, "", cacheMiss)
 	case errors.Is(err, local.ErrMaxRounds):
 		// The client's max_rounds (or the engine cap) expired before the
 		// algorithm terminated: deterministic, client-induced, not a
 		// server fault — do not page the operator for it.
-		s.badRequests.Add(1)
-		s.deterministicError(w, f, http.StatusUnprocessableEntity, "%v", err)
+		e.status, e.msg = http.StatusUnprocessableEntity, err.Error()
+		s.respond(w, e, "", cacheMiss)
 	case errors.Is(err, sweep.ErrCanceled):
 		s.canceled.Add(1)
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -613,11 +558,26 @@ func (s *Server) execError(w http.ResponseWriter, f *flight, err error) {
 	}
 }
 
-func (s *Server) deterministicError(w http.ResponseWriter, f *flight, status int, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	f.replayStatus = status
-	f.replayMsg = msg
-	httpError(w, status, "%s", msg)
+// respond answers a request from a settled execution, counted by how the
+// request found it (see execTable.acquire).
+func (s *Server) respond(w http.ResponseWriter, e *execution, format, how string) {
+	switch how {
+	case cacheHit:
+		s.cached.Add(1)
+	case cacheCoalesced:
+		s.coalesced.Add(1)
+	}
+	if e.status != http.StatusOK {
+		s.badRequests.Add(1)
+		httpError(w, e.status, "%s", e.msg)
+		return
+	}
+	s.ok.Add(1)
+	if format == "md" {
+		writeResponse(w, mdCT, how, e.md)
+	} else {
+		writeResponse(w, jsonCT, how, e.json)
+	}
 }
 
 func (s *Server) recordStats(stats sweep.Stats) {
@@ -691,12 +651,12 @@ type Metrics struct {
 	InFlight      int64   `json:"in_flight"`
 	Queued        int64   `json:"queued"`
 
-	RequestsTotal   uint64 `json:"requests_total"`
-	ResponsesOK     uint64 `json:"responses_ok"`
-	ResponsesCached uint64 `json:"responses_cached"`
-	// ResponsesCoalesced counts requests answered from another in-flight
-	// identical request's execution (single-flight), without running the
-	// batch or hitting the cache.
+	RequestsTotal uint64 `json:"requests_total"`
+	ResponsesOK   uint64 `json:"responses_ok"`
+	// ResponsesCached counts requests answered from a settled execution in
+	// the table; ResponsesCoalesced those that waited on a pending one.
+	// Both include replayed deterministic errors.
+	ResponsesCached    uint64 `json:"responses_cached"`
 	ResponsesCoalesced uint64 `json:"responses_coalesced"`
 	Rejected           uint64 `json:"rejected"`
 	BadRequests        uint64 `json:"bad_requests"`
@@ -728,6 +688,8 @@ type Metrics struct {
 		// Disk is present only when a CSR image store is attached.
 		Disk *DiskMetrics `json:"disk,omitempty"`
 	} `json:"corpus"`
+	// Cache is the execution table: hits found a settled execution, misses
+	// any other lookup; entries counts settled executions, at most limit.
 	Cache struct {
 		Hits    uint64 `json:"hits"`
 		Misses  uint64 `json:"misses"`
@@ -786,8 +748,8 @@ func (s *Server) Snapshot() Metrics {
 			BytesMapped:  cs.Disk.BytesMapped,
 		}
 	}
-	ch, cm, ce, cl := s.cache.stats()
-	m.Cache.Hits, m.Cache.Misses, m.Cache.Entries, m.Cache.Limit = ch, cm, ce, cl
+	m.Cache.Hits, m.Cache.Misses, m.Cache.Entries = s.table.stats()
+	m.Cache.Limit = tableSize
 	return m
 }
 

@@ -174,7 +174,7 @@ func TestServeShardCacheKeys(t *testing.T) {
 // Retry-After header plus the admission gauges in a JSON body.
 func TestServeBusyResponse(t *testing.T) {
 	req := readTestdata(t, "mis_request.json")
-	s := New(Config{MaxInFlight: 1, QueueDepth: -1, CacheSize: -1})
+	s := New(Config{MaxInFlight: 1, QueueDepth: -1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -100,7 +100,7 @@ func TestServeByteIdenticalAcrossParallelism(t *testing.T) {
 		for _, cfg := range []Config{
 			{Parallel: 1, EngineWorkers: 1},
 			{Parallel: 4},
-			{Parallel: 2, EngineWorkers: 3, CorpusLimit: 2, CacheSize: -1},
+			{Parallel: 2, EngineWorkers: 3, CorpusLimit: 2},
 		} {
 			ts := httptest.NewServer(New(cfg))
 			url := fmt.Sprintf("%s/run?seed=%d", ts.URL, seed)
@@ -289,7 +289,7 @@ func TestServeHealthzAndDrain(t *testing.T) {
 // queue, then checks the 429 overflow path.
 func TestServeAdmissionOverflow(t *testing.T) {
 	req := readTestdata(t, "mis_request.json")
-	s := New(Config{MaxInFlight: 1, QueueDepth: -1, CacheSize: -1})
+	s := New(Config{MaxInFlight: 1, QueueDepth: -1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
