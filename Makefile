@@ -22,7 +22,7 @@ race:
 	$(GO) test -race -short ./internal/bitset ./internal/local ./internal/graph \
 		./internal/sweep ./internal/engines ./internal/scenario ./internal/serve \
 		./internal/fabric/... ./internal/job ./internal/algorithms/lift \
-		./internal/algorithms/matching
+		./internal/algorithms/matching ./internal/algorithms/linial
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitset/ ./internal/local/

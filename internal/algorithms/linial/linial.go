@@ -16,6 +16,7 @@ package linial
 
 import (
 	"math"
+	"sync"
 
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
@@ -33,17 +34,51 @@ type step struct {
 
 // Schedule returns the deterministic reduction schedule for the guesses and
 // the final palette size. It is a pure function of (deltaHat, mHat), so all
-// nodes compute the same schedule.
+// nodes compute the same schedule, and it is memoized: the first call for a
+// guess pair derives it (NextPrime trial division per candidate degree per
+// step) and every later call, from any goroutine, returns the same shared
+// steps. The returned slice is read-only.
+//
+// The memo is keyed by the clamped guess pair and never evicts. An entry
+// costs about 100 B, and the keys come from the guess sequences of the
+// transformers and the advertised parameters of specs: a localbench pass
+// over scenarios/paper creates 28 entries.
 func Schedule(deltaHat int, mHat int64) ([]step, int64) {
-	if deltaHat < 0 {
-		deltaHat = 0
+	deltaHat, mHat = clampGuesses(deltaHat, mHat)
+	key := scheduleKey{deltaHat, mHat}
+	if v, ok := schedules.Load(key); ok {
+		e := v.(*scheduleEntry)
+		return e.steps, e.palette
 	}
-	if mHat < 1 {
-		mHat = 1
-	}
-	if mHat > maxPalette {
-		mHat = maxPalette
-	}
+	steps, palette := deriveSchedule(deltaHat, mHat)
+	v, _ := schedules.LoadOrStore(key, &scheduleEntry{steps: steps, palette: palette})
+	e := v.(*scheduleEntry)
+	return e.steps, e.palette
+}
+
+// scheduleKey is a clamped guess pair; scheduleEntry its memoized schedule.
+type scheduleKey struct {
+	deltaHat int
+	mHat     int64
+}
+
+type scheduleEntry struct {
+	steps   []step
+	palette int64
+}
+
+// schedules maps scheduleKey to *scheduleEntry. Entries are written once
+// and then only read, the access pattern sync.Map is built for.
+var schedules sync.Map
+
+// clampGuesses maps the guesses into the domain the schedule is defined
+// on: Δ̃ >= 0 and 1 <= m̃ <= maxPalette.
+func clampGuesses(deltaHat int, mHat int64) (int, int64) {
+	return max(deltaHat, 0), min(max(mHat, 1), maxPalette)
+}
+
+// deriveSchedule computes the schedule for clamped guesses.
+func deriveSchedule(deltaHat int, mHat int64) ([]step, int64) {
 	k := mHat
 	var steps []step
 	for {

@@ -59,6 +59,8 @@ func Compose(name string, stages ...Stage) Algorithm {
 				n.seen[p] = pos{-1, -1}
 			}
 			n.nbDone = make([]bool, info.Degree)
+			scratch := make([]Message, 2*info.Degree)
+			n.innerRecv, n.envs = scratch[:info.Degree:info.Degree], scratch[info.Degree:]
 			n.startStage()
 			return n
 		},
@@ -66,10 +68,13 @@ func Compose(name string, stages ...Stage) Algorithm {
 }
 
 // bufEntry is one buffered early payload: the port it arrived on, the
-// position it was sent from, and the message. The α-synchronizer keeps
-// neighbours within one position of each other (plus one free step at a
-// stage boundary), so a node holds only O(degree) entries at a time and a
-// linear scan beats a per-port map.
+// position it was sent from, and the message. Only payloads from
+// neighbours ahead of the node's next step are buffered; the α-synchronizer
+// keeps neighbours within one position of each other (plus one free step at
+// a stage boundary), so a node holds only O(degree) entries at a time and a
+// linear scan beats a per-port map. Under simultaneous wake-up, when every
+// stage but the last ends in the same round at every node, the buffer stays
+// empty.
 type bufEntry struct {
 	p   int
 	at  pos
@@ -88,12 +93,14 @@ type composeNode struct {
 	nbDone []bool
 	buf    []bufEntry
 
-	// innerRecv and envs are per-round scratch buffers carved from one
-	// backing array, reused across rounds (the engine consumes a returned
-	// send slice before the next Round call, so handing out the same array
-	// every round is safe). quiet and payloadEnvs hold the envelope objects
-	// themselves, double-buffered by the parity of the sending round
-	// (payloadEnvs slot parity*degree+port).
+	// innerRecv is the inbox of the next inner step: payloads sent from the
+	// step's key position land in their port's slot on arrival, and after
+	// every step it is cleared and refilled from buf. envs is the send
+	// scratch, reused across rounds (the engine consumes a returned send
+	// slice before the next Round call, so handing out the same array every
+	// round is safe); both are carved from one backing array. quiet and
+	// payloadEnvs hold the envelope objects themselves, double-buffered by
+	// the parity of the sending round (payloadEnvs slot parity*degree+port).
 	innerRecv   []Message
 	envs        []Message
 	quiet       [2]composeEnv
@@ -126,6 +133,7 @@ func (n *composeNode) startStage() {
 }
 
 func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
+	key := n.key()
 	for p, m := range recv {
 		if m == nil {
 			continue
@@ -141,40 +149,25 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 			n.nbDone[p] = true
 		}
 		if env.payload != nil {
-			n.buf = append(n.buf, bufEntry{p: p, at: env.at, msg: env.payload})
+			// Keys only grow, so a payload sent from behind the key can
+			// never be consumed and is dropped here.
+			switch {
+			case env.at == key:
+				n.innerRecv[p] = env.payload
+			case key.less(env.at):
+				n.buf = append(n.buf, bufEntry{p: p, at: env.at, msg: env.payload})
+			}
 		}
 	}
 	// α-synchronizer rule: step (s,t) requires every neighbour at >= (s,t-1).
 	if n.at.t > 0 {
-		need := pos{n.at.s, n.at.t - 1}
 		for p := range n.seen {
-			if !n.nbDone[p] && n.seen[p].less(need) {
+			if !n.nbDone[p] && n.seen[p].less(key) {
 				return nil, false
 			}
 		}
 	}
-	if n.innerRecv == nil {
-		scratch := make([]Message, 2*n.info.Degree)
-		n.innerRecv, n.envs = scratch[:n.info.Degree:n.info.Degree], scratch[n.info.Degree:]
-	}
-	innerRecv := n.innerRecv
-	// One batched memclr over the window (a cache-line-wide wipe) instead of
-	// a bounds-checked store per port.
-	clear(innerRecv)
-	if n.at.t > 0 {
-		key := pos{n.at.s, n.at.t - 1}
-		for i := 0; i < len(n.buf); {
-			if n.buf[i].at == key {
-				innerRecv[n.buf[i].p] = n.buf[i].msg
-				n.buf[i] = n.buf[len(n.buf)-1]
-				n.buf[len(n.buf)-1] = bufEntry{}
-				n.buf = n.buf[:len(n.buf)-1]
-			} else {
-				i++
-			}
-		}
-	}
-	send, done := n.inner.Round(n.at.t, innerRecv)
+	send, done := n.inner.Round(n.at.t, n.innerRecv)
 	stepped := n.at
 	n.at.t++
 	finished := false
@@ -182,7 +175,6 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		n.prevOut = n.inner.Output()
 		n.at = pos{stepped.s + 1, 0}
 		if n.at.s < len(n.stages) {
-			n.dropStaleBuffers(stepped.s)
 			n.startStage()
 		} else {
 			finished = true
@@ -206,22 +198,36 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 			envs[p] = quiet
 		}
 	}
+	// One batched memclr over the window (a cache-line-wide wipe) instead of
+	// a bounds-checked store per port; it runs after the envelopes are built
+	// in case the inner node handed its inbox back as its send slice.
+	clear(n.innerRecv)
+	if !finished {
+		n.refill()
+	}
 	return envs, finished
 }
 
-// dropStaleBuffers discards buffered messages from stages <= s, which can no
-// longer be consumed.
-func (n *composeNode) dropStaleBuffers(s int) {
+// key is the position whose payloads the next step consumes: (s, t-1) for
+// next step (s, t). At t = 0 no payload matches and every payload from an
+// earlier stage is behind the key.
+func (n *composeNode) key() pos { return pos{n.at.s, n.at.t - 1} }
+
+// refill moves the buffered payloads sent from the new key into innerRecv
+// and drops those behind it, keeping only payloads from further ahead.
+func (n *composeNode) refill() {
+	key := n.key()
 	keep := 0
-	for i := range n.buf {
-		if n.buf[i].at.s > s {
-			n.buf[keep] = n.buf[i]
+	for _, e := range n.buf {
+		switch {
+		case e.at == key:
+			n.innerRecv[e.p] = e.msg
+		case key.less(e.at):
+			n.buf[keep] = e
 			keep++
 		}
 	}
-	for i := keep; i < len(n.buf); i++ {
-		n.buf[i] = bufEntry{}
-	}
+	clear(n.buf[keep:])
 	n.buf = n.buf[:keep]
 }
 

@@ -78,15 +78,17 @@ func checkMIS(g *graph.Graph, _ AlgoSpec, outputs []any) error {
 	return problems.ValidMIS(g, in)
 }
 
-func checkColoring(palette func(g *graph.Graph) int) func(*graph.Graph, AlgoSpec, []any) error {
-	return func(g *graph.Graph, _ AlgoSpec, outputs []any) error {
+// checkColoring validates a proper coloring whose colors lie in
+// [1, palette(g, as)]; a nil palette checks properness only.
+func checkColoring(palette func(g *graph.Graph, as AlgoSpec) int) func(*graph.Graph, AlgoSpec, []any) error {
+	return func(g *graph.Graph, as AlgoSpec, outputs []any) error {
 		colors, err := problems.Ints(outputs)
 		if err != nil {
 			return err
 		}
 		bound := 0
 		if palette != nil {
-			bound = palette(g)
+			bound = palette(g, as)
 		}
 		return problems.ValidColoring(g, colors, bound)
 	}
@@ -183,7 +185,9 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, as AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformLambdaColoring(as.Lambda)
 		},
-		Check: checkColoring(nil),
+		Check: checkColoring(func(g *graph.Graph, as AlgoSpec) int {
+			return core.UniformColoringPalette(engines.LambdaColoringEngine{Lambda: as.Lambda}, g.MaxDegree())
+		}),
 	},
 	"nonuniform-lambda-coloring": {
 		Name: "nonuniform-lambda-coloring", PerGraph: true, NeedsLambda: true,
@@ -199,7 +203,9 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, _ AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformQuadColoring()
 		},
-		Check: checkColoring(nil),
+		Check: checkColoring(func(g *graph.Graph, _ AlgoSpec) int {
+			return core.UniformColoringPalette(engines.QuadEngine{}, g.MaxDegree())
+		}),
 	},
 	"uniform-deg-coloring": {
 		Name: "uniform-deg-coloring", PacksIDs: true,
@@ -207,7 +213,7 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, _ AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformDegPlusOneColoring(engines.LubyMIS()), nil
 		},
-		Check: checkColoring(func(g *graph.Graph) int { return g.MaxDegree() + 1 }),
+		Check: checkColoring(func(g *graph.Graph, _ AlgoSpec) int { return g.MaxDegree() + 1 }),
 	},
 	"uniform-matching": {
 		Name: "uniform-matching", PacksIDs: true,

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/core"
+	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/sweep"
 )
@@ -264,5 +266,44 @@ func TestRegistryTables(t *testing.T) {
 		if f.Build == nil || f.Validate == nil {
 			t.Errorf("family %s is missing a builder or validator", f.Name)
 		}
+	}
+}
+
+// TestUniformColoringCheckersEnforcePalette feeds the Theorem 5 coloring
+// entries a proper coloring that uses one color past the entry's palette
+// bound (core.UniformColoringPalette): the checker must reject it, and
+// accept the same coloring shifted back inside the bound.
+func TestUniformColoringCheckersEnforcePalette(t *testing.T) {
+	g := graph.Star(12)
+	for _, as := range []AlgoSpec{
+		{Name: "uniform-lambda-coloring", Lambda: 1},
+		{Name: "uniform-lambda-coloring", Lambda: 4},
+		{Name: "uniform-quad-coloring"},
+	} {
+		t.Run(as.String(), func(t *testing.T) {
+			entry := algorithms[as.Name]
+			var engine core.ColoringEngine = engines.QuadEngine{}
+			if as.Lambda != 0 {
+				engine = engines.LambdaColoringEngine{Lambda: as.Lambda}
+			}
+			palette := core.UniformColoringPalette(engine, g.MaxDegree())
+			// Leaves share color 1; the centre takes the given color.
+			coloring := func(centre int) []any {
+				out := make([]any, g.N())
+				for u := range out {
+					out[u] = 1
+					if g.Degree(u) > 1 {
+						out[u] = centre
+					}
+				}
+				return out
+			}
+			if err := entry.Check(g, as, coloring(palette)); err != nil {
+				t.Errorf("coloring within the palette bound %d rejected: %v", palette, err)
+			}
+			if err := entry.Check(g, as, coloring(palette+1)); err == nil {
+				t.Errorf("coloring with color %d accepted, palette bound %d", palette+1, palette)
+			}
+		})
 	}
 }
