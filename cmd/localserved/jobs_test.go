@@ -154,6 +154,32 @@ func waitDone(t *testing.T, base, id string) {
 	}
 }
 
+// TestJobsHonorMaxBody: -max-body bounds POST /jobs exactly as it bounds
+// POST /run — a body over it is refused with 413 on both endpoints.
+func TestJobsHonorMaxBody(t *testing.T) {
+	orig := *flagMaxBodySize
+	*flagMaxBodySize = 64
+	t.Cleanup(func() { *flagMaxBodySize = orig })
+	base, shutdown := startServer(t, t.TempDir())
+	defer shutdown()
+
+	if len(smokeSpec) <= 64 {
+		t.Fatalf("test spec is only %d bytes", len(smokeSpec))
+	}
+	for _, path := range []string{"/run", "/jobs"} {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(smokeSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body under -max-body 64: %d %s, want 413",
+				path, len(smokeSpec), resp.StatusCode, body)
+		}
+	}
+}
+
 func TestSplitFault(t *testing.T) {
 	for _, tc := range []struct {
 		mode     string

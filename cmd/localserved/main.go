@@ -175,7 +175,7 @@ func run(ctx context.Context, addr string, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("opening spool: %w", err)
 		}
-		api := job.NewAPI(jobs, s.Draining)
+		api := job.NewAPI(jobs, s.MaxBodyBytes(), s.Draining)
 		mux := http.NewServeMux()
 		mux.Handle("/jobs", api)
 		mux.Handle("/jobs/", api)

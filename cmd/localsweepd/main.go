@@ -4,26 +4,26 @@
 // coordinator (internal/fabric, DESIGN.md §2.9) and writes the merged
 // markdown document to stdout — byte-identical to what localbench prints
 // for the same corpus and seed in a single process, regardless of how many
-// replicas answered, failed, were retried, hedged or fell back.
+// replicas answered, failed, were retried or fell back.
 //
 // Usage:
 //
 //	localsweepd -scenarios dir -endpoints url[,url...] [-exp name]
-//	            [-seed N] [-shards N] [-max-attempts N] [-retry-budget N]
-//	            [-backoff D] [-max-backoff D] [-timeout D] [-hedge D]
+//	            [-seed N] [-shards N] [-max-attempts N]
+//	            [-backoff D] [-max-backoff D] [-timeout D]
 //	            [-fail-threshold N] [-probe-interval D] [-fallback=false]
 //	            [-corpus-dir dir] [-quiet] [-status]
 //
-// Replica failures are survived, not reported as errors: a failed shard is
-// retried on another replica with jittered exponential backoff, a replica
-// that keeps failing is circuit-broken and probed via /healthz until it
-// recovers, a straggling shard is hedged onto an idle replica after -hedge,
-// and with -fallback (the default) shards run in-process when no replica
-// can take them — so the sweep completes even with every endpoint dead.
-// Supervision activity is summarized on stderr; only the merged document
-// goes to stdout. Exit is non-zero for terminal errors: an invalid corpus,
-// a replica rejecting the request itself (the spec is bad everywhere), an
-// exhausted retry budget with -fallback=false, or interruption.
+// Replica failures are survived, not reported as errors: a failed or
+// timed-out shard attempt is retried on another replica with jittered
+// exponential backoff, a replica that keeps failing is circuit-broken and
+// probed via /healthz until it recovers, and with -fallback (the default)
+// shards run in-process when no replica can take them — so the sweep
+// completes even with every endpoint dead. Supervision activity is
+// summarized on stderr; only the merged document goes to stdout. Exit is
+// non-zero for terminal errors: an invalid corpus, a replica rejecting the
+// request itself (the spec is bad everywhere), a shard out of attempts with
+// -fallback=false, or interruption.
 package main
 
 import (
@@ -50,11 +50,9 @@ var (
 	flagSeed      = flag.Int64("seed", 1, "sweep seed, identical to localbench -seed")
 	flagShards    = flag.Int("shards", 0, "shards per scenario (0 = one per endpoint, clamped to the job count)")
 	flagAttempts  = flag.Int("max-attempts", 0, "replica attempts per shard before fallback or failure (0 = default)")
-	flagBudget    = flag.Int("retry-budget", 0, "total retries across the sweep (0 = default)")
 	flagBackoff   = flag.Duration("backoff", 0, "base retry backoff, doubled per attempt with deterministic jitter (0 = default)")
 	flagMaxBack   = flag.Duration("max-backoff", 0, "backoff ceiling (0 = default)")
-	flagTimeout   = flag.Duration("timeout", 0, "base per-attempt timeout, grown by the shard's estimated work (0 = default)")
-	flagHedge     = flag.Duration("hedge", 0, "re-issue a shard to an idle replica after this long in flight (0 = no hedging)")
+	flagTimeout   = flag.Duration("timeout", 0, "per-attempt timeout (0 = default 60s)")
 	flagThreshold = flag.Int("fail-threshold", 0, "consecutive failures that open a replica's circuit breaker (0 = default)")
 	flagProbe     = flag.Duration("probe-interval", 0, "delay before an open breaker is probed via /healthz (0 = default)")
 	flagFallback  = flag.Bool("fallback", true, "execute shards in-process when no replica can take them")
@@ -82,11 +80,9 @@ type sweepConfig struct {
 	Shards    int
 
 	MaxAttempts   int
-	RetryBudget   int
 	Backoff       time.Duration
 	MaxBackoff    time.Duration
 	Timeout       time.Duration
-	Hedge         time.Duration
 	FailThreshold int
 	ProbeInterval time.Duration
 	Fallback      bool
@@ -103,11 +99,9 @@ func fromFlags() sweepConfig {
 		Seed:          *flagSeed,
 		Shards:        *flagShards,
 		MaxAttempts:   *flagAttempts,
-		RetryBudget:   *flagBudget,
 		Backoff:       *flagBackoff,
 		MaxBackoff:    *flagMaxBack,
 		Timeout:       *flagTimeout,
-		Hedge:         *flagHedge,
 		FailThreshold: *flagThreshold,
 		ProbeInterval: *flagProbe,
 		Fallback:      *flagFallback,
@@ -167,14 +161,12 @@ func sweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer) error
 		Shards:           cfg.Shards,
 		Seed:             cfg.Seed,
 		MaxAttempts:      cfg.MaxAttempts,
-		RetryBudget:      cfg.RetryBudget,
 		BaseBackoff:      cfg.Backoff,
 		MaxBackoff:       cfg.MaxBackoff,
 		BackoffSeed:      cfg.Seed,
-		TimeoutBase:      cfg.Timeout,
+		Timeout:          cfg.Timeout,
 		FailureThreshold: cfg.FailThreshold,
 		ProbeInterval:    cfg.ProbeInterval,
-		Hedge:            cfg.Hedge,
 		Fallback:         cfg.Fallback,
 		CorpusStore:      store,
 		Logf:             logf,
@@ -189,10 +181,12 @@ func sweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer) error
 	if _, err := stdout.Write(out); err != nil {
 		return err
 	}
+	// "0 hedges" is a constant: perfbench/corpus.go's fabricLine regex
+	// still expects the field, so it stays until that parser drops it.
 	fmt.Fprintf(stderr,
-		"localsweepd: %d scenarios, %d shard tasks over %d replicas: %d attempts, %d retries, %d hedges, %d fallbacks, %d probes, %d breaker opens\n",
+		"localsweepd: %d scenarios, %d shard tasks over %d replicas: %d attempts, %d retries, 0 hedges, %d fallbacks, %d probes, %d breaker opens\n",
 		len(specs), stats.Tasks, len(endpoints), stats.Attempts, stats.Retries,
-		stats.Hedges, stats.Fallbacks, stats.Probes, stats.BreakerOpens)
+		stats.Fallbacks, stats.Probes, stats.BreakerOpens)
 	if cfg.Status {
 		writeStatus(stderr, stats)
 	}
@@ -201,9 +195,9 @@ func sweep(ctx context.Context, cfg sweepConfig, stdout, stderr io.Writer) error
 
 // writeStatus prints the per-replica supervision summary -status asks for:
 // each replica's breaker position, consecutive-failure count and attempt
-// ledger, plus the sweep's retry spend against its budget.
+// ledger, plus the sweep's retry count.
 func writeStatus(stderr io.Writer, stats fabric.Stats) {
-	fmt.Fprintf(stderr, "localsweepd: status: retries %d/%d", stats.Retries, stats.RetryBudget)
+	fmt.Fprintf(stderr, "localsweepd: status: retries %d", stats.Retries)
 	for _, rep := range stats.Replicas {
 		fmt.Fprintf(stderr, " · %s breaker=%s fails=%d attempts=%d ok=%d err=%d",
 			rep.URL, rep.Breaker, rep.ConsecutiveFails, rep.Attempts, rep.Successes, rep.Failures)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -93,7 +94,9 @@ func TestSweepMatchesLocalbenchOutput(t *testing.T) {
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Fatalf("merged document differs from single-process output:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
 	}
-	if !strings.Contains(stderr.String(), "shard tasks over 2 replicas") {
+	// The summary's shape is what perfbench/corpus.go's fabricLine parses.
+	summary := regexp.MustCompile(`\d+ shard tasks over 2 replicas: \d+ attempts, \d+ retries, \d+ hedges, \d+ fallbacks`)
+	if !summary.MatchString(stderr.String()) {
 		t.Fatalf("missing supervision summary: %s", stderr.String())
 	}
 }
@@ -185,7 +188,7 @@ func TestSweepStatusLine(t *testing.T) {
 		t.Fatalf("sweep: %v\nstderr: %s", err, stderr.String())
 	}
 	out := stderr.String()
-	if !strings.Contains(out, "localsweepd: status: retries 0/") {
+	if !strings.Contains(out, "localsweepd: status: retries 0 · ") {
 		t.Fatalf("missing status line: %s", out)
 	}
 	if !strings.Contains(out, ts.URL+" breaker=closed fails=0 attempts=1 ok=1 err=0") {

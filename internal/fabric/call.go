@@ -105,11 +105,7 @@ func readErrBody(body io.Reader) string {
 // again. Probe timeouts are short and fixed: a probe is about liveness, not
 // capacity.
 func (c *Coordinator) probe(ctx context.Context, base string) bool {
-	timeout := c.cfg.TimeoutBase
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+	pctx, cancel := context.WithTimeout(ctx, min(c.cfg.Timeout, 2*time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
@@ -122,20 +118,6 @@ func (c *Coordinator) probe(ctx context.Context, base string) bool {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrBodyBytes))
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// attemptTimeout scales the per-attempt deadline by the work the shard
-// commissions, using the same estimators the serve layer's admission does:
-// slots × (approximate nodes + edges). A tiny shard fails fast; a huge one
-// is not declared dead while legitimately computing.
-func (r *sweepRun) attemptTimeout(st *specState, sh scenario.Shard) time.Duration {
-	per := int64(st.spec.Graph.ApproxNodes()) + int64(st.spec.Graph.ApproxEdges())
-	units := int64(sh.Size(st.plan.Jobs())) * per
-	d := r.c.cfg.TimeoutBase + time.Duration(units)*r.c.cfg.TimeoutPerUnit
-	if d > r.c.cfg.TimeoutMax || d <= 0 {
-		d = r.c.cfg.TimeoutMax
-	}
-	return d
 }
 
 // jitter maps (seed, key, attempt) to a fraction in [0, 1) through FNV-1a

@@ -7,23 +7,20 @@
 // The determinism contract does the heavy lifting. Every shard document
 // field is a pure function of (spec, seed) — the serve layer ships no
 // outputs, no timing, nothing placement-dependent — so the coordinator is
-// free to be aggressively non-deterministic about *where* and *how often*
-// work runs: shards are retried on other replicas after failures, hedged
-// when a replica is slow, and executed in-process when every replica is
-// down, and none of it can change a byte of the merged document. Robustness
-// machinery here is therefore purely additive:
+// free to be non-deterministic about *where* and *how often* work runs:
+// shards are retried on other replicas after failures and executed
+// in-process when every replica is down, and none of it can change a byte
+// of the merged document. Robustness machinery here is therefore purely
+// additive:
 //
-//   - per-attempt timeouts scaled by the same work estimators the serve
-//     layer's admission uses (graph nodes+edges × shard slots);
-//   - bounded retries with deterministic jittered exponential backoff and a
-//     global retry budget, so a dead fleet produces a bounded number of
-//     requests, never a storm;
+//   - one flat per-attempt timeout: it assumes nothing about the shard's
+//     size, so it only has to be longer than any healthy attempt;
+//   - per-shard bounded retries with deterministic jittered exponential
+//     backoff, so a dead fleet produces a bounded number of requests, never
+//     a storm;
 //   - a per-replica circuit breaker (closed → open after consecutive
 //     failures → half-open after a /healthz probe succeeds), so a dead
 //     replica costs probes, not request timeouts;
-//   - optional hedging: a straggling shard is re-issued to an idle replica
-//     and the first response wins — safe because both responses are
-//     byte-identical by contract;
 //   - graceful degradation: when no replica can take work, shards fall back
 //     to in-process execution through the same serve.ExecuteShard code path
 //     the replicas run.
@@ -48,12 +45,12 @@ import (
 
 // ErrTerminal wraps replica answers that retrying cannot fix: the request
 // itself is invalid (bad spec, over the replica's work bounds, max_rounds
-// expiry). The sweep aborts with it instead of burning the retry budget.
+// expiry). The sweep aborts with it instead of spending retries.
 var ErrTerminal = errors.New("fabric: terminal replica error")
 
 // ErrExhausted reports a shard that failed on every allowed attempt with
-// fallback disabled, or a sweep whose global retry budget ran out.
-var ErrExhausted = errors.New("fabric: retry budget exhausted")
+// fallback disabled.
+var ErrExhausted = errors.New("fabric: attempts exhausted")
 
 // Config configures a Coordinator. The zero value of every field selects a
 // sensible default (see New); Endpoints is the only required field unless
@@ -73,9 +70,6 @@ type Config struct {
 	// MaxAttempts bounds how many times one shard is tried against replicas
 	// before falling back (or failing); 0 means 4.
 	MaxAttempts int
-	// RetryBudget bounds retries across the whole sweep — the anti-storm
-	// backstop when many shards fail at once; 0 means 4 per shard task.
-	RetryBudget int
 	// BaseBackoff/MaxBackoff shape the exponential backoff between a shard's
 	// attempts; 0 means 50ms / 2s. Jitter is deterministic in BackoffSeed,
 	// so a replayed sweep issues the same request schedule.
@@ -84,13 +78,10 @@ type Config struct {
 	// BackoffSeed seeds the jitter; 0 means 1.
 	BackoffSeed int64
 
-	// TimeoutBase/TimeoutPerUnit/TimeoutMax shape per-attempt timeouts:
-	// base + units×perUnit capped at max, where units is the shard's slot
-	// count times the spec's estimated nodes+edges (the serve admission
-	// estimators). 0 means 10s / 20µs / 60s.
-	TimeoutBase    time.Duration
-	TimeoutPerUnit time.Duration
-	TimeoutMax     time.Duration
+	// Timeout bounds one attempt, from request to validated document; an
+	// attempt that outlives it is retried like any other failure. 0 means
+	// 60s.
+	Timeout time.Duration
 
 	// FailureThreshold opens a replica's circuit breaker after that many
 	// consecutive failures; 0 means 3.
@@ -98,9 +89,6 @@ type Config struct {
 	// ProbeInterval is how long an open breaker waits before a /healthz
 	// probe; 0 means 250ms.
 	ProbeInterval time.Duration
-	// Hedge re-issues a shard to a second idle replica when the first
-	// attempt has been in flight this long; 0 disables hedging.
-	Hedge time.Duration
 	// Fallback executes a shard in-process (serve.ExecuteShard, the code
 	// path the replicas themselves run) when its attempts are exhausted or
 	// no replica can take work. With it set, a sweep completes — byte-
@@ -116,17 +104,15 @@ type Config struct {
 	CorpusStore *graph.Store
 
 	// Logf, when non-nil, receives one line per notable supervision event
-	// (retry, breaker transition, hedge, fallback).
+	// (retry, breaker transition, fallback).
 	Logf func(format string, args ...any)
 }
 
 // Stats counts what a sweep's supervision actually did.
 type Stats struct {
 	Tasks        int // shard tasks (spec × shard)
-	Attempts     int // HTTP attempts issued, hedges included
+	Attempts     int // HTTP attempts issued
 	Retries      int // failed attempts that were retried or fell back
-	RetryBudget  int // the sweep-wide retry ceiling Retries counts against
-	Hedges       int // duplicate attempts issued for stragglers
 	Fallbacks    int // tasks completed by in-process execution
 	Probes       int // /healthz probes of open breakers
 	BreakerOpens int // closed/half-open → open transitions
@@ -138,7 +124,7 @@ type Stats struct {
 // ReplicaStatus is one replica's supervision state at sweep end: where its
 // circuit breaker finished, how close it sits to opening, and what its
 // attempts amounted to. Successes+Failures can undercount Attempts — an
-// attempt canceled by the drain or a lost hedge race scores neither.
+// attempt canceled by the drain scores neither.
 type ReplicaStatus struct {
 	URL              string `json:"url"`
 	Breaker          string `json:"breaker"` // closed | open | half-open
@@ -185,14 +171,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BackoffSeed == 0 {
 		cfg.BackoffSeed = 1
 	}
-	if cfg.TimeoutBase <= 0 {
-		cfg.TimeoutBase = 10 * time.Second
-	}
-	if cfg.TimeoutPerUnit <= 0 {
-		cfg.TimeoutPerUnit = 20 * time.Microsecond
-	}
-	if cfg.TimeoutMax <= 0 {
-		cfg.TimeoutMax = 60 * time.Second
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 60 * time.Second
 	}
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 3
@@ -214,8 +194,8 @@ func New(cfg Config) (*Coordinator, error) {
 // Sweep shards the specs across the replicas, rides out failures, and
 // returns the merged markdown document — byte-identical to
 // scenario.Render over a single-process run of the same specs and seed —
-// plus the supervision statistics. A terminal replica error, an exhausted
-// retry budget without fallback, or context cancellation abort the sweep.
+// plus the supervision statistics. A terminal replica error, a shard out of
+// attempts without fallback, or context cancellation abort the sweep.
 func (c *Coordinator) Sweep(ctx context.Context, specs []*scenario.Spec) ([]byte, Stats, error) {
 	run, err := c.newRun(specs)
 	if err != nil {

@@ -132,7 +132,7 @@ func TestSweepMatchesSingleProcess(t *testing.T) {
 // TestSweepDeterministicUnderFaults is the headline chaos test: a seeded
 // fault schedule injecting drops, delays, 503s, corrupted documents and
 // truncated documents, and the merged output still byte-identical, with the
-// retry volume bounded by the budget.
+// retry volume bounded by MaxAttempts per task.
 func TestSweepDeterministicUnderFaults(t *testing.T) {
 	specs := testSpecs()
 	want := wantDocument(t, specs, 1)
@@ -175,7 +175,7 @@ func TestSweepDeterministicUnderFaults(t *testing.T) {
 		t.Fatalf("fault schedule never fired: %+v", fs)
 	}
 	if stats.Retries > 4*stats.Tasks {
-		t.Fatalf("retry storm: %+v over budget %d", stats, 4*stats.Tasks)
+		t.Fatalf("retry storm: %+v over %d (MaxAttempts per task)", stats, 4*stats.Tasks)
 	}
 	t.Logf("faults: %+v; supervision: %+v", fs, stats)
 	checkGoroutines(t, before)
@@ -283,45 +283,57 @@ func TestSweepAllReplicasDownFallback(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// TestSweepHedgesStragglers pins hedging: with one replica made pathologically
-// slow and one fast, the duplicate attempt must win and the document must
-// not change.
-func TestSweepHedgesStragglers(t *testing.T) {
+// TestSweepRetriesPastAttemptTimeout pins the attempt deadline: one replica
+// holds every /run request far longer than Config.Timeout, so its shard's
+// attempt must expire and be retried on the other replica, over HTTP, with
+// the merged document unchanged. A failure threshold of 1 opens the slow
+// replica's breaker on the first expiry, so the retry cannot land on it
+// again.
+func TestSweepRetriesPastAttemptTimeout(t *testing.T) {
 	specs := testSpecs()[:1]
 	want := wantDocument(t, specs, 1)
 	before := runtime.NumGoroutine()
 
 	servers, urls := startReplicas(t, 2, serve.Config{Parallel: 1})
-	slowHost := strings.TrimPrefix(servers[0].URL, "http://")
+	slowHost := strings.TrimPrefix(servers[1].URL, "http://")
 	ft := &faultinject.Transport{
-		Seed: 3,
 		Rules: []faultinject.Rule{{
 			Match: func(r *http.Request) bool {
 				return r.Host == slowHost && strings.HasSuffix(r.URL.Path, "/run")
 			},
 			Every: 1,
-			Delay: 400 * time.Millisecond,
+			Delay: time.Minute,
 		}},
 	}
 	c, err := fabric.New(fabric.Config{
-		Endpoints: urls,
-		Shards:    2,
-		Client:    &http.Client{Transport: ft},
-		Hedge:     25 * time.Millisecond,
+		Endpoints:        urls,
+		Shards:           2,
+		Client:           &http.Client{Transport: ft},
+		Timeout:          time.Second,
+		BaseBackoff:      time.Millisecond,
+		FailureThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	got, stats, err := c.Sweep(context.Background(), specs)
+	elapsed := time.Since(start)
 	closeAll(servers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("hedged document diverges:\n got: %s\nwant: %s", got, want)
+	if elapsed > 30*time.Second {
+		t.Fatalf("sweep took %v: the 1s attempt timeout never fired", elapsed)
 	}
-	if stats.Hedges == 0 {
-		t.Fatalf("slow replica never hedged: %+v", stats)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("document diverges after an attempt timeout:\n got: %s\nwant: %s", got, want)
+	}
+	if ft.Stats().Delays == 0 || stats.Retries < 1 || stats.Fallbacks != 0 {
+		t.Fatalf("slow shard was not retried over HTTP: faults %+v, supervision %+v", ft.Stats(), stats)
+	}
+	if fast, slow := stats.Replicas[0], stats.Replicas[1]; fast.Successes != 2 || slow.Successes != 0 || slow.Failures < 1 {
+		t.Fatalf("want both shards answered by the fast replica: %+v", stats.Replicas)
 	}
 	checkGoroutines(t, before)
 }

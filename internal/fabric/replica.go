@@ -64,21 +64,10 @@ func (rep *replica) status() ReplicaStatus {
 // pick returns a replica able to take one attempt now, or nil. Closed
 // replicas are preferred least-busy-first (spreading shards evenly); a
 // half-open replica is used only when idle, as its single trial request.
-// When hedging (exclude != nil), replicas already working on that task's
-// attempt are skipped so the duplicate lands somewhere independent — with
-// one replica total, a straggler is simply not hedged.
-func (r *sweepRun) pick(exclude *task) *replica {
+func (r *sweepRun) pick() *replica {
 	var best *replica
 	for _, rep := range r.reps {
-		if rep.state != breakerClosed {
-			continue
-		}
-		if exclude != nil && rep.busy > 0 {
-			// Cheap independence test: during a hedge every busy replica is
-			// suspect of being the straggler's host; an idle one never is.
-			continue
-		}
-		if rep.busy >= maxPerReplica {
+		if rep.state != breakerClosed || rep.busy >= maxPerReplica {
 			continue
 		}
 		if best == nil || rep.busy < best.busy {
@@ -87,9 +76,6 @@ func (r *sweepRun) pick(exclude *task) *replica {
 	}
 	if best != nil {
 		return best
-	}
-	if exclude != nil {
-		return nil // a hedge never spends a half-open trial
 	}
 	for _, rep := range r.reps {
 		if rep.state == breakerHalfOpen && rep.busy == 0 {

@@ -47,21 +47,19 @@ type taskPhase int
 const (
 	taskReady    taskPhase = iota // dispatchable now
 	taskWaiting                   // backing off until readyAt
-	taskInflight                  // one or two attempts running
+	taskInflight                  // its one attempt running
 	taskDone
 )
 
-// task is one (spec, shard) unit of work and its retry bookkeeping.
+// task is one (spec, shard) unit of work and its retry bookkeeping. A task
+// has at most one attempt in flight, so nothing ever cancels an attempt but
+// its own timeout and the drain.
 type task struct {
 	si       int
 	shard    scenario.Shard
 	phase    taskPhase
 	attempts int // failed attempts so far
 	readyAt  time.Time
-	started  time.Time // when the current attempt wave began (hedge timing)
-	inflight int
-	hedged   bool
-	cancels  map[int]context.CancelFunc // live attempt id → cancel
 }
 
 func (t *task) key() string { return fmt.Sprintf("%d:%s", t.si, t.shard) }
@@ -70,7 +68,6 @@ func (t *task) key() string { return fmt.Sprintf("%d:%s", t.si, t.shard) }
 type attemptDone struct {
 	t          *task
 	rep        *replica // nil for in-process fallback
-	id         int
 	doc        *serve.ShardDoc
 	kind       outcomeKind
 	err        error
@@ -87,15 +84,12 @@ type sweepRun struct {
 	states []*specState
 	tasks  []*task
 	reps   []*replica
-	budget int
 
 	events      chan any
 	outstanding int
-	attemptSeq  int
 	remaining   int
 	stats       Stats
 	err         error
-	canceled    bool
 }
 
 func (c *Coordinator) newRun(specs []*scenario.Spec) (*sweepRun, error) {
@@ -125,11 +119,7 @@ func (c *Coordinator) newRun(specs []*scenario.Spec) (*sweepRun, error) {
 			shards = 1
 		}
 		for i := 0; i < shards; i++ {
-			run.tasks = append(run.tasks, &task{
-				si:      si,
-				shard:   scenario.Shard{Index: i, Count: shards},
-				cancels: make(map[int]context.CancelFunc),
-			})
+			run.tasks = append(run.tasks, &task{si: si, shard: scenario.Shard{Index: i, Count: shards}})
 		}
 	}
 	for _, url := range c.cfg.Endpoints {
@@ -137,10 +127,6 @@ func (c *Coordinator) newRun(specs []*scenario.Spec) (*sweepRun, error) {
 	}
 	run.remaining = len(run.tasks)
 	run.stats.Tasks = len(run.tasks)
-	run.budget = c.cfg.RetryBudget
-	if run.budget <= 0 {
-		run.budget = 4 * len(run.tasks)
-	}
 	return run, nil
 }
 
@@ -166,7 +152,7 @@ func (r *sweepRun) loop(ctx context.Context) error {
 			}
 		}
 		r.launchProbes(ctx, now)
-		r.dispatch(ctx, now)
+		r.dispatch(ctx)
 
 		timer := time.NewTimer(r.wake(now))
 		select {
@@ -175,7 +161,6 @@ func (r *sweepRun) loop(ctx context.Context) error {
 			r.handle(ctx, ev)
 		case <-timer.C:
 		case <-ctx.Done():
-			r.canceled = true
 			r.fail(ctx.Err())
 		}
 		timer.Stop()
@@ -188,21 +173,20 @@ func (r *sweepRun) loop(ctx context.Context) error {
 		<-r.events
 		r.outstanding--
 	}
-	r.stats.RetryBudget = r.budget
 	for _, rep := range r.reps {
 		r.stats.Replicas = append(r.stats.Replicas, rep.status())
 	}
 	return r.err
 }
 
-// dispatch hands ready tasks to available replicas, falls back in-process
-// when no replica can take work, and hedges stragglers.
-func (r *sweepRun) dispatch(ctx context.Context, now time.Time) {
+// dispatch hands ready tasks to available replicas and falls back
+// in-process when no replica can take work.
+func (r *sweepRun) dispatch(ctx context.Context) {
 	for _, t := range r.tasks {
 		if t.phase != taskReady {
 			continue
 		}
-		if rep := r.pick(nil); rep != nil {
+		if rep := r.pick(); rep != nil {
 			r.launch(ctx, t, rep)
 			continue
 		}
@@ -213,36 +197,12 @@ func (r *sweepRun) dispatch(ctx context.Context, now time.Time) {
 			r.launchFallback(ctx, t)
 		}
 	}
-	if r.c.cfg.Hedge <= 0 {
-		return
-	}
-	for _, t := range r.tasks {
-		if t.phase != taskInflight || t.hedged || t.inflight != 1 {
-			continue
-		}
-		if now.Sub(t.started) < r.c.cfg.Hedge {
-			continue
-		}
-		if rep := r.pick(t); rep != nil {
-			t.hedged = true
-			r.stats.Hedges++
-			r.c.logf("fabric: hedging %s on %s", t.key(), rep.url)
-			r.launch(ctx, t, rep)
-		}
-	}
 }
 
 // launch starts one HTTP attempt of t on rep.
 func (r *sweepRun) launch(ctx context.Context, t *task, rep *replica) {
-	r.attemptSeq++
-	id := r.attemptSeq
 	st := r.states[t.si]
-	actx, acancel := context.WithTimeout(ctx, r.attemptTimeout(st, t.shard))
-	t.cancels[id] = acancel
-	if t.inflight == 0 {
-		t.started = time.Now()
-	}
-	t.inflight++
+	actx, acancel := context.WithTimeout(ctx, r.c.cfg.Timeout)
 	t.phase = taskInflight
 	rep.busy++
 	rep.attempts++
@@ -251,44 +211,35 @@ func (r *sweepRun) launch(ctx context.Context, t *task, rep *replica) {
 	go func() {
 		defer acancel()
 		doc, kind, retryAfter, err := r.c.call(actx, ctx, rep.url, st, t.shard)
-		r.events <- attemptDone{t: t, rep: rep, id: id, doc: doc, kind: kind, err: err, retryAfter: retryAfter}
+		r.events <- attemptDone{t: t, rep: rep, doc: doc, kind: kind, err: err, retryAfter: retryAfter}
 	}()
 }
 
 // launchFallback executes t in-process through the exact code path the
 // replicas run, so the merged document cannot tell the difference.
 func (r *sweepRun) launchFallback(ctx context.Context, t *task) {
-	r.attemptSeq++
-	id := r.attemptSeq
 	st := r.states[t.si]
-	actx, acancel := context.WithCancel(ctx)
-	t.cancels[id] = acancel
-	if t.inflight == 0 {
-		t.started = time.Now()
-	}
-	t.inflight++
 	t.phase = taskInflight
 	r.outstanding++
 	r.stats.Fallbacks++
 	r.c.logf("fabric: executing %s in-process (no replica available)", t.key())
 	go func() {
-		defer acancel()
 		doc, _, err := serve.ExecuteShard(st.spec, t.shard, serve.ExecOptions{
 			Corpus:     r.c.corpus,
 			SeedOffset: r.c.cfg.Seed - 1,
 			Parallel:   r.c.cfg.FallbackParallel,
-			Context:    actx,
+			Context:    ctx,
 		})
 		kind := outcomeOK
 		if err != nil {
 			// Local execution failures are deterministic (the same spec
 			// would fail anywhere) — except a cancellation racing the drain.
 			kind = outcomeTerminal
-			if actx.Err() != nil {
+			if ctx.Err() != nil {
 				kind = outcomeCanceled
 			}
 		}
-		r.events <- attemptDone{t: t, rep: nil, id: id, doc: doc, kind: kind, err: err}
+		r.events <- attemptDone{t: t, doc: doc, kind: kind, err: err}
 	}()
 }
 
@@ -320,19 +271,8 @@ func (r *sweepRun) handle(ctx context.Context, ev any) {
 		}
 	case attemptDone:
 		t := ev.t
-		delete(t.cancels, ev.id)
-		t.inflight--
 		if ev.rep != nil {
 			ev.rep.busy--
-		}
-		if t.phase == taskDone {
-			// The loser of a hedge race (or an attempt canceled by the
-			// drain). A genuine success still counts toward replica health;
-			// a cancellation-induced failure does not count against it.
-			if ev.rep != nil && ev.kind == outcomeOK {
-				r.noteSuccess(ev.rep)
-			}
-			return
 		}
 		switch ev.kind {
 		case outcomeOK:
@@ -352,15 +292,10 @@ func (r *sweepRun) handle(ctx context.Context, ev any) {
 			}
 			t.phase = taskDone
 			r.remaining--
-			for id, cancel := range t.cancels {
-				cancel()
-				delete(t.cancels, id)
-			}
 		case outcomeTerminal:
 			r.fail(fmt.Errorf("%w: %s: %v", ErrTerminal, t.key(), ev.err))
 		case outcomeCanceled:
 			if ctx.Err() != nil {
-				r.canceled = true
 				r.fail(ctx.Err())
 				return
 			}
@@ -370,15 +305,10 @@ func (r *sweepRun) handle(ctx context.Context, ev any) {
 			if ev.rep != nil {
 				r.noteFailure(ev.rep)
 			}
-			if t.inflight > 0 {
-				// A hedge partner is still running; let it race.
-				return
-			}
 			t.attempts++
-			t.hedged = false
 			r.stats.Retries++
 			r.c.logf("fabric: %s attempt %d failed: %v", t.key(), t.attempts, ev.err)
-			if t.attempts >= r.c.cfg.MaxAttempts || r.stats.Retries > r.budget {
+			if t.attempts >= r.c.cfg.MaxAttempts {
 				if r.c.cfg.Fallback {
 					r.launchFallback(ctx, t)
 					return
@@ -393,8 +323,8 @@ func (r *sweepRun) handle(ctx context.Context, ev any) {
 }
 
 // wake bounds how long the scheduler sleeps when no event arrives: until
-// the next backoff expiry, probe due time or hedge deadline, whichever is
-// first. Events (attempt and probe completions) interrupt it anyway.
+// the next backoff expiry or probe due time, whichever is first. Events
+// (attempt and probe completions) interrupt it anyway.
 func (r *sweepRun) wake(now time.Time) time.Duration {
 	const idle = 500 * time.Millisecond
 	d := idle
@@ -407,13 +337,8 @@ func (r *sweepRun) wake(now time.Time) time.Duration {
 		}
 	}
 	for _, t := range r.tasks {
-		switch t.phase {
-		case taskWaiting:
+		if t.phase == taskWaiting {
 			consider(t.readyAt)
-		case taskInflight:
-			if r.c.cfg.Hedge > 0 && !t.hedged && t.inflight == 1 {
-				consider(t.started.Add(r.c.cfg.Hedge))
-			}
 		}
 	}
 	for _, rep := range r.reps {

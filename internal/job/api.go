@@ -12,10 +12,6 @@ import (
 	"github.com/unilocal/unilocal/internal/scenario"
 )
 
-// DefaultMaxBodyBytes caps a submission body, matching the synchronous
-// serving layer's bound.
-const DefaultMaxBodyBytes = 1 << 20
-
 // API is the HTTP surface over a Manager. Mount it wherever the process
 // serves — cmd/localserved mounts it at /jobs — it routes:
 //
@@ -32,11 +28,13 @@ type API struct {
 	mux      *http.ServeMux
 }
 
-// NewAPI wraps a Manager. draining, when non-nil, additionally refuses
-// submissions while the surrounding server drains (the manager has its own
-// flag, but the HTTP layer should refuse before touching the spool).
-func NewAPI(m *Manager, draining func() bool) *API {
-	a := &API{m: m, maxBody: DefaultMaxBodyBytes, draining: draining}
+// NewAPI wraps a Manager. maxBody caps a submission body in bytes; the
+// surrounding server passes its own /run bound, so both endpoints refuse the
+// same sizes. draining, when non-nil, additionally refuses submissions while
+// the surrounding server drains (the manager has its own flag, but the HTTP
+// layer should refuse before touching the spool).
+func NewAPI(m *Manager, maxBody int64, draining func() bool) *API {
+	a := &API{m: m, maxBody: maxBody, draining: draining}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", a.handleSubmit)
 	mux.HandleFunc("GET /jobs", a.handleList)

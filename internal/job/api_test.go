@@ -23,7 +23,7 @@ func newTestAPI(t *testing.T, mut func(*Config)) (*API, *Manager) {
 	t.Helper()
 	m := newManager(t, t.TempDir(), mut)
 	t.Cleanup(func() { drain(t, m) })
-	return NewAPI(m, nil), m
+	return NewAPI(m, 1<<20, nil), m
 }
 
 func decodeSubmit(t *testing.T, res *http.Response) (Status, bool) {
@@ -151,6 +151,41 @@ func TestAPISubmitStatusResult(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over the work bounds: %d, want 400", res.StatusCode)
+	}
+}
+
+// TestAPIRefusalCostsNoToken: a submission refused as invalid commissions
+// no work, so it must not drain the client's rate bucket — with Burst 1, the
+// valid submission that follows still gets its token.
+func TestAPIRefusalCostsNoToken(t *testing.T) {
+	api, _ := newTestAPI(t, func(c *Config) {
+		c.Rate = 1.0 / 60
+		c.Burst = 1
+		c.CheckSpec = func(s *scenario.Spec) error {
+			if s.Name == "job-too-big" {
+				return errors.New("too big")
+			}
+			return nil
+		}
+	})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	for _, tc := range []struct {
+		spec string
+		want int
+	}{
+		{strings.Replace(testSpec, "job-luby", "job-too-big", 1), http.StatusBadRequest},
+		{testSpec, http.StatusAccepted},
+	} {
+		res, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != tc.want {
+			t.Fatalf("submit: %d %s, want %d", res.StatusCode, body, tc.want)
+		}
 	}
 }
 
@@ -329,9 +364,9 @@ func TestAPIDraining(t *testing.T) {
 }
 
 func TestAPIBodyLimit(t *testing.T) {
-	api, _ := newTestAPI(t, nil)
-	api.maxBody = 64
-	srv := httptest.NewServer(api)
+	m := newManager(t, t.TempDir(), nil)
+	t.Cleanup(func() { drain(t, m) })
+	srv := httptest.NewServer(NewAPI(m, 64, nil))
 	defer srv.Close()
 	res, err := http.Post(srv.URL+"/jobs", "application/json",
 		strings.NewReader(testSpec+strings.Repeat(" ", 100)))

@@ -102,12 +102,13 @@ func decodeLine(line []byte) (*Record, error) {
 }
 
 // parseJournal splits raw journal bytes into records, tolerating a torn
-// tail. A final fragment without its newline, or a final line that fails its
-// checksum, is what a crash mid-append (or a short write the sync never
-// covered) leaves behind: both are dropped, and valid reports how many bytes
-// of clean prefix precede the damage. Damage anywhere else — a bad record
-// with valid records after it — cannot be a torn tail and is returned as a
-// corruption error instead of being silently skipped.
+// tail. A final fragment without its newline, or a final complete line that
+// fails its checksum (with at most such a fragment after it), is what a
+// crash mid-append (or a short write the sync never covered) leaves behind:
+// both are dropped, and valid reports how many bytes of clean prefix precede
+// the damage. Damage anywhere else — a bad line with another complete line
+// after it — cannot be a torn tail and is returned as a corruption error
+// instead of being silently skipped.
 func parseJournal(raw []byte) (recs []*Record, valid int64, err error) {
 	off := int64(0)
 	for len(raw) > 0 {
@@ -118,9 +119,10 @@ func parseJournal(raw []byte) (recs []*Record, valid int64, err error) {
 		}
 		rec, err := decodeLine(raw[:nl])
 		if err != nil {
-			if int64(nl+1) == int64(len(raw)) {
-				// The damaged line is the last one: a torn append whose
-				// newline landed but whose middle didn't. Drop it.
+			if bytes.IndexByte(raw[nl+1:], '\n') < 0 {
+				// The damaged line is the last complete one: a torn append
+				// whose newline landed but whose middle didn't, followed at
+				// most by an unterminated fragment. Drop both.
 				return recs, off, nil
 			}
 			return nil, 0, fmt.Errorf("job: journal corrupt at byte %d: %w", off, err)

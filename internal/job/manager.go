@@ -473,17 +473,6 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 		return m.statusLocked(e), false, nil
 	}
 
-	if err := m.rl.allow(client); err != nil {
-		m.limitedN.Add(1)
-		return Status{}, false, err
-	}
-	if m.cfg.MaxPerClient > 0 && m.active[client] >= m.cfg.MaxPerClient {
-		m.limitedN.Add(1)
-		return Status{}, false, &QuotaError{
-			Reason:     fmt.Sprintf("client %q has %d queued jobs (limit %d)", client, m.active[client], m.cfg.MaxPerClient),
-			RetryAfter: 5,
-		}
-	}
 	if m.cfg.CheckSpec != nil {
 		if err := m.cfg.CheckSpec(spec); err != nil {
 			return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
@@ -492,6 +481,19 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 	plan, err := scenario.PlanOf(spec, seed-1)
 	if err != nil {
 		return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
+	}
+	if m.cfg.MaxPerClient > 0 && m.active[client] >= m.cfg.MaxPerClient {
+		m.limitedN.Add(1)
+		return Status{}, false, &QuotaError{
+			Reason:     fmt.Sprintf("client %q has %d queued jobs (limit %d)", client, m.active[client], m.cfg.MaxPerClient),
+			RetryAfter: 5,
+		}
+	}
+	// The rate token is charged last: a submission refused for any other
+	// reason commissions no work and must not drain the client's bucket.
+	if err := m.rl.allow(client); err != nil {
+		m.limitedN.Add(1)
+		return Status{}, false, err
 	}
 	shards := m.cfg.ShardsPerJob
 	if shards > plan.Jobs() {

@@ -780,6 +780,10 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // and before expansion builds anything.
 func (s *Server) CheckSpec(spec *scenario.Spec) error { return s.checkLimits(spec, nil) }
 
+// MaxBodyBytes is the request body bound in force (Config.MaxBodyBytes after
+// defaulting), for front ends mounted beside /run that take the same bodies.
+func (s *Server) MaxBodyBytes() int64 { return s.cfg.MaxBodyBytes }
+
 // TerminalError reports whether an execution error is deterministic — the
 // identical request would fail identically on any replica, any retry, any
 // restart: a bad spec (ErrSpec) or a max_rounds expiry. Retry machinery
