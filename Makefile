@@ -24,8 +24,16 @@ race:
 		./internal/fabric/... ./internal/job ./internal/algorithms/lift \
 		./internal/algorithms/matching ./internal/algorithms/linial
 
+# The same benchmark list as the CI test job's "Perf smoke" step, one
+# iteration each and every line with -benchmem.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitset/ ./internal/local/
+	$(GO) test -run xxx -bench BenchmarkTable1_LubyMIS -benchmem -benchtime=1x -short .
+	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem -benchtime=1x .
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkCompose' -benchmem -benchtime=1x ./internal/local
+	$(GO) test -run xxx -bench BenchmarkBitset -benchmem -benchtime=1x ./internal/bitset
+	$(GO) test -run xxx -bench 'BenchmarkAlternating|BenchmarkPlanStep' -benchmem -benchtime=1x ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkDerive|BenchmarkCorpus' -benchmem -benchtime=1x ./internal/graph
+	$(GO) test -run xxx -bench BenchmarkLineLift -benchmem -benchtime=1x ./internal/algorithms/lift
 
 # Regenerate default.pgo: run the paper corpus (scenarios/paper) $(PGO_ITERS)
 # times under one CPU profile, then copy the profile next to each main

@@ -56,13 +56,22 @@ type lineItem struct {
 
 // lineBundle is everything one host sends over one port in one round. In
 // phase A, done announces that the sender's virtual node on this edge
-// terminated with output out. Bundles are sent by pointer into a per-round
-// arena and never rewritten: receivers (and the α-synchronizer of Compose)
-// may retain them.
+// terminated with output out. Bundles are sent by pointer into the sending
+// phase's lineArena.
 type lineBundle struct {
 	items []lineItem
 	done  bool
 	out   any
+}
+
+// lineArena is the bundle and item storage of one phase. Phase A runs on
+// odd host steps and phase B on even ones, so a phase rewrites its arena
+// exactly two of this node's steps after sending from it, which the
+// message-reuse rule of local.Node allows: every receiver has read the
+// bundles, and copied their items out, by then.
+type lineArena struct {
+	bundles []lineBundle
+	items   []lineItem
 }
 
 // relayItem is a virtual message this host relays in the next phase B,
@@ -123,11 +132,13 @@ type lineNode struct {
 
 	// Per-round scratch, reused: relay holds this host's own phase-A items
 	// for its phase B; queue[p] and queued the items bound for port p this
-	// round; send is the host send slice.
+	// round; send is the host send slice; arenas[0] and arenas[1] are the
+	// bundle storage of phases A and B.
 	relay  []relayItem
 	queue  [][]lineItem
 	queued int
 	send   []local.Message
+	arenas [2]lineArena
 }
 
 func (n *lineNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
@@ -246,7 +257,7 @@ func (n *lineNode) phaseA(r int, recv []local.Message) []local.Message {
 			n.recordDone(p, v.node.Output())
 		}
 	}
-	return n.flush()
+	return n.flush(&n.arenas[0])
 }
 
 // ingest delivers phase-B bundles: a bundle arriving on port p carries
@@ -292,7 +303,7 @@ func (n *lineNode) phaseB(recv []local.Message) []local.Message {
 	}
 	clear(n.relay)
 	n.relay = n.relay[:0]
-	return n.flush()
+	return n.flush(&n.arenas[1])
 }
 
 // forward moves one message from edge {me, Neighbors[src]} to edge
@@ -318,32 +329,29 @@ func (n *lineNode) enqueue(p int, it lineItem) {
 }
 
 // flush packs this round's queues and termination announcements into
-// bundles. All items share one arena and all bundles another; both are
-// fresh every round because receivers may retain what they are sent,
-// while the queues and the send slice itself are reused.
-func (n *lineNode) flush() []local.Message {
+// bundles in the phase's arena a. The arena's previous contents were sent
+// two steps ago and are dead. They are cleared first, so every bundle
+// starts from zero and no slot this round leaves unused pins a payload.
+// Capacity only grows.
+func (n *lineNode) flush(a *lineArena) []local.Message {
 	clear(n.send)
+	clear(a.bundles)
+	clear(a.items)
 	nb := 0
 	for p := range n.queue {
 		if len(n.queue[p]) > 0 || n.owned[p].fresh {
 			nb++
 		}
 	}
-	if nb == 0 {
-		return n.send
-	}
-	bundles := make([]lineBundle, nb)
-	var items []lineItem
-	if n.queued > 0 {
-		items = make([]lineItem, 0, n.queued)
-	}
+	a.bundles = slices.Grow(a.bundles[:0], nb)[:nb]
+	items := slices.Grow(a.items[:0], n.queued)
 	next := 0
 	for p, q := range n.queue {
 		v := &n.owned[p]
 		if len(q) == 0 && !v.fresh {
 			continue
 		}
-		b := &bundles[next]
+		b := &a.bundles[next]
 		next++
 		if len(q) > 0 {
 			start := len(items)
@@ -358,6 +366,7 @@ func (n *lineNode) flush() []local.Message {
 		}
 		n.send[p] = b
 	}
+	a.items = items
 	n.queued = 0
 	return n.send
 }

@@ -70,9 +70,8 @@ func NewAlternating(name string, plan Plan, pruner Pruner) local.Algorithm {
 // O(radius·|ball|) of whole-set re-flooding. Receivers copy records out
 // within one round; the sender only ever appends past the sub-slice, so the
 // shared backing array is race-free. Messages are sent as pointers into a
-// per-node parity-double-buffered pair: a receiver reads the envelope only
-// in the round after the send, and the same parity slot is rewritten no
-// sooner than two rounds later.
+// per-node parity-double-buffered pair, rewritten two rounds after they were
+// sent, as the message-reuse rule of local.Node allows.
 type gatherMsg struct {
 	records []BallRecord
 }

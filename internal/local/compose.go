@@ -36,10 +36,9 @@ func (p pos) less(q pos) bool { return p.s < q.s || (p.s == q.s && p.t < q.t) }
 // composeEnv is the envelope exchanged by composed nodes. Envelopes are sent
 // by pointer and a round with no payloads shares one envelope across all
 // ports. Envelope storage is double-buffered by round parity instead of
-// allocated per round: a receiver reads an envelope only in the round after
-// it was sent, and the sender rewrites a parity's envelopes no sooner than
-// two rounds after they were last sent, so the reuse is race-free (the same
-// argument as the engine's two message lanes).
+// allocated per round, as the message-reuse rule of Node allows: a
+// receiver reads an envelope only in the round after it was sent, and the
+// sender rewrites a parity's envelopes two rounds after they were sent.
 type composeEnv struct {
 	at      pos
 	payload Message

@@ -121,3 +121,134 @@ func TestRestrictInsideCompose(t *testing.T) {
 		}
 	}
 }
+
+// reuseMsg is one slot of a reuseNode's send storage. A slot the sender
+// takes back for reuse is poisoned before it is rewritten, and stays
+// poisoned on steps where the sender is silent.
+type reuseMsg struct {
+	from   int64 // sender identity
+	step   int   // sender step that wrote the slot
+	sentAt int   // host round of that step
+	poison bool
+}
+
+// reuseStats is a reuseNode's output: how many messages it read, how many
+// of those had been rewritten by their sender before the read, and the
+// largest number of host rounds between a send and its read.
+type reuseStats struct{ reads, rewritten, maxLag int }
+
+// reuseNode sends, on two of every three steps, a pointer into its own
+// send storage of len(slots) slots, taking slot r mod len(slots) at step r.
+// With two slots this is exactly what the message-reuse rule of Node
+// allows. clock is the host round of the node's host, kept by hostClock.
+type reuseNode struct {
+	info  Info
+	steps int
+	slots []reuseMsg
+	send  []Message
+	clock *int
+	stats reuseStats
+}
+
+func (n *reuseNode) Round(r int, recv []Message) ([]Message, bool) {
+	for p, m := range recv {
+		msg, ok := m.(*reuseMsg)
+		if !ok {
+			continue
+		}
+		n.stats.reads++
+		if msg.poison || msg.from != n.info.Neighbors[p] || msg.step != r-1 {
+			n.stats.rewritten++
+		}
+		n.stats.maxLag = max(n.stats.maxLag, *n.clock-msg.sentAt)
+	}
+	slot := &n.slots[r%len(n.slots)]
+	*slot = reuseMsg{poison: true}
+	done := r+1 >= n.steps
+	if (n.info.ID+int64(r))%3 == 0 {
+		return nil, done
+	}
+	*slot = reuseMsg{from: n.info.ID, step: r, sentAt: *n.clock}
+	for p := range n.send {
+		n.send[p] = slot
+	}
+	return n.send, done
+}
+
+func (n *reuseNode) Output() any { return n.stats }
+
+// hostClock stores its host node's round in clock before stepping inner,
+// so the reuseNode that inner runs can tell host rounds apart. Each clock
+// is written and read only by its own node.
+type hostClock struct {
+	inner Node
+	clock *int
+}
+
+func (h *hostClock) Round(r int, recv []Message) ([]Message, bool) {
+	*h.clock = r
+	return h.inner.Round(r, recv)
+}
+
+func (h *hostClock) Output() any { return h.inner.Output() }
+
+// TestComposeMessageReuseRule checks the message-reuse rule of Node under
+// Compose with skewed wake-ups: a sender that rewrites the storage of a
+// message two of its own steps after sending it is never observed by a
+// receiver, even when the α-synchronizer buffers the message for several
+// host rounds. A sender that rewrites its storage every step is observed,
+// so the check has teeth.
+func TestComposeMessageReuseRule(t *testing.T) {
+	g, err := graph.GNP(64, 0.08, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(slots int, opts Options) reuseStats {
+		clocks := make(map[int64]*int, g.N())
+		for u := 0; u < g.N(); u++ {
+			clocks[g.ID(u)] = new(int)
+		}
+		sender := AlgorithmFunc{
+			AlgoName: "reuse",
+			NewNode: func(info Info) Node {
+				return &reuseNode{info: info, steps: 12, slots: make([]reuseMsg, slots),
+					send: make([]Message, info.Degree), clock: clocks[info.ID]}
+			},
+		}
+		skewed := StaggeredWakeup(sender, 5, 16)
+		host := AlgorithmFunc{
+			AlgoName: "clocked",
+			NewNode: func(info Info) Node {
+				return &hostClock{inner: skewed.New(info), clock: clocks[info.ID]}
+			},
+		}
+		res, err := Run(g, host, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum reuseStats
+		for _, o := range res.Outputs {
+			s := o.(reuseStats)
+			sum.reads += s.reads
+			sum.rewritten += s.rewritten
+			sum.maxLag = max(sum.maxLag, s.maxLag)
+		}
+		return sum
+	}
+	for name, opts := range map[string]Options{"sequential": {Sequential: true}, "4 workers": {Workers: 4}} {
+		s := run(2, opts)
+		t.Logf("two slots, %s: %d reads, max lag %d host rounds", name, s.reads, s.maxLag)
+		if s.rewritten > 0 {
+			t.Errorf("two slots, %s: %d of %d reads saw a rewritten message", name, s.rewritten, s.reads)
+		}
+		if s.reads == 0 || s.maxLag < 3 {
+			t.Errorf("two slots, %s: %d reads, max lag %d host rounds; the skew should buffer messages for several rounds",
+				name, s.reads, s.maxLag)
+		}
+	}
+	s := run(1, Options{Sequential: true})
+	t.Logf("one slot, sequential: %d of %d reads saw a rewritten message", s.rewritten, s.reads)
+	if s.rewritten == 0 {
+		t.Errorf("one slot: no read saw a rewritten message (%d reads)", s.reads)
+	}
+}

@@ -69,8 +69,20 @@ func (in *Info) NeighborPort(id int64) int {
 // Both slices are borrowed, not owned: recv is only valid for the duration
 // of the call, and the caller consumes the returned send slice before the
 // next Round call, so implementations may reuse one backing array for their
-// sends round after round. The Message values themselves may be retained and
-// must stay immutable once sent.
+// sends round after round.
+//
+// Message reuse rule: a message sent at a node's step r is read by its
+// receivers no later than their step r+1, so from its own step r+2 on the
+// sender may rewrite the storage behind it (double-buffering by step
+// parity is enough); until then it must stay immutable. A receiver that
+// needs a message's contents later copies them out within that step. Run's
+// round barrier gives the rule directly, and so do Subrun windows, which
+// step their inner node once per host round. Compose keeps it under
+// non-simultaneous wake-up: a node executes step r+2 of a stage only once
+// every neighbour has executed step r+1 of it or left the stage, and that
+// step consumes the payloads sent from step r, however long the
+// α-synchronizer buffered them. Wrappers that deliver an inner node's
+// messages must keep the rule for the inner node's own steps.
 //
 // Output may also be consulted by a wrapper *before* termination — the
 // paper's "algorithm restricted to i rounds" takes whatever tentative output

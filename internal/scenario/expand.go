@@ -128,16 +128,7 @@ func Expand(specs []*Spec, opts ExpandOptions) (*Batch, error) {
 			if !ok {
 				return nil, nil, fmt.Errorf("scenario %s: unknown algorithm %q", s.Name, as.Name)
 			}
-			var check func([]any) error
-			if entry.Check != nil {
-				check = func(outputs []any) error { return entry.Check(g, as, outputs) }
-			}
-			if !entry.PerGraph {
-				if a, ok := shared[as]; ok {
-					b.AlgoShares++
-					return a, check, nil
-				}
-			} else if v, ok := built[buildKey{as, know}]; ok {
+			if v, ok := built[buildKey{as, know}]; ok {
 				return v.algo, v.check, nil
 			}
 			params := core.Params{}
@@ -147,6 +138,16 @@ func Expand(specs []*Spec, opts ExpandOptions) (*Batch, error) {
 				if err != nil {
 					return nil, nil, fmt.Errorf("scenario %s: algorithm %s: %w", s.Name, as.Name, err)
 				}
+			}
+			// The check sees the parameters the build does: a baseline's
+			// guarantee is stated in its advertised guesses.
+			var check func([]any) error
+			if entry.Check != nil {
+				check = func(outputs []any) error { return entry.Check(g, params, as, outputs) }
+			}
+			if a, ok := shared[as]; ok {
+				b.AlgoShares++
+				return a, check, nil
 			}
 			a, err := entry.Build(params, as)
 			if err != nil {

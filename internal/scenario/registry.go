@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
@@ -66,11 +67,13 @@ type AlgoEntry struct {
 	// knowledge regime decides how loose it is relative to the concrete
 	// graph; uniform entries ignore it (that is the point of the paper).
 	Build func(p core.Params, as AlgoSpec) (local.Algorithm, error)
-	// Check validates a simulation's outputs on g, or is nil.
-	Check func(g *graph.Graph, as AlgoSpec, outputs []any) error
+	// Check validates a simulation's outputs on g, or is nil. p is the
+	// parameter vector Build received: the advertised one for PerGraph
+	// entries, whose guarantees depend on it, and the zero vector otherwise.
+	Check func(g *graph.Graph, p core.Params, as AlgoSpec, outputs []any) error
 }
 
-func checkMIS(g *graph.Graph, _ AlgoSpec, outputs []any) error {
+func checkMIS(g *graph.Graph, _ core.Params, _ AlgoSpec, outputs []any) error {
 	in, err := problems.Bools(outputs)
 	if err != nil {
 		return err
@@ -79,26 +82,22 @@ func checkMIS(g *graph.Graph, _ AlgoSpec, outputs []any) error {
 }
 
 // checkColoring validates a proper coloring whose colors lie in
-// [1, palette(g, as)]; a nil palette checks properness only.
-func checkColoring(palette func(g *graph.Graph, as AlgoSpec) int) func(*graph.Graph, AlgoSpec, []any) error {
-	return func(g *graph.Graph, as AlgoSpec, outputs []any) error {
+// [1, palette(g, p, as)].
+func checkColoring(palette func(g *graph.Graph, p core.Params, as AlgoSpec) int) func(*graph.Graph, core.Params, AlgoSpec, []any) error {
+	return func(g *graph.Graph, p core.Params, as AlgoSpec, outputs []any) error {
 		colors, err := problems.Ints(outputs)
 		if err != nil {
 			return err
 		}
-		bound := 0
-		if palette != nil {
-			bound = palette(g, as)
-		}
-		return problems.ValidColoring(g, colors, bound)
+		return problems.ValidColoring(g, colors, palette(g, p, as))
 	}
 }
 
-func checkMatching(g *graph.Graph, _ AlgoSpec, outputs []any) error {
+func checkMatching(g *graph.Graph, _ core.Params, _ AlgoSpec, outputs []any) error {
 	return problems.ValidMaximalMatching(g, outputs)
 }
 
-func checkRulingSet(g *graph.Graph, as AlgoSpec, outputs []any) error {
+func checkRulingSet(g *graph.Graph, _ core.Params, as AlgoSpec, outputs []any) error {
 	in, err := problems.Bools(outputs)
 	if err != nil {
 		return err
@@ -185,7 +184,7 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, as AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformLambdaColoring(as.Lambda)
 		},
-		Check: checkColoring(func(g *graph.Graph, as AlgoSpec) int {
+		Check: checkColoring(func(g *graph.Graph, _ core.Params, as AlgoSpec) int {
 			return core.UniformColoringPalette(engines.LambdaColoringEngine{Lambda: as.Lambda}, g.MaxDegree())
 		}),
 	},
@@ -195,7 +194,10 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(p core.Params, as AlgoSpec) (local.Algorithm, error) {
 			return engines.NonUniformLambdaColoring(as.Lambda)(p), nil
 		},
-		Check: checkColoring(nil),
+		// λ(Δ̃+1) for the advertised Δ̃.
+		Check: checkColoring(func(_ *graph.Graph, p core.Params, as AlgoSpec) int {
+			return coloralgo.LambdaPalette(as.Lambda, p.Delta)
+		}),
 	},
 	"uniform-quad-coloring": {
 		Name: "uniform-quad-coloring",
@@ -203,7 +205,7 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, _ AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformQuadColoring()
 		},
-		Check: checkColoring(func(g *graph.Graph, _ AlgoSpec) int {
+		Check: checkColoring(func(g *graph.Graph, _ core.Params, _ AlgoSpec) int {
 			return core.UniformColoringPalette(engines.QuadEngine{}, g.MaxDegree())
 		}),
 	},
@@ -213,7 +215,7 @@ var algorithms = map[string]AlgoEntry{
 		Build: func(_ core.Params, _ AlgoSpec) (local.Algorithm, error) {
 			return engines.UniformDegPlusOneColoring(engines.LubyMIS()), nil
 		},
-		Check: checkColoring(func(g *graph.Graph, _ AlgoSpec) int { return g.MaxDegree() + 1 }),
+		Check: checkColoring(func(g *graph.Graph, _ core.Params, _ AlgoSpec) int { return g.MaxDegree() + 1 }),
 	},
 	"uniform-matching": {
 		Name: "uniform-matching", PacksIDs: true,

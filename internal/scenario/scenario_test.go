@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
@@ -269,6 +270,18 @@ func TestRegistryTables(t *testing.T) {
 	}
 }
 
+// starColoring colors a star's leaves 1 and its centre centre.
+func starColoring(g *graph.Graph, centre int) []any {
+	out := make([]any, g.N())
+	for u := range out {
+		out[u] = 1
+		if g.Degree(u) > 1 {
+			out[u] = centre
+		}
+	}
+	return out
+}
+
 // TestUniformColoringCheckersEnforcePalette feeds the Theorem 5 coloring
 // entries a proper coloring that uses one color past the entry's palette
 // bound (core.UniformColoringPalette): the checker must reject it, and
@@ -287,23 +300,64 @@ func TestUniformColoringCheckersEnforcePalette(t *testing.T) {
 				engine = engines.LambdaColoringEngine{Lambda: as.Lambda}
 			}
 			palette := core.UniformColoringPalette(engine, g.MaxDegree())
-			// Leaves share color 1; the centre takes the given color.
-			coloring := func(centre int) []any {
-				out := make([]any, g.N())
-				for u := range out {
-					out[u] = 1
-					if g.Degree(u) > 1 {
-						out[u] = centre
-					}
-				}
-				return out
-			}
-			if err := entry.Check(g, as, coloring(palette)); err != nil {
+			if err := entry.Check(g, core.Params{}, as, starColoring(g, palette)); err != nil {
 				t.Errorf("coloring within the palette bound %d rejected: %v", palette, err)
 			}
-			if err := entry.Check(g, as, coloring(palette+1)); err == nil {
+			if err := entry.Check(g, core.Params{}, as, starColoring(g, palette+1)); err == nil {
 				t.Errorf("coloring with color %d accepted, palette bound %d", palette+1, palette)
 			}
 		})
+	}
+}
+
+// TestLambdaBaselineCheckerEnforcesAdvertisedPalette expands the λ-coloring
+// baseline under exact and upper-bound knowledge and feeds each baseline
+// job's checker a proper coloring whose centre takes the last color of
+// coloralgo.LambdaPalette under the advertised Δ̃, then one past it: the
+// checker must accept the first and reject the second. Under upper-bound
+// knowledge the accepted color lies past the exact palette, so the checker
+// must be reading the advertised parameters, not the true ones.
+func TestLambdaBaselineCheckerEnforcesAdvertisedPalette(t *testing.T) {
+	for _, know := range []KnowledgeSpec{
+		{Regime: core.KnowExact},
+		{Regime: core.KnowUpperBound, Looseness: []float64{1, 2}},
+	} {
+		s := &Spec{
+			Name:      "test-lambda",
+			Graph:     GraphSpec{Family: "star", N: 12},
+			Algorithm: AlgoSpec{Name: "uniform-lambda-coloring", Lambda: 2},
+			Baseline:  &AlgoSpec{Name: "nonuniform-lambda-coloring", Lambda: 2},
+			Knowledge: know,
+		}
+		b, err := Expand([]*Spec{s}, ExpandOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := b.Graphs[0]
+		exact := coloralgo.LambdaPalette(2, g.MaxDegree())
+		baselines := 0
+		for i, m := range b.Metas {
+			if m.Algo.Name != "nonuniform-lambda-coloring" {
+				continue
+			}
+			baselines++
+			p, err := m.Know.Advertise(engines.GraphParams(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			palette := coloralgo.LambdaPalette(2, p.Delta)
+			if m.Know.Looseness == 2 && palette <= exact {
+				t.Fatalf("advertised palette %d does not exceed the exact one %d", palette, exact)
+			}
+			if err := b.Check(i, starColoring(g, palette)); err != nil {
+				t.Errorf("%s: coloring within the palette bound %d rejected: %v", b.Jobs[i].Label, palette, err)
+			}
+			if err := b.Check(i, starColoring(g, palette+1)); err == nil {
+				t.Errorf("%s: coloring with color %d accepted, palette bound %d", b.Jobs[i].Label, palette+1, palette)
+			}
+		}
+		if baselines == 0 {
+			t.Fatalf("knowledge %+v: no baseline jobs expanded", know)
+		}
 	}
 }
