@@ -23,7 +23,6 @@ package lift
 
 import (
 	"math/rand/v2"
-	"sort"
 
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
@@ -33,17 +32,4 @@ import (
 // seed drawn once at start-up.
 func childRand(hostSeed int64, vid int64) *rand.Rand {
 	return local.DeriveRand(hostSeed, vid, uint64(mathutil.SplitMix64(uint64(vid))))
-}
-
-// portOf returns the index of id in the sorted identity slice, or -1.
-func portOf(ids []int64, id int64) int {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return i
-	}
-	return -1
-}
-
-func sortIDs(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -10,6 +10,8 @@ package lift
 // and tracks terminated edges in a map.
 
 import (
+	"sort"
+
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -296,3 +298,16 @@ func (n *legacyLineNode) allDone() bool {
 func (n *legacyLineNode) Output() any { return n.outputs }
 
 var _ local.Node = (*legacyLineNode)(nil)
+
+// portOf returns the index of id in the sorted identity slice, or -1.
+func portOf(ids []int64, id int64) int {
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	if i < len(ids) && ids[i] == id {
+		return i
+	}
+	return -1
+}
+
+func sortIDs(ids []int64) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+}

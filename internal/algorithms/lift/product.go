@@ -1,6 +1,9 @@
 package lift
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -15,6 +18,10 @@ import (
 // Copy i of host u carries identity graph.PackIDs(Id(u), i), matching
 // graph.ProductDegPlusOne. The host output is a []any with the outputs of
 // copies 1..deg+1 in order.
+//
+// Routing and delivery are tables built once at setup: a virtual port is
+// either a sibling copy or a host port, so no identity is unpacked or
+// searched after setup (see DESIGN.md, "Lift data layout").
 func Product(algo local.Algorithm) local.Algorithm {
 	return local.AlgorithmFunc{
 		AlgoName: "product(" + algo.Name() + ")",
@@ -25,7 +32,9 @@ func Product(algo local.Algorithm) local.Algorithm {
 }
 
 // productBundle carries, for one host edge (u, v), the messages of all
-// copies u_i to their counterparts v_i, plus termination flags.
+// copies u_i to their counterparts v_i, plus termination flags. Bundles
+// live in the sending host step's productArena and are sent by pointer, so
+// they follow the message-reuse rule of local.Node.
 type productBundle struct {
 	// byCopy[i-1] is the message from copy i of the sender to copy i of the
 	// receiver (nil = silence).
@@ -34,15 +43,34 @@ type productBundle struct {
 	doneAll bool
 }
 
+// productArena is the bundle storage of one host-step parity: one bundle
+// per port, whose byCopy rows are slices of one flat array. A host step
+// rewrites its parity's arena two of its steps after sending from it.
+type productArena struct {
+	bundles []productBundle
+	rows    []local.Message
+}
+
+// productRoute says where a virtual port's messages go: to sibling copy
+// sibling (0-based) at its virtual port at, or, with sibling = -1, over
+// host port at to the same copy of that neighbour.
+type productRoute struct {
+	sibling, at int32
+}
+
 // productVirtual is one simulated copy.
 type productVirtual struct {
-	copyIdx int // 1-based copy index
-	node    local.Node
-	nbrs    []int64 // virtual neighbour identities, sorted
-	inbox   []local.Message
-	t       int
-	done    bool
-	out     any
+	node local.Node
+	t    int
+	done bool
+	out  any
+	// inbox collects the next virtual round's messages by virtual port;
+	// spare is the previous round's inbox, cleared before it is reused.
+	inbox, spare []local.Message
+	route        []productRoute // by virtual port
+	// fromPort[p] is the virtual port of the same copy of the neighbour on
+	// host port p, or -1 when the two copies are not adjacent.
+	fromPort []int32
 }
 
 type productNode struct {
@@ -50,9 +78,14 @@ type productNode struct {
 	algo     local.Algorithm
 	hostSeed int64
 
-	copies   []*productVirtual
-	crossLim []int // crossLim[p] = 1+min(deg, deg of neighbour p)
+	copies   []productVirtual // copy i at copies[i-1]
+	crossLim []int            // crossLim[p] = 1+min(deg, deg of neighbour p)
 	nbrDone  []bool
+	nbrLive  int // neighbours not known to have terminated
+	live     int // copies not yet terminated
+
+	arenas [2]*productArena // by host-step parity
+	send   []local.Message
 }
 
 func (n *productNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
@@ -64,69 +97,131 @@ func (n *productNode) Round(r int, recv []local.Message) ([]local.Message, bool)
 	} else {
 		n.ingest(recv)
 	}
-	return n.stepAll()
+	send := n.stepAll(n.arenas[r&1])
+	// Once every copy has terminated, keep pulsing the done flag until the
+	// neighbourhood has finished, so late neighbours still learn it.
+	if n.live == 0 && n.nbrLive == 0 {
+		n.release()
+		return send, true
+	}
+	return send, false
 }
 
-// setup exchanges degrees and instantiates the copies.
+// setup exchanges degrees, instantiates the copies and builds their routing
+// and delivery tables.
+//
+// PackIDs orders identities lexicographically, so every copy's sorted
+// neighbour list is the host neighbours in identity order, filtered by
+// crossLim, with the clique siblings as one block where this node's own
+// identity falls. Copy j then sits at position base[i]+j (j < i) or
+// base[i]+j-1 (j > i) of copy i's list, where base[i] counts copy i's
+// cross neighbours of smaller identity.
 func (n *productNode) setup(recv []local.Message) {
-	deg := n.info.Degree
+	me, nbrs, deg := n.info.ID, n.info.Neighbors, n.info.Degree
+	c := deg + 1
 	n.crossLim = make([]int, deg)
 	n.nbrDone = make([]bool, deg)
-	for p := 0; p < deg; p++ {
+	n.nbrLive = deg
+	order := make([]int32, deg) // host ports in neighbour-identity order
+	for p := range order {
 		nbDeg, _ := recv[p].(int)
 		n.crossLim[p] = min(deg, nbDeg) + 1
+		order[p] = int32(p)
 	}
-	n.copies = make([]*productVirtual, deg+1)
-	for i := 1; i <= deg+1; i++ {
-		v := &productVirtual{copyIdx: i}
-		// Clique siblings.
-		for j := 1; j <= deg+1; j++ {
-			if j != i {
-				v.nbrs = append(v.nbrs, graph.PackIDs(n.info.ID, int64(j)))
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(nbrs[a], nbrs[b]) })
+	below, _ := slices.BinarySearchFunc(order, me, func(p int32, id int64) int { return cmp.Compare(nbrs[p], id) })
+	base := make([]int32, c)
+	total := c * deg // clique siblings
+	for x, p := range order {
+		total += n.crossLim[p]
+		if x < below {
+			for i := range n.crossLim[p] {
+				base[i]++
 			}
 		}
-		// Cross neighbours.
-		for p := 0; p < deg; p++ {
-			if i <= n.crossLim[p] {
-				v.nbrs = append(v.nbrs, graph.PackIDs(n.info.Neighbors[p], int64(i)))
+	}
+	ids := make([]int64, total)
+	routes := make([]productRoute, total)
+	inboxes := make([]local.Message, 2*total)
+	fromPort := make([]int32, c*deg)
+	n.copies = make([]productVirtual, c)
+	next := 0
+	for i := range n.copies {
+		v := &n.copies[i]
+		v.fromPort = fromPort[i*deg : (i+1)*deg : (i+1)*deg]
+		for p := range v.fromPort {
+			v.fromPort[p] = -1
+		}
+		start := next
+		cross := func(ports []int32) {
+			for _, p := range ports {
+				if i < n.crossLim[p] {
+					ids[next] = graph.PackIDs(nbrs[p], int64(i+1))
+					routes[next] = productRoute{sibling: -1, at: p}
+					v.fromPort[p] = int32(next - start)
+					next++
+				}
 			}
 		}
-		sortIDs(v.nbrs)
-		vid := graph.PackIDs(n.info.ID, int64(i))
-		info := local.Info{
+		cross(order[:below])
+		for j := range c {
+			if j == i {
+				continue
+			}
+			at := base[j] + int32(i)
+			if i > j {
+				at--
+			}
+			ids[next] = graph.PackIDs(me, int64(j+1))
+			routes[next] = productRoute{sibling: int32(j), at: at}
+			next++
+		}
+		cross(order[below:])
+
+		k := next - start
+		v.route = routes[start:next:next]
+		v.inbox = inboxes[2*start : 2*start+k : 2*start+k]
+		v.spare = inboxes[2*start+k : 2*next : 2*next]
+		vid := graph.PackIDs(me, int64(i+1))
+		v.node = n.algo.New(local.Info{
 			ID:        vid,
-			Degree:    len(v.nbrs),
-			Neighbors: append([]int64(nil), v.nbrs...),
+			Degree:    k,
+			Neighbors: ids[start:next:next],
 			Input:     n.info.Input,
 			Rand:      childRand(n.hostSeed, vid),
-		}
-		v.node = n.algo.New(info)
-		v.inbox = make([]local.Message, len(v.nbrs))
-		n.copies[i-1] = v
+		})
 	}
+	n.live = c
+	for a := range n.arenas {
+		arena := &productArena{bundles: make([]productBundle, deg), rows: make([]local.Message, deg*c)}
+		for p := range arena.bundles {
+			arena.bundles[p].byCopy = arena.rows[p*c : (p+1)*c : (p+1)*c]
+		}
+		n.arenas[a] = arena
+	}
+	n.send = make([]local.Message, deg)
 }
 
-// ingest distributes received cross messages into copy inboxes.
+// ingest delivers received cross messages into copy inboxes.
 func (n *productNode) ingest(recv []local.Message) {
 	for p, m := range recv {
-		b, ok := m.(productBundle)
+		b, ok := m.(*productBundle)
 		if !ok {
 			continue
 		}
-		if b.doneAll {
+		if b.doneAll && !n.nbrDone[p] {
 			n.nbrDone[p] = true
+			n.nbrLive--
 		}
-		for idx, msg := range b.byCopy {
-			i := idx + 1
-			if msg == nil || i > len(n.copies) {
+		for idx, msg := range b.byCopy[:min(len(b.byCopy), len(n.copies))] {
+			if msg == nil {
 				continue
 			}
-			v := n.copies[i-1]
+			v := &n.copies[idx]
 			if v.done {
 				continue
 			}
-			src := graph.PackIDs(n.info.Neighbors[p], int64(i))
-			if q := portOf(v.nbrs, src); q >= 0 {
+			if q := v.fromPort[p]; q >= 0 {
 				v.inbox[q] = msg
 			}
 		}
@@ -135,87 +230,60 @@ func (n *productNode) ingest(recv []local.Message) {
 
 // stepAll advances every live copy one virtual round, delivering clique
 // messages locally (with the mandatory one-round delay) and bundling cross
-// messages per host edge.
-func (n *productNode) stepAll() ([]local.Message, bool) {
-	deg := n.info.Degree
-	cross := make([][]local.Message, deg) // cross[p][i-1]
-	for p := 0; p < deg; p++ {
-		cross[p] = make([]local.Message, deg+1)
+// messages per host edge into arena a.
+func (n *productNode) stepAll(a *productArena) []local.Message {
+	clear(a.rows)
+	// Swap every live copy's inbox before any copy steps: sibling messages
+	// sent this round go to the next round's inbox, also for copies that
+	// step later in this loop.
+	for i := range n.copies {
+		v := &n.copies[i]
+		if !v.done {
+			clear(v.spare)
+			v.inbox, v.spare = v.spare, v.inbox
+		}
 	}
-	// Collect clique deliveries for the NEXT round before overwriting
-	// inboxes: snapshot sends first.
-	type sendRec struct {
-		v    *productVirtual
-		send []local.Message
-	}
-	sends := make([]sendRec, 0, len(n.copies))
-	for _, v := range n.copies {
+	c := len(n.copies)
+	for i := range n.copies {
+		v := &n.copies[i]
 		if v.done {
 			continue
 		}
-		inbox := v.inbox
-		v.inbox = make([]local.Message, len(v.nbrs))
-		send, done := v.node.Round(v.t, inbox)
+		send, done := v.node.Round(v.t, v.spare)
 		v.t++
-		if done {
-			v.done = true
-			v.out = v.node.Output()
-		}
-		sends = append(sends, sendRec{v: v, send: send})
-	}
-	for _, sr := range sends {
-		for q, msg := range sr.send {
+		for q, msg := range send {
 			if msg == nil {
 				continue
 			}
-			dst := sr.v.nbrs[q]
-			a, b := graph.UnpackIDs(dst)
-			if a == n.info.ID {
-				// Clique sibling: local delivery into next-round inbox.
-				sibling := n.copies[int(b)-1]
-				if !sibling.done {
-					src := graph.PackIDs(n.info.ID, int64(sr.v.copyIdx))
-					if q2 := portOf(sibling.nbrs, src); q2 >= 0 {
-						sibling.inbox[q2] = msg
-					}
-				}
-				continue
-			}
-			if p := n.info.NeighborPort(a); p >= 0 {
-				cross[p][sr.v.copyIdx-1] = msg
+			rt := v.route[q]
+			if rt.sibling < 0 {
+				a.rows[int(rt.at)*c+i] = msg
+			} else if s := &n.copies[rt.sibling]; !s.done {
+				s.inbox[rt.at] = msg
 			}
 		}
-	}
-	allDone := true
-	for _, v := range n.copies {
-		if !v.done {
-			allDone = false
-			break
+		if done {
+			v.done = true
+			v.out = v.node.Output()
+			n.live--
 		}
 	}
-	send := make([]local.Message, deg)
-	for p := 0; p < deg; p++ {
-		bundle := productBundle{byCopy: cross[p], doneAll: allDone}
-		send[p] = bundle
+	for p := range a.bundles {
+		a.bundles[p].doneAll = n.live == 0
+		n.send[p] = &a.bundles[p]
 	}
-	if allDone && n.allNbrsDone() {
-		return send, true
-	}
-	if allDone {
-		// Keep pulsing the done flag until the neighbourhood has finished,
-		// so late neighbours still learn it.
-		return send, false
-	}
-	return send, false
+	return n.send
 }
 
-func (n *productNode) allNbrsDone() bool {
-	for _, d := range n.nbrDone {
-		if !d {
-			return false
-		}
+// release drops everything but the copies' outputs once the node
+// terminates. It only drops references: the final bundles stay intact for
+// the receivers still reading them.
+func (n *productNode) release() {
+	for i := range n.copies {
+		n.copies[i] = productVirtual{out: n.copies[i].out}
 	}
-	return true
+	n.crossLim, n.nbrDone, n.send = nil, nil, nil
+	n.arenas = [2]*productArena{}
 }
 
 // Output returns the outputs of copies 1..deg+1.

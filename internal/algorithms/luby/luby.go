@@ -69,6 +69,9 @@ type node struct {
 	in   bool
 	// bid is the value drawn in the current phase.
 	bid uint64
+	// send is the send slice, reused every round (the caller consumes it
+	// before the next Round call).
+	send []local.Message
 }
 
 // Round implements the two-round phase structure:
@@ -82,11 +85,11 @@ func (n *node) Round(r int, recv []local.Message) ([]local.Message, bool) {
 		for _, m := range recv {
 			if bm, ok := m.(msg); ok && bm.kind == kindJoin {
 				// A neighbour joined the set: leave and terminate.
-				return local.Broadcast(msg{kind: kindLeave}, n.info.Degree), true
+				return n.broadcast(msg{kind: kindLeave}), true
 			}
 		}
 		n.bid = n.info.Rand.Uint64()
-		return local.Broadcast(msg{kind: kindBid, val: n.bid, id: n.info.ID}, n.info.Degree), false
+		return n.broadcast(msg{kind: kindBid, val: n.bid, id: n.info.ID}), false
 	}
 	for _, m := range recv {
 		bm, ok := m.(msg)
@@ -99,7 +102,21 @@ func (n *node) Round(r int, recv []local.Message) ([]local.Message, bool) {
 		}
 	}
 	n.in = true
-	return local.Broadcast(msg{kind: kindJoin}, n.info.Degree), true
+	return n.broadcast(msg{kind: kindJoin}), true
+}
+
+// broadcast sends m to every port through the reused send slice.
+func (n *node) broadcast(m local.Message) []local.Message {
+	if n.info.Degree == 0 {
+		return nil
+	}
+	if n.send == nil {
+		n.send = make([]local.Message, n.info.Degree)
+	}
+	for p := range n.send {
+		n.send[p] = m
+	}
+	return n.send
 }
 
 func (n *node) Output() any { return n.in }

@@ -84,6 +84,14 @@ func (in *Info) NeighborPort(id int64) int {
 // α-synchronizer buffered them. Wrappers that deliver an inner node's
 // messages must keep the rule for the inner node's own steps.
 //
+// Multi-hop corollary: by induction along a path, when a node executes
+// step s, every node at distance d has executed step s−d, unless some node
+// on the path has left the stage. So storage that receivers relay by
+// reference for up to h hops, each hop read within the step after it was
+// sent, is read by step r+h of every node that reads it, and its sender may
+// rewrite it from its own step r+2h on, provided a relay leaves the stage
+// only after the sender has stopped writing it.
+//
 // Output may also be consulted by a wrapper *before* termination — the
 // paper's "algorithm restricted to i rounds" takes whatever tentative output
 // is present when the budget expires — so implementations should always
