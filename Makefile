@@ -33,7 +33,7 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkBitset -benchmem -benchtime=1x ./internal/bitset
 	$(GO) test -run xxx -bench 'BenchmarkAlternating|BenchmarkPlanStep' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDerive|BenchmarkCorpus' -benchmem -benchtime=1x ./internal/graph
-	$(GO) test -run xxx -bench BenchmarkLineLift -benchmem -benchtime=1x ./internal/algorithms/lift
+	$(GO) test -run xxx -bench 'BenchmarkLineLift|BenchmarkPowerLift|BenchmarkProductLift' -benchmem -benchtime=1x ./internal/algorithms/lift
 
 # Regenerate default.pgo: run the paper corpus (scenarios/paper) $(PGO_ITERS)
 # times under one CPU profile, then copy the profile next to each main

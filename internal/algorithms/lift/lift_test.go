@@ -1,6 +1,7 @@
 package lift
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -145,10 +146,17 @@ func TestLineLiftMatching(t *testing.T) {
 	}
 }
 
+// TestPowerLiftMatchesExplicitPower checks that the power lift reproduces
+// the direct run on the explicit G^k output by output, within its round
+// bound. With D direct rounds, every simulated node has terminated by its
+// virtual round D-1, which the lift runs at host round k + (D-1)·k = k·D
+// after k discovery rounds. Its done flag reaches the whole ball, k hops
+// away, at host round k·D + k, and a node stops at the end of that flood
+// wave, host round k·D + 2k - 1: at most k·D + 2k rounds.
 func TestPowerLiftMatchesExplicitPower(t *testing.T) {
 	for name, g := range hostSuite(t) {
 		for _, k := range []int{1, 2, 3} {
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				pg, err := graph.Power(g, k)
 				if err != nil {
 					t.Fatal(err)
@@ -158,14 +166,17 @@ func TestPowerLiftMatchesExplicitPower(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lifted, err := local.Run(g, Power(k, algo), local.Options{})
+				// The cap makes a broken lift fail fast instead of running
+				// to the engine's default cap.
+				limit := k*direct.Rounds + 2*k
+				lifted, err := local.Run(g, Power(k, algo), local.Options{MaxRounds: limit})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("k=%d: %v (round limit %d, direct %d)", k, err, limit, direct.Rounds)
 				}
 				if !reflect.DeepEqual(direct.Outputs, lifted.Outputs) {
 					t.Fatalf("k=%d: lifted outputs differ from direct outputs", k)
 				}
-				if limit := (k+1)*direct.Rounds + 3*k + 4; lifted.Rounds > limit {
+				if lifted.Rounds > limit {
 					t.Errorf("k=%d: lifted %d rounds > limit %d (direct %d)", k, lifted.Rounds, limit, direct.Rounds)
 				}
 			})
@@ -217,6 +228,12 @@ func TestProductLiftMatchesExplicitProduct(t *testing.T) {
 				if !reflect.DeepEqual(got, direct.Outputs[idx]) {
 					t.Fatalf("copy %+v: lifted %v != direct %v", c, got, direct.Outputs[idx])
 				}
+			}
+			// Host round 0 exchanges degrees and virtual round t runs at host
+			// round t+1, so every copy has terminated by host round D, and
+			// every neighbour learns it, and stops, at host round D+1.
+			if limit := direct.Rounds + 2; lifted.Rounds > limit {
+				t.Errorf("lifted %d rounds > limit %d (direct %d)", lifted.Rounds, limit, direct.Rounds)
 			}
 		})
 	}

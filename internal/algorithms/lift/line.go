@@ -23,7 +23,7 @@ import (
 // the host endpoint the two virtual nodes share. The simulation names
 // virtual nodes by host ports rather than identities: the relay knows both
 // edges as two of its own ports, so routing and delivery are table lookups
-// built once in round 1 (see DESIGN.md, "Line-lift data layout").
+// built once in round 1 (see DESIGN.md, "Lift data layout").
 func LineGraph(algo local.Algorithm, inputFn func(a, b int64) any) local.Algorithm {
 	return local.AlgorithmFunc{
 		AlgoName: "line(" + algo.Name() + ")",

@@ -34,7 +34,8 @@ func Product(algo local.Algorithm) local.Algorithm {
 // productBundle carries, for one host edge (u, v), the messages of all
 // copies u_i to their counterparts v_i, plus termination flags. Bundles
 // live in the sending host step's productArena and are sent by pointer, so
-// they follow the message-reuse rule of local.Node.
+// they are rewritten two of the sender's steps later, as the message-reuse
+// rule in the local.Node contract (internal/local) allows.
 type productBundle struct {
 	// byCopy[i-1] is the message from copy i of the sender to copy i of the
 	// receiver (nil = silence).
