@@ -43,7 +43,7 @@ type powerPayload struct {
 // powerRecord is one node's contribution to a flood wave. Records are
 // copied by value from flood to flood, and out is shared by every copy:
 // receivers up to k hops away read it, which the multi-hop corollary of
-// the message-reuse rule in the local.Node contract (internal/local) allows
+// the message-reuse rule (local.Node, internal/local/local.go) allows
 // until its owner's step 2k after writing it.
 type powerRecord struct {
 	src  int64

@@ -35,7 +35,7 @@ func Product(algo local.Algorithm) local.Algorithm {
 // copies u_i to their counterparts v_i, plus termination flags. Bundles
 // live in the sending host step's productArena and are sent by pointer, so
 // they are rewritten two of the sender's steps later, as the message-reuse
-// rule in the local.Node contract (internal/local) allows.
+// rule in the local.Node contract (internal/local/local.go) allows.
 type productBundle struct {
 	// byCopy[i-1] is the message from copy i of the sender to copy i of the
 	// receiver (nil = silence).
