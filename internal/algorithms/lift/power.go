@@ -100,7 +100,9 @@ func (n *powerNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	var send []local.Message
 	if phase == 0 {
 		if r > n.k {
-			n.harvest(recv)
+			// The previous wave's last records arrive with no hops left, so
+			// forwarding them only extracts them.
+			n.forward(r, recv)
 		}
 		send = n.stepAndFlood(r)
 	} else {
@@ -222,17 +224,6 @@ func (n *powerNode) forward(r int, recv []local.Message) []local.Message {
 		return nil
 	}
 	return n.broadcast(f)
-}
-
-// harvest ingests the final wave of the previous virtual round.
-func (n *powerNode) harvest(recv []local.Message) {
-	for _, m := range recv {
-		if in, ok := m.(*powerFlood); ok {
-			for _, rec := range in.records {
-				n.extract(rec)
-			}
-		}
-	}
 }
 
 // extract records the delivery and done flag rec carries for this node,
