@@ -22,7 +22,8 @@ race:
 	$(GO) test -race -short ./internal/bitset ./internal/local ./internal/graph \
 		./internal/sweep ./internal/engines ./internal/scenario ./internal/serve \
 		./internal/fabric/... ./internal/job ./internal/algorithms/lift \
-		./internal/algorithms/matching ./internal/algorithms/linial
+		./internal/algorithms/matching ./internal/algorithms/linial \
+		./internal/core ./internal/algorithms/arbmis
 
 # The same benchmark list as the CI test job's "Perf smoke" step, one
 # iteration each and every line with -benchmem.
@@ -34,6 +35,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkAlternating|BenchmarkPlanStep' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkDerive|BenchmarkCorpus' -benchmem -benchtime=1x ./internal/graph
 	$(GO) test -run xxx -bench 'BenchmarkLineLift|BenchmarkPowerLift|BenchmarkProductLift' -benchmem -benchtime=1x ./internal/algorithms/lift
+	$(GO) test -run xxx -bench 'BenchmarkArbMISLoose|BenchmarkArbMISUniform' -benchmem -benchtime=1x ./internal/algorithms/arbmis
 
 # Regenerate default.pgo: run the paper corpus (scenarios/paper) $(PGO_ITERS)
 # times under one CPU profile, then copy the profile next to each main

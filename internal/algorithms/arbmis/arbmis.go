@@ -74,29 +74,34 @@ func BoundM(m int) int { return coloralgo.BoundM(m) }
 // membership). With bad guesses some nodes may stay unlayered and output
 // false; termination within Rounds(ã, ñ, m̃) is unconditional.
 func New(aHat, nHat int, mHat int64) local.Algorithm {
-	// The round geometry (layer count, window length, coloring rounds) is a
-	// function of the guesses only; computing it once here instead of every
-	// Round call keeps the per-node round cost constant (the schedule
-	// helpers behind windowRounds rebuild the full Linial/halving schedule).
-	sched := schedule{
+	// The round geometry (layer count, window length, coloring rounds) and
+	// the window coloring are functions of the guesses only; building them
+	// once here instead of every Round call keeps the per-node round cost
+	// constant (the schedule helpers behind windowRounds rebuild the full
+	// Linial/halving schedule).
+	d := layerDegree(aHat)
+	sched := &schedule{
 		layers:      Layers(nHat),
 		window:      windowRounds(aHat, mHat),
-		colorRounds: coloralgo.DeltaPlusOneRounds(layerDegree(aHat), mHat),
+		degree:      d,
+		colorRounds: coloralgo.DeltaPlusOneRounds(d, mHat),
+		coloring:    coloralgo.DeltaPlusOne(d, mHat),
 	}
 	return local.AlgorithmFunc{
 		AlgoName: fmt.Sprintf("arbmis(ã=%d,ñ=%d)", aHat, nHat),
 		NewNode: func(info local.Info) local.Node {
-			return &node{info: info, aHat: aHat, nHat: nHat, mHat: mHat, sched: sched,
-				activeDeg: info.Degree, layer: -1}
+			return &node{info: info, sched: sched, activeDeg: info.Degree, layer: -1}
 		},
 	}
 }
 
 // schedule is the precomputed round geometry shared by all nodes.
 type schedule struct {
-	layers      int // H-partition peeling rounds
-	window      int // rounds per per-layer window
-	colorRounds int // rounds of the masked coloring inside a window
+	layers      int             // H-partition peeling rounds
+	window      int             // rounds per per-layer window
+	degree      int             // layer degree bound 4ã
+	colorRounds int             // rounds of the masked coloring inside a window
+	coloring    local.Algorithm // the masked (4ã+1)-coloring of a window
 }
 
 // Message types of the protocol.
@@ -120,10 +125,7 @@ func encodeStatus(layer int, undecided, in bool) int {
 
 type node struct {
 	info  local.Info
-	aHat  int
-	nHat  int
-	mHat  int64
-	sched schedule
+	sched *schedule
 
 	// Layering state.
 	activeDeg int
@@ -156,6 +158,24 @@ func (n *node) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	return send, done
 }
 
+// Wake implements local.Sleeper. With an empty inbox a node still peeling
+// cannot reach the layer threshold, so it idles until peeling ends; a node
+// outside the processed layer (or already decided) idles until the next
+// window's status round or its own termination round. Undecided nodes of
+// the processed layer and nodes running the coloring never sleep.
+func (n *node) Wake(r int) int {
+	l, w := n.sched.layers, n.sched.window
+	next := r + 1
+	if next < l {
+		return l
+	}
+	window, offset := (next-l)/w, (next-l)%w
+	if window >= l || offset == 0 || n.sub != nil || (n.layer == l-window && !n.decided) {
+		return next
+	}
+	return min(l+(window+1)*w, l+l*w-1)
+}
+
 // peel runs one H-partition round.
 func (n *node) peel(r int, recv []local.Message) []local.Message {
 	for _, m := range recv {
@@ -163,7 +183,7 @@ func (n *node) peel(r int, recv []local.Message) []local.Message {
 			n.activeDeg--
 		}
 	}
-	if n.layer < 0 && n.activeDeg <= layerDegree(n.aHat) {
+	if n.layer < 0 && n.activeDeg <= n.sched.degree {
 		n.layer = r + 1
 		return local.Broadcast(layeredMsg{}, n.info.Degree)
 	}
@@ -172,7 +192,6 @@ func (n *node) peel(r int, recv []local.Message) []local.Message {
 
 // windowRound executes one round of the window for the given layer.
 func (n *node) windowRound(layer, offset int, recv []local.Message) []local.Message {
-	d := layerDegree(n.aHat)
 	colorRounds := n.sched.colorRounds
 	switch {
 	case offset == 0:
@@ -204,7 +223,7 @@ func (n *node) windowRound(layer, offset int, recv []local.Message) []local.Mess
 		for i, p := range ports {
 			ids[i] = n.info.Neighbors[p]
 		}
-		inner := coloralgo.DeltaPlusOne(d, n.mHat).New(local.Info{
+		inner := n.sched.coloring.New(local.Info{
 			ID:        n.info.ID,
 			Degree:    len(ports),
 			Neighbors: ids,
@@ -256,4 +275,7 @@ func (n *node) ingestJoins(recv []local.Message) {
 
 func (n *node) Output() any { return n.in }
 
-var _ local.Node = (*node)(nil)
+var (
+	_ local.Node    = (*node)(nil)
+	_ local.Sleeper = (*node)(nil)
+)

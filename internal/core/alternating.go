@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 
 	"github.com/unilocal/unilocal/internal/local"
@@ -86,10 +87,10 @@ type altNode struct {
 	plan   Plan
 	pruner Pruner
 
-	k      int // current step index
-	step   Step
-	offset int // round offset within the current window
-	sub    *local.Subrun
+	k        int // current step index
+	step     Step
+	winStart int // round at which the current window began
+	sub      *local.Subrun
 
 	activePorts []int // host ports of surviving neighbours
 	input       any   // current input x_k(v)
@@ -133,18 +134,21 @@ func (n *altNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 		// this as an error; it indicates a broken plan or bound).
 		return nil, false
 	}
-	if n.offset == 0 && !n.beginWindow() {
+	// The offset is computed from r, not counted per call: the engine skips
+	// the rounds of a silent stretch the node slept through (see Wake).
+	offset := r - n.winStart
+	if offset == 0 && !n.beginWindow() {
 		return nil, false
 	}
 	budget := n.step.Budget
 	radius := n.pruner.Radius()
 	var send []local.Message
 	switch {
-	case n.offset < budget: // run phase
-		send = n.stepInner(recv)
-	case n.offset < budget+radius: // gather phase
-		send = n.gather(n.offset-budget == 0, r&1, recv)
-	case n.offset == budget+radius: // announce phase
+	case offset < budget: // run phase
+		send = n.stepInner(offset, recv)
+	case offset < budget+radius: // gather phase
+		send = n.gather(offset == budget, r&1, recv)
+	case offset == budget+radius: // announce phase
 		n.mergeRecords(recv)
 		n.ball.reset(n.info.ID, n.arena, n.index)
 		n.decision = n.pruner.Decide(&n.ball)
@@ -156,11 +160,26 @@ func (n *altNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	default: // absorb phase
 		n.absorb(recv)
 		n.k++
-		n.offset = 0
+		n.winStart = r + 1
 		return nil, false
 	}
-	n.offset++
 	return send, false
+}
+
+// Wake implements local.Sleeper. Only the run phase sleeps, and only as
+// long as the inner node does: forever once it is done, or while it is an
+// idle Sleeper itself. The node always wakes by the window's last run
+// round, where the tentative output is recorded. An exhausted plan sleeps
+// forever.
+func (n *altNode) Wake(r int) int {
+	if n.exhausted {
+		return math.MaxInt
+	}
+	offset := r + 1 - n.winStart
+	if offset <= 0 || offset >= n.step.Budget {
+		return r + 1
+	}
+	return n.winStart + min(n.sub.Wake(), n.step.Budget-1)
 }
 
 // beginWindow fetches step k and instantiates the inner node on the current
@@ -205,10 +224,10 @@ func (n *altNode) beginWindow() bool {
 	return true
 }
 
-// stepInner advances the restricted inner execution by one round.
-func (n *altNode) stepInner(recv []local.Message) []local.Message {
-	send := n.sub.Step(recv, n.info.Degree)
-	if n.offset+1 == n.step.Budget {
+// stepInner advances the restricted inner execution to the window offset.
+func (n *altNode) stepInner(offset int, recv []local.Message) []local.Message {
+	send := n.sub.StepAt(offset, recv, n.info.Degree)
+	if offset+1 == n.step.Budget {
 		// Budget expires after this round: record the tentative output
 		// (final if the inner node halted, arbitrary otherwise — the
 		// "restricted to i rounds" convention) and drop the inner state
@@ -325,4 +344,7 @@ func (n *altNode) release() {
 
 func (n *altNode) Output() any { return n.tentative }
 
-var _ local.Node = (*altNode)(nil)
+var (
+	_ local.Node    = (*altNode)(nil)
+	_ local.Sleeper = (*altNode)(nil)
+)

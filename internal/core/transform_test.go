@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/unilocal/unilocal/internal/algorithms/colormis"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
@@ -319,5 +323,26 @@ func TestAlternatingExhaustedPlanErrors(t *testing.T) {
 	g := graph.Path(4)
 	if _, err := local.Run(g, alt, local.Options{MaxRounds: 500}); err == nil {
 		t.Fatal("expected an error from an exhausted plan")
+	}
+}
+
+func TestAlternatingExhaustedPlanPrompt(t *testing.T) {
+	// An exhausted plan sleeps forever, so the engine skips straight to its
+	// round cap: the default 2^21 rounds of 1000 nodes end long before the
+	// deadline, with the unchanged MaxRounds error.
+	hopeless := listPlan{steps: []Step{{Algo: local.AlgorithmFunc{
+		AlgoName: "never",
+		NewNode:  func(local.Info) local.Node { return garbageNode{} },
+	}, Budget: 2}}}
+	g := graph.Path(1000)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, w := range []int{1, 4} {
+		_, err := local.Run(g, NewAlternating("hopeless", hopeless, MISPruner()), local.Options{Workers: w, Context: ctx})
+		want := fmt.Sprintf("%v: algorithm %q, %d of %d nodes still running after %d rounds",
+			local.ErrMaxRounds, "hopeless", g.N(), g.N(), local.DefaultMaxRounds)
+		if !errors.Is(err, local.ErrMaxRounds) || err.Error() != want {
+			t.Fatalf("workers %d: err = %v, want %q", w, err, want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package local
 
-import "math/rand/v2"
+import (
+	"math"
+	"math/rand/v2"
+)
 
 // This file implements the Section 2 machinery of the paper: sequential
 // composition A1;A2 of local algorithms under non-simultaneous wake-up via
@@ -393,13 +396,37 @@ func (s *Subrun) Output() any {
 	return s.inner.Output()
 }
 
-// Rounds returns how many inner rounds have been executed.
+// Rounds returns the inner round after the last one executed: the number
+// of inner rounds elapsed, stepped or slept through.
 func (s *Subrun) Rounds() int { return s.t }
 
-// Step executes one inner round. recv is the host's full inbox (indexed by
-// host port); hostDeg is the host degree. The returned slice is nil or
-// host-degree-sized with the inner messages scattered to their host ports.
+// Wake returns the first inner round at which the inner node must be
+// stepped, given that its inbox stays empty until then (see Sleeper):
+// math.MaxInt once the inner node is done, the next inner round if it is
+// not a Sleeper or has not started.
+func (s *Subrun) Wake() int {
+	if s.done {
+		return math.MaxInt
+	}
+	if sl, ok := s.inner.(Sleeper); ok && s.t > 0 {
+		return sl.Wake(s.t - 1)
+	}
+	return s.t
+}
+
+// Step executes the next inner round. recv is the host's full inbox
+// (indexed by host port); hostDeg is the host degree. The returned slice is
+// nil or host-degree-sized with the inner messages scattered to their host
+// ports.
 func (s *Subrun) Step(recv []Message, hostDeg int) []Message {
+	return s.StepAt(s.t, recv, hostDeg)
+}
+
+// StepAt executes inner round t, which is at least Rounds(): a host that
+// slept through a silent stretch resumes its inner node at the host's
+// offset, skipping the inner rounds the inner node promised to idle through
+// (see Wake).
+func (s *Subrun) StepAt(t int, recv []Message, hostDeg int) []Message {
 	if s.done {
 		return nil
 	}
@@ -410,8 +437,8 @@ func (s *Subrun) Step(recv []Message, hostDeg int) []Message {
 	for i, p := range s.ports {
 		s.recvBuf[i] = recv[p]
 	}
-	send, done := s.inner.Round(s.t, s.recvBuf)
-	s.t++
+	send, done := s.inner.Round(t, s.recvBuf)
+	s.t = t + 1
 	if done {
 		s.done = true
 		s.output = s.inner.Output()

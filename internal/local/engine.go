@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
@@ -76,17 +77,20 @@ type Result struct {
 	Rounds int
 	// Messages is the total number of (non-nil) messages delivered.
 	Messages int64
-	// Steps is the total number of node-steps executed: the sum over rounds
-	// of the live-frontier size. It is a deterministic, machine-independent
-	// measure of the engine work a run performs (the instruction-count proxy
+	// Steps is the total number of node-rounds live, stepped or skipped:
+	// the sum over rounds of the live-frontier size, including the rounds
+	// of a silent stretch the engine skipped (see Sleeper), so it is not
+	// the number of Round calls. It is a deterministic, machine-independent
+	// measure of the work a run accounts for (the instruction-count proxy
 	// BENCH.json tracks), identical for any worker count or scheduler.
 	Steps int64
 }
 
 // FrontierOccupancy returns the mean fraction of nodes live per round:
-// Steps / (Rounds × n). The paper's uniform algorithms spend most rounds in
-// sparse pseudo-halted tails, so low occupancy is the common steady state —
-// the regime the bitset frontier representation is shaped for.
+// Steps / (Rounds × n), counting node-rounds live, stepped or skipped. The
+// paper's uniform algorithms spend most rounds in sparse pseudo-halted
+// tails, so low occupancy is the common steady state — the regime the
+// bitset frontier representation is shaped for.
 func (r *Result) FrontierOccupancy() float64 {
 	slots := int64(r.Rounds) * int64(len(r.HaltRounds))
 	if slots == 0 {
@@ -308,7 +312,8 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 
 	ctx := opts.Context
 	live := n
-	var steps int64
+	// steps and msgs are the running totals of node-rounds and messages.
+	var steps, msgs int64
 	for r := 0; r < maxRounds && live > 0; r++ {
 		// One cancellation check per round: server timeouts and client
 		// disconnects stop a long simulation at the next round boundary
@@ -382,16 +387,28 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 			}
 			wg.Wait()
 		}
+		total := int64(0)
 		for w := range tallies {
 			if err := tallies[w].err; err != nil {
 				return nil, err
 			}
+			total += tallies[w].msgs
 		}
 		inbox, next = next, inbox
 		steps += int64(live)
 		// Fold this round's halts into the frontier: one word-wise and-not +
 		// popcount pass replaces the per-node compaction loop.
 		live = active.AndNotCount(halted)
+		// Silent stretch: after a round that sent nothing, every inbox is
+		// empty, so if every live node promises to idle until some later
+		// round, the rounds in between are skipped and only accounted.
+		if total == msgs && live > 0 {
+			if w := min(wakeRound(states, activeWords, r), maxRounds); w > r+1 {
+				steps += int64(live) * int64(w-r-1)
+				r = w - 1
+			}
+		}
+		msgs = total
 	}
 	if live > 0 {
 		return nil, fmt.Errorf("%w: algorithm %q, %d of %d nodes still running after %d rounds",
@@ -400,6 +417,7 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 	res := &Result{
 		Outputs:    outputs,
 		HaltRounds: haltRounds,
+		Messages:   msgs,
 		Steps:      steps,
 	}
 	for u := 0; u < n; u++ {
@@ -407,8 +425,26 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 			res.Rounds = haltRounds[u] + 1
 		}
 	}
-	for w := range tallies {
-		res.Messages += tallies[w].msgs
-	}
 	return res, nil
+}
+
+// wakeRound returns the earliest round after r at which a live node must be
+// stepped, given that no message is delivered until then (see Sleeper). The
+// scan stops at r+1 as soon as one node is not a Sleeper or cannot sleep.
+func wakeRound(states []Node, words []uint64, r int) int {
+	wake := math.MaxInt
+	for wi, bw := range words {
+		for ; bw != 0; bw &= bw - 1 {
+			s, ok := states[wi<<6+bits.TrailingZeros64(bw)].(Sleeper)
+			if !ok {
+				return r + 1
+			}
+			w := s.Wake(r)
+			if w <= r+1 {
+				return r + 1
+			}
+			wake = min(wake, w)
+		}
+	}
+	return wake
 }

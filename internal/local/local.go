@@ -102,6 +102,24 @@ type Node interface {
 	Output() any
 }
 
+// Sleeper is an optional interface of a Node that can tell the engine how
+// long it would stay idle. After a round r in which no node sent anything,
+// Run asks every live node for Wake(r): the first round after r at which
+// the node must be stepped, given that its inbox stays empty until then.
+// The promise covers every round in between: Round would have returned
+// (nil, false), drawn no randomness, and changed no state that a later
+// round reads other than through r. Returning r+1 means the node cannot
+// sleep; math.MaxInt means it would idle forever.
+//
+// When every live node is a Sleeper and the earliest wake round w is past
+// r+1, Run skips straight to round w (capped at MaxRounds) and accounts the
+// skipped node-rounds in Steps, so Results are byte-identical to stepping
+// every round. Wake is called between rounds, never concurrently with
+// Round, so it needs no synchronisation.
+type Sleeper interface {
+	Wake(r int) int
+}
+
 // Algorithm creates the per-node state machines of a distributed algorithm.
 // Implementations must be safe for concurrent calls to New, and the Node
 // they return is driven by a single goroutine at a time.
