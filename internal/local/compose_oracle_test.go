@@ -97,11 +97,25 @@ type digestMsg struct {
 // neighbours, so nodes run ahead and behind each other, and a payload
 // delivered at the wrong step or into the wrong stage changes an output.
 func digest(spread int64) local.Algorithm {
+	return sparseDigest(spread, 0)
+}
+
+// sparseDigest is digest sending on a seeded subset of ports and rounds:
+// with salt s != 0, the node sends on port p in round r only when a hash
+// of (s, id, p, r) is divisible by 3, and stays silent in rounds where no
+// port is picked. Its composed stacks mix payload envelopes with rounds
+// that carry none, so a neighbour's position has to be tracked without a
+// payload to read it from.
+func sparseDigest(spread int64, salt uint64) local.Algorithm {
+	name := fmt.Sprintf("digest(%d)", spread)
+	if salt != 0 {
+		name = fmt.Sprintf("sparse-digest(%d,%d)", spread, salt)
+	}
 	return local.AlgorithmFunc{
-		AlgoName: fmt.Sprintf("digest(%d)", spread),
+		AlgoName: name,
 		NewNode: func(info local.Info) local.Node {
 			acc, _ := info.Input.(uint64)
-			return &digestNode{id: info.ID, deg: info.Degree, rounds: 2 + int(info.ID%spread), acc: acc}
+			return &digestNode{id: info.ID, deg: info.Degree, rounds: 2 + int(info.ID%spread), acc: acc, salt: salt}
 		},
 	}
 }
@@ -111,6 +125,7 @@ type digestNode struct {
 	deg    int
 	rounds int
 	acc    uint64
+	salt   uint64
 }
 
 func (n *digestNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
@@ -119,7 +134,22 @@ func (n *digestNode) Round(r int, recv []local.Message) ([]local.Message, bool) 
 			n.acc = mathutil.SplitMix64(n.acc ^ uint64(dm.id)<<24 ^ uint64(dm.r)<<12 ^ uint64(r)<<6 ^ uint64(p))
 		}
 	}
-	return local.Broadcast(digestMsg{id: n.id, r: r}, n.deg), r+1 >= n.rounds
+	done := r+1 >= n.rounds
+	msg := digestMsg{id: n.id, r: r}
+	if n.salt == 0 {
+		return local.Broadcast(msg, n.deg), done
+	}
+	var send []local.Message
+	for p := 0; p < n.deg; p++ {
+		if mathutil.SplitMix64(n.salt^uint64(n.id)<<20^uint64(p)<<10^uint64(r))%3 != 0 {
+			continue
+		}
+		if send == nil {
+			send = make([]local.Message, n.deg)
+		}
+		send[p] = msg
+	}
+	return send, done
 }
 
 func (n *digestNode) Output() any { return n.acc }
@@ -129,6 +159,11 @@ func (n *digestNode) Output() any { return n.acc }
 var stacks = map[string]func(c composer, g *graph.Graph) local.Algorithm{
 	"digest": func(c composer, _ *graph.Graph) local.Algorithm {
 		return c.compose("digest", local.Stage{Algo: digest(3)}, local.Stage{Algo: digest(4)}, local.Stage{Algo: digest(2)})
+	},
+	"sparse": func(c composer, _ *graph.Graph) local.Algorithm {
+		return c.compose("sparse",
+			local.Stage{Algo: sparseDigest(5, 1)}, local.Stage{Algo: sparseDigest(3, 2)},
+			local.Stage{Algo: sparseDigest(7, 3)}, local.Stage{Algo: sparseDigest(4, 4)})
 	},
 	"colormis": func(c composer, g *graph.Graph) local.Algorithm {
 		return c.colormis(g.MaxDegree(), g.MaxIDValue())

@@ -2,9 +2,10 @@ package scenario
 
 // Digest oracle for the committed scenario corpus: every job of every spec in
 // scenarios/*.json and scenarios/knowledge/*.json (the perfbench spec copies
-// are identical to these) is run through the engine and its Result (Outputs,
-// HaltRounds, Rounds, Messages, Steps) is hashed and compared with the
-// committed table in testdata/run_digests.json. Each job runs at engine
+// are identical to these) is run through the engine, and its Result is
+// hashed twice (Outputs, HaltRounds, Rounds and Steps into a behaviour hash,
+// Messages into a traffic hash) and compared with the committed table in
+// testdata/run_digests.json. Each job runs at engine
 // workers 1 and 4 and under an adversarial delivery permutation; all three
 // must give the one digest. Regenerate the table only when a change is meant
 // to alter these Results:
@@ -35,14 +36,29 @@ var digestDirs = []string{
 	filepath.Join("..", "..", "scenarios", "knowledge"),
 }
 
+// runDigest is one table entry: a behaviour hash over Outputs, HaltRounds,
+// Rounds and Steps, and a traffic hash over Messages. They are kept apart so
+// a change of the messages a protocol sends (the α-synchronizer's envelopes)
+// can move the traffic hash while the behaviour hash pins everything else.
+type runDigest struct {
+	Behaviour string `json:"behaviour"`
+	Traffic   string `json:"traffic"`
+}
+
+func (d runDigest) String() string {
+	return fmt.Sprintf("behaviour %.12s traffic %.12s", d.Behaviour, d.Traffic)
+}
+
 // resultDigest hashes every deterministic field of a Result.
-func resultDigest(res *local.Result) string {
+func resultDigest(res *local.Result) runDigest {
 	h := sha256.New()
 	for u, o := range res.Outputs {
 		fmt.Fprintf(h, "%d %T %v\n", u, o, o)
 	}
-	fmt.Fprintf(h, "halt %v\nrounds %d messages %d steps %d\n", res.HaltRounds, res.Rounds, res.Messages, res.Steps)
-	return hex.EncodeToString(h.Sum(nil))
+	fmt.Fprintf(h, "halt %v\nrounds %d steps %d\n", res.HaltRounds, res.Rounds, res.Steps)
+	behaviour := hex.EncodeToString(h.Sum(nil))
+	traffic := sha256.Sum256(fmt.Appendf(nil, "messages %d\n", res.Messages))
+	return runDigest{Behaviour: behaviour, Traffic: hex.EncodeToString(traffic[:])}
 }
 
 // digestVariants are the engine configurations every job must agree under.
@@ -61,7 +77,7 @@ var digestVariants = []struct {
 // table; with -update it rewrites the table instead. -short runs workers 1
 // only.
 func TestCorpusRunDigests(t *testing.T) {
-	var want map[string]string
+	var want map[string]runDigest
 	if !*update {
 		raw, err := os.ReadFile(digestFile)
 		if err != nil {
@@ -87,7 +103,7 @@ func TestCorpusRunDigests(t *testing.T) {
 	if testing.Short() && !*update {
 		variants = variants[:1]
 	}
-	got := make(map[string]string)
+	got := make(map[string]runDigest)
 	for _, j := range b.Jobs {
 		if _, dup := got[j.Label]; dup {
 			t.Fatalf("%s: duplicate job label", j.Label)
@@ -108,12 +124,12 @@ func TestCorpusRunDigests(t *testing.T) {
 			}
 			d := resultDigest(res)
 			if prev, ok := got[j.Label]; ok && prev != d {
-				t.Errorf("%s/%s: digest %.12s, %s gave %.12s", j.Label, v.name, d, variants[0].name, prev)
+				t.Errorf("%s/%s: %v, %s gave %v", j.Label, v.name, d, variants[0].name, prev)
 				continue
 			}
 			got[j.Label] = d
 			if !*update && d != want[j.Label] {
-				t.Errorf("%s/%s: digest %.12s, table %.12s", j.Label, v.name, d, want[j.Label])
+				t.Errorf("%s/%s: %v, table %v", j.Label, v.name, d, want[j.Label])
 			}
 		}
 	}
