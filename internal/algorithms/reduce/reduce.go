@@ -134,6 +134,10 @@ func (n *batchNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	return nil, false
 }
 
+// Wake implements local.Sleeper: with an empty inbox a node idles until
+// its batch round.
+func (n *batchNode) Wake(r int) int { return max(r+1, (n.color-1)/n.lambda+1) }
+
 func (n *batchNode) Output() any { return n.color }
 
 // ToDeltaPlusOne returns the iterated-halving reduction from palette [1, k]
@@ -236,9 +240,13 @@ func (n *misNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	return nil, true
 }
 
+// Wake implements local.Sleeper: with an empty inbox a node idles until
+// its color round.
+func (n *misNode) Wake(r int) int { return max(r+1, n.color) }
+
 func (n *misNode) Output() any { return n.in }
 
 var (
-	_ local.Node = (*batchNode)(nil)
-	_ local.Node = (*misNode)(nil)
+	_ local.Sleeper = (*batchNode)(nil)
+	_ local.Sleeper = (*misNode)(nil)
 )

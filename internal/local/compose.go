@@ -14,12 +14,25 @@ import (
 // Composition semantics. Each node executes the stages one after the other,
 // advancing through per-stage local rounds. A node may execute local round t
 // of stage s only once every neighbour has executed round t-1 of stage s or
-// advanced past it (the α-synchronizer rule); whenever a node executes a
-// step it sends an envelope carrying its position to every neighbour, so a
-// blocked node always knows when to proceed. The node with the globally
+// advanced past it (the α-synchronizer rule). The node with the globally
 // minimal position can always step, so composition never deadlocks, and the
 // standard induction yields Observation 2.1: the composed running time is at
 // most the sum of the stage running times.
+//
+// Event-driven envelopes. A composed node is stepped once per round, on a
+// round counter shared with its neighbours (see Node), and in every round it
+// either executes its next step or blocks. Between status changes a
+// neighbour's position is therefore a function of the round: a stepping
+// neighbour advances one step per round, a blocked one stands still. A node
+// sends an envelope on a port only when it carries a payload there, or on
+// every port when its status changes: it blocks (the envelope carries its
+// last executed position), resumes, ends a stage or finishes. Each port
+// keeps one anchor, the last reported position and whether the neighbour
+// moves on from it; extrapolating the anchor gives, in every round, exactly
+// the position the neighbour's latest step would have announced, so nodes
+// step in the same rounds as under an envelope-per-step synchronizer. A
+// node whose inner node idles and whose neighbours' anchors keep it
+// stepping sends nothing, and sleeps through such stretches as a Sleeper.
 
 // Stage is one algorithm in a composition.
 type Stage struct {
@@ -36,16 +49,49 @@ type pos struct{ s, t int }
 
 func (p pos) less(q pos) bool { return p.s < q.s || (p.s == q.s && p.t < q.t) }
 
+// envKind is the status an envelope reports.
+type envKind uint8
+
+const (
+	// envStep: the sender executed step at and goes on stepping.
+	envStep envKind = iota
+	// envEnded: the sender executed step at, the last of its stage at.s;
+	// it executes step 0 of stage at.s+1 in the next round.
+	envEnded
+	// envDone: the sender executed step at, its last, and terminated.
+	envDone
+	// envBlocked: the sender could not step; at is its last executed step.
+	envBlocked
+)
+
 // composeEnv is the envelope exchanged by composed nodes. Envelopes are sent
-// by pointer and a round with no payloads shares one envelope across all
-// ports. Envelope storage is double-buffered by round parity instead of
+// by pointer, and the ports of a status change without a payload share one
+// envelope. Envelope storage is double-buffered by round parity instead of
 // allocated per round, as the message-reuse rule of Node allows: a
 // receiver reads an envelope only in the round after it was sent, and the
 // sender rewrites a parity's envelopes two rounds after they were sent.
 type composeEnv struct {
 	at      pos
 	payload Message
-	allDone bool
+	kind    envKind
+}
+
+// anchor is a node's view of the neighbour on one port: the neighbour's
+// latest executed position, as of the round before round x, is (s, t+x)
+// while it moves and (s, t) while it stands (blocked, or terminated with s
+// past every stage). The fields are int32, rounds being bounded by the
+// host's round cap.
+type anchor struct {
+	s, t   int32
+	moving bool
+}
+
+// at returns the neighbour's position as of the round before round x.
+func (a anchor) at(x int32) (int32, int32) {
+	if a.moving {
+		return a.s, a.t + x
+	}
+	return a.s, a.t
 }
 
 // Compose returns the sequential composition of the given stages as a single
@@ -55,12 +101,13 @@ func Compose(name string, stages ...Stage) Algorithm {
 	return AlgorithmFunc{
 		AlgoName: name,
 		NewNode: func(info Info) Node {
-			n := &composeNode{info: info, stages: stages}
-			n.seen = make([]pos, info.Degree)
-			for p := range n.seen {
-				n.seen[p] = pos{-1, -1}
+			n := &composeNode{info: info, stages: stages, last: -1}
+			// Every node executes step (0, 0) in round 0 and steps on from
+			// there until it reports otherwise.
+			n.nb = make([]anchor, info.Degree)
+			for p := range n.nb {
+				n.nb[p] = anchor{s: 0, t: -1, moving: true}
 			}
-			n.nbDone = make([]bool, info.Degree)
 			scratch := make([]Message, 2*info.Degree)
 			n.innerRecv, n.envs = scratch[:info.Degree:info.Degree], scratch[info.Degree:]
 			n.startStage()
@@ -91,21 +138,26 @@ type composeNode struct {
 	inner   Node
 	prevOut any
 
-	seen   []pos
-	nbDone []bool
-	buf    []bufEntry
+	// last is the round of the latest Round call and blocked whether the
+	// node blocked in it; the rounds a host skipped since (see Wake) were
+	// idle steps, or blocked rounds, accordingly.
+	last    int
+	blocked bool
+
+	nb  []anchor
+	buf []bufEntry
 
 	// innerRecv is the inbox of the next inner step: payloads sent from the
 	// step's key position land in their port's slot on arrival, and after
 	// every step it is cleared and refilled from buf. envs is the send
 	// scratch, reused across rounds (the engine consumes a returned send
 	// slice before the next Round call, so handing out the same array every
-	// round is safe); both are carved from one backing array. quiet and
+	// round is safe); both are carved from one backing array. status and
 	// payloadEnvs hold the envelope objects themselves, double-buffered by
 	// the parity of the sending round (payloadEnvs slot parity*degree+port).
 	innerRecv   []Message
 	envs        []Message
-	quiet       [2]composeEnv
+	status      [2]composeEnv
 	payloadEnvs []composeEnv
 
 	// stagePCG/stageRand are the per-stage RNG handed to the stage's inner
@@ -135,6 +187,14 @@ func (n *composeNode) startStage() {
 }
 
 func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
+	// A host that skipped rounds did so within Wake's promise: a stepping
+	// node's inner node idled through them, one step per round.
+	if skipped := r - n.last - 1; skipped > 0 && !n.blocked {
+		n.at.t += skipped
+		n.refill()
+	}
+	n.last = r
+	x := int32(r)
 	key := n.key()
 	for p, m := range recv {
 		if m == nil {
@@ -144,11 +204,20 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		if !ok {
 			continue // foreign message; composed stages only understand envelopes
 		}
-		if n.seen[p].less(env.at) {
-			n.seen[p] = env.at
-		}
-		if env.allDone {
-			n.nbDone[p] = true
+		// An envelope read in round x was sent in round x-1. A neighbour
+		// that ended stage s there executes (s+1, 0) in round x, so it is
+		// anchored at (s+1, -1) already in round x: no key of this node
+		// lies between that and its last step of stage s, since the node
+		// is at most one step ahead of it.
+		switch env.kind {
+		case envStep:
+			n.nb[p] = anchor{s: int32(env.at.s), t: int32(env.at.t) - x, moving: true}
+		case envEnded:
+			n.nb[p] = anchor{s: int32(env.at.s) + 1, t: -1 - x, moving: true}
+		case envDone:
+			n.nb[p] = anchor{s: math.MaxInt32}
+		case envBlocked:
+			n.nb[p] = anchor{s: int32(env.at.s), t: int32(env.at.t)}
 		}
 		if env.payload != nil {
 			// Keys only grow, so a payload sent from behind the key can
@@ -162,52 +231,158 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		}
 	}
 	// α-synchronizer rule: step (s,t) requires every neighbour at >= (s,t-1).
-	if n.at.t > 0 {
-		for p := range n.seen {
-			if !n.nbDone[p] && n.seen[p].less(key) {
-				return nil, false
-			}
+	if n.at.t > 0 && n.lagging(x, key) {
+		if n.blocked {
+			return nil, false
 		}
+		n.blocked = true
+		return n.announce(r, nil, composeEnv{at: key, kind: envBlocked}, true), false
 	}
+	resumed := n.blocked
+	n.blocked = false
 	send, done := n.inner.Round(n.at.t, n.innerRecv)
 	stepped := n.at
 	n.at.t++
-	finished := false
+	kind := envStep
 	if done {
 		n.prevOut = n.inner.Output()
 		n.at = pos{stepped.s + 1, 0}
+		kind = envEnded
 		if n.at.s < len(n.stages) {
 			n.startStage()
 		} else {
-			finished = true
+			kind = envDone
 		}
 	}
-	envs := n.envs
-	parity := r & 1
-	// Ports without a payload share a single envelope; only payload-carrying
-	// ports need their own, taken from this parity's half of the pool.
-	quiet := &n.quiet[parity]
-	*quiet = composeEnv{at: stepped, allDone: finished}
-	for p := 0; p < n.info.Degree; p++ {
-		if len(send) > 0 && send[p] != nil {
-			if n.payloadEnvs == nil {
-				n.payloadEnvs = make([]composeEnv, 2*n.info.Degree)
-			}
-			env := &n.payloadEnvs[parity*n.info.Degree+p]
-			*env = composeEnv{at: stepped, payload: send[p], allDone: finished}
-			envs[p] = env
-		} else {
-			envs[p] = quiet
-		}
+	var envs []Message
+	if resumed || done || len(send) > 0 {
+		envs = n.announce(r, send, composeEnv{at: stepped, kind: kind}, resumed || done)
 	}
 	// One batched memclr over the window (a cache-line-wide wipe) instead of
 	// a bounds-checked store per port; it runs after the envelopes are built
 	// in case the inner node handed its inbox back as its send slice.
 	clear(n.innerRecv)
-	if !finished {
+	if kind != envDone {
 		n.refill()
 	}
-	return envs, finished
+	return envs, kind == envDone
+}
+
+// announce builds the round's envelopes: st with send[p] on every port p
+// with a payload and, if all is set (a status change), st alone on every
+// other port. It returns nil if no port gets an envelope.
+func (n *composeNode) announce(r int, send []Message, st composeEnv, all bool) []Message {
+	parity := r & 1
+	shared := &n.status[parity]
+	*shared = st
+	sent := all
+	envs := n.envs
+	for p := range envs {
+		switch {
+		case len(send) > 0 && send[p] != nil:
+			if n.payloadEnvs == nil {
+				n.payloadEnvs = make([]composeEnv, 2*n.info.Degree)
+			}
+			env := &n.payloadEnvs[parity*n.info.Degree+p]
+			*env = st
+			env.payload = send[p]
+			envs[p] = env
+			sent = true
+		case all:
+			envs[p] = shared
+		default:
+			envs[p] = nil
+		}
+	}
+	if !sent {
+		return nil
+	}
+	return envs
+}
+
+// lagging reports whether some neighbour's position as of round x is
+// behind key.
+func (n *composeNode) lagging(x int32, key pos) bool {
+	ks, kt := int32(key.s), int32(key.t)
+	for _, a := range n.nb {
+		s, t := a.at(x)
+		if s < ks || s == ks && t < kt {
+			return true
+		}
+	}
+	return false
+}
+
+// Wake implements Sleeper. A blocked node sleeps until its lagging
+// neighbours' anchors catch up with its key, when it resumes (and has to
+// announce it). A stepping node sleeps while its inner node idles, up to
+// the inner node's wake round, the step that consumes its first buffered
+// payload, or the round in which it would block on a standing neighbour,
+// whichever comes first. The first step of a stage is never slept through.
+func (n *composeNode) Wake(r int) int {
+	if n.blocked {
+		return n.resumeRound(r)
+	}
+	if n.at.t == 0 {
+		return r + 1
+	}
+	for _, m := range n.innerRecv {
+		if m != nil {
+			return r + 1
+		}
+	}
+	sl, ok := n.inner.(Sleeper)
+	if !ok {
+		return r + 1
+	}
+	// The inner node executed step at.t-1 in round r; step t falls in
+	// round r+1+t-at.t.
+	last := n.at.t - 1
+	wake := math.MaxInt
+	if w := sl.Wake(last); w-last < math.MaxInt-r {
+		wake = r + w - last
+	}
+	for _, e := range n.buf {
+		if e.at.s == n.at.s {
+			wake = min(wake, r+2+e.at.t-n.at.t)
+		}
+	}
+	// Step at.t+k (round r+1+k) needs every neighbour at >= (s, at.t+k-1).
+	// A neighbour in a later stage stays ahead and one moving in this stage
+	// keeps its distance, so either blocks the next step or none; one in an
+	// earlier stage blocks the next step, and one standing at (s, q) blocks
+	// step q+2.
+	ks := int32(n.at.s)
+	for _, a := range n.nb {
+		switch {
+		case a.s > ks:
+		case a.s < ks || a.moving && int(a.t)+r+1 < last:
+			return r + 1
+		case !a.moving:
+			wake = min(wake, r+3+int(a.t)-n.at.t)
+		}
+	}
+	return max(wake, r+1)
+}
+
+// resumeRound returns the first round after r in which a blocked node can
+// step, given its neighbours' anchors: math.MaxInt if some neighbour
+// stands behind its key or is in an earlier stage (only an envelope can
+// free it then).
+func (n *composeNode) resumeRound(r int) int {
+	key := n.key()
+	ks, kt := int32(key.s), int32(key.t)
+	wake := r + 1
+	for _, a := range n.nb {
+		switch {
+		case a.s > ks:
+		case a.s < ks || !a.moving && a.t < kt:
+			return math.MaxInt
+		case a.moving:
+			wake = max(wake, int(kt-a.t))
+		}
+	}
+	return wake
 }
 
 // key is the position whose payloads the next step consumes: (s, t-1) for
@@ -235,7 +410,10 @@ func (n *composeNode) refill() {
 
 func (n *composeNode) Output() any { return n.prevOut }
 
-var _ Node = (*composeNode)(nil)
+var (
+	_ Node    = (*composeNode)(nil)
+	_ Sleeper = (*composeNode)(nil)
+)
 
 // WithWakeup returns algorithm a executed under a non-simultaneous wake-up
 // pattern: node with identity id stays asleep for delay(id) composed rounds

@@ -257,7 +257,7 @@ func runBoth(t *testing.T, g *graph.Graph, got, want local.Algorithm, opts local
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "compose vs legacy oracle", wantRes, gotRes)
+	sameBehaviour(t, "compose vs legacy oracle", wantRes, gotRes)
 }
 
 // TestComposeStacksMirrorProduction checks that the stacks built over the

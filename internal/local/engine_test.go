@@ -78,6 +78,16 @@ func workerCounts() []int {
 
 func sameResult(t *testing.T, label string, want, got *local.Result) {
 	t.Helper()
+	sameBehaviour(t, label, want, got)
+	if want.Messages != got.Messages {
+		t.Errorf("%s: Messages %d vs %d", label, want.Messages, got.Messages)
+	}
+}
+
+// sameBehaviour is sameResult without Messages, for runs whose protocols
+// send different messages to the same effect.
+func sameBehaviour(t *testing.T, label string, want, got *local.Result) {
+	t.Helper()
 	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
 		t.Errorf("%s: Outputs differ", label)
 	}
@@ -86,9 +96,6 @@ func sameResult(t *testing.T, label string, want, got *local.Result) {
 	}
 	if want.Rounds != got.Rounds {
 		t.Errorf("%s: Rounds %d vs %d", label, want.Rounds, got.Rounds)
-	}
-	if want.Messages != got.Messages {
-		t.Errorf("%s: Messages %d vs %d", label, want.Messages, got.Messages)
 	}
 	if want.Steps != got.Steps {
 		t.Errorf("%s: Steps %d vs %d", label, want.Steps, got.Steps)

@@ -208,3 +208,68 @@ func TestSleeperRunCanceled(t *testing.T) {
 		}
 	}
 }
+
+// TestComposeSleepMatchesStepped runs every composed stack of the oracle
+// under every wake-up pattern with its Wake hidden and exposed: the
+// skipping run must give the stepped run's Result at every engine
+// configuration, and skip some rounds overall.
+func TestComposeSleepMatchesStepped(t *testing.T) {
+	var calls, steps int64
+	for gname, g := range oracleGraphs(t) {
+		for sname, build := range stacks {
+			for kname, sched := range schedulers(g) {
+				if sched.permute != nil {
+					continue // sleeperConfigs permutes
+				}
+				a := sched.wrap(current, build(current, g))
+				for cname, opts := range sleeperConfigs() {
+					label := fmt.Sprintf("%s/%s/%s/%s", gname, sname, kname, cname)
+					var hiddenCalls, shownCalls atomic.Int64
+					want, err := local.Run(g, counting(a, &hiddenCalls, hideAll), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got, err := local.Run(g, counting(a, &shownCalls, hideNone), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameResult(t, label, want, got)
+					calls += shownCalls.Load()
+					steps += got.Steps
+				}
+			}
+		}
+	}
+	if calls >= steps {
+		t.Errorf("%d Round calls for %d steps: no composed stack slept", calls, steps)
+	}
+}
+
+// TestComposeColorMISLooseSleeps runs BenchmarkComposeColorMISLoose's
+// stack: with guesses 16 times too loose, the Batched passes and the MIS
+// stage wait through long runs of empty color classes, which the engine
+// skips. The skipping run must match the stepped one and call Round on
+// under half of its steps.
+func TestComposeColorMISLooseSleeps(t *testing.T) {
+	g := benchGNP(t)
+	a := looseColorMIS(current, g)
+	for cname, opts := range sleeperConfigs() {
+		if testing.Short() && cname != "w4" {
+			continue
+		}
+		var hiddenCalls, calls atomic.Int64
+		want, err := local.Run(g, counting(a, &hiddenCalls, hideAll), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := local.Run(g, counting(a, &calls, hideNone), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, cname, want, got)
+		t.Logf("%s: %d Round calls for %d steps", cname, calls.Load(), got.Steps)
+		if 2*calls.Load() >= got.Steps {
+			t.Errorf("%s: %d Round calls for %d steps, want under 50%%", cname, calls.Load(), got.Steps)
+		}
+	}
+}
