@@ -161,8 +161,10 @@ func (n *node) Round(r int, recv []local.Message) ([]local.Message, bool) {
 // Wake implements local.Sleeper. With an empty inbox a node still peeling
 // cannot reach the layer threshold, so it idles until peeling ends; a node
 // outside the processed layer (or already decided) idles until the next
-// window's status round or its own termination round. Undecided nodes of
-// the processed layer and nodes running the coloring never sleep.
+// window's status round or its own termination round. A node running the
+// window coloring sleeps as long as the coloring does, and wakes by the
+// coloring's last round, where it records its color. Other undecided nodes
+// of the processed layer never sleep.
 func (n *node) Wake(r int) int {
 	l, w := n.sched.layers, n.sched.window
 	next := r + 1
@@ -170,7 +172,15 @@ func (n *node) Wake(r int) int {
 		return l
 	}
 	window, offset := (next-l)/w, (next-l)%w
-	if window >= l || offset == 0 || n.sub != nil || (n.layer == l-window && !n.decided) {
+	if window >= l || offset == 0 {
+		return next
+	}
+	if n.sub != nil {
+		// Inner round t runs at window offset t+1.
+		start := l + window*w
+		return start + 1 + min(n.sub.Wake(), n.sched.colorRounds-1)
+	}
+	if n.layer == l-window && !n.decided {
 		return next
 	}
 	return min(l+(window+1)*w, l+l*w-1)
@@ -238,7 +248,9 @@ func (n *node) windowRound(layer, offset int, recv []local.Message) []local.Mess
 		if n.sub == nil {
 			return nil
 		}
-		send := n.sub.Step(recv, n.info.Degree)
+		// The offset, not a per-call count, gives the inner round: the
+		// engine skips the rounds the coloring sleeps through (see Wake).
+		send := n.sub.StepAt(offset-1, recv, n.info.Degree)
 		if offset == colorRounds {
 			if c, ok := n.sub.Output().(int); ok {
 				n.color = c

@@ -2,6 +2,7 @@ package arbmis
 
 import (
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -18,13 +19,18 @@ func looseShape() (*graph.Graph, local.Algorithm) {
 	return g, New(64, 4096, 16*g.MaxIDValue())
 }
 
-// countRounds wraps the arbmis nodes to count Round calls; with hide set
-// the wrapper drops Wake, so the engine steps every round.
-func countRounds(a local.Algorithm, calls *atomic.Int64, hide bool) local.Algorithm {
+// countRounds wraps the arbmis nodes to count Round calls, and their window
+// colorings' in coloring; with hide set the wrapper drops Wake, so the
+// engine steps every round.
+func countRounds(a local.Algorithm, calls, coloring *atomic.Int64, hide bool) local.Algorithm {
+	var sched *schedule
+	var once sync.Once
 	return local.AlgorithmFunc{
 		AlgoName: a.Name(),
 		NewNode: func(info local.Info) local.Node {
 			c := &counted{node: a.New(info).(*node), calls: calls}
+			once.Do(func() { sched = countColoring(c.sched, coloring) })
+			c.sched = sched
 			if hide {
 				return hidden{c}
 			}
@@ -32,6 +38,31 @@ func countRounds(a local.Algorithm, calls *atomic.Int64, hide bool) local.Algori
 		},
 	}
 }
+
+// countColoring returns a copy of s whose window coloring counts its Round
+// calls in calls.
+func countColoring(s *schedule, calls *atomic.Int64) *schedule {
+	c := *s
+	c.coloring = local.AlgorithmFunc{
+		AlgoName: s.coloring.Name(),
+		NewNode: func(info local.Info) local.Node {
+			return countedSleeper{Node: s.coloring.New(info), calls: calls}
+		},
+	}
+	return &c
+}
+
+type countedSleeper struct {
+	local.Node
+	calls *atomic.Int64
+}
+
+func (c countedSleeper) Round(r int, recv []local.Message) ([]local.Message, bool) {
+	c.calls.Add(1)
+	return c.Node.Round(r, recv)
+}
+
+func (c countedSleeper) Wake(r int) int { return c.Node.(local.Sleeper).Wake(r) }
 
 type counted struct {
 	*node
@@ -58,12 +89,12 @@ func TestArbMISLooseGuessesSkipIdleWindows(t *testing.T) {
 		configs = map[string]local.Options{"w4": configs["w4"]}
 	}
 	for name, opts := range configs {
-		var hiddenCalls, calls atomic.Int64
-		want, err := local.Run(g, countRounds(algo, &hiddenCalls, true), opts)
+		var hiddenCalls, calls, hiddenColoring, coloring atomic.Int64
+		want, err := local.Run(g, countRounds(algo, &hiddenCalls, &hiddenColoring, true), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := local.Run(g, countRounds(algo, &calls, false), opts)
+		got, err := local.Run(g, countRounds(algo, &calls, &coloring, false), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +106,12 @@ func TestArbMISLooseGuessesSkipIdleWindows(t *testing.T) {
 		}
 		if 10*calls.Load() >= got.Steps {
 			t.Errorf("%s: %d Round calls for %d steps, want under 10%%", name, calls.Load(), got.Steps)
+		}
+		// The layer-1 window colors every node; the coloring's empty
+		// color classes are silent stretches too.
+		t.Logf("%s: window coloring stepped %d of %d rounds", name, coloring.Load(), hiddenColoring.Load())
+		if hiddenColoring.Load() == 0 || 2*coloring.Load() >= hiddenColoring.Load() {
+			t.Errorf("%s: window coloring stepped %d of %d rounds, want under 50%%", name, coloring.Load(), hiddenColoring.Load())
 		}
 	}
 }

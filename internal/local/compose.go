@@ -440,6 +440,9 @@ func (s *sleepNode) Round(r int, _ []Message) ([]Message, bool) {
 	return nil, r >= s.remaining
 }
 
+// Wake implements Sleeper: the node idles until its wake-up round.
+func (s *sleepNode) Wake(r int) int { return max(r+1, s.remaining) }
+
 func (s *sleepNode) Output() any { return nil }
 
 // RestrictRounds returns algorithm a restricted to the given number of
