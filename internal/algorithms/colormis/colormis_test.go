@@ -120,3 +120,36 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
+
+// TestColorMISAllocsPerNode pins the composed coloring's allocations: a
+// node allocates its state machines and their send slices once per stage,
+// and nothing per round or per neighbour (Linial's digit vectors and
+// broadcast, the batched passes' taken set and Compose's envelopes are
+// all reused). Under the same guesses, and so the same stages, a dense
+// graph must cost no more allocations per node than a sparse one.
+func TestColorMISAllocsPerNode(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const n, deltaHat, mHat = 256, 48, 256
+	perNode := func(avgDeg float64) float64 {
+		g, err := graph.GNP(n, avgDeg/(n-1), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.MaxDegree() > deltaHat {
+			t.Fatalf("max degree %d above the guess %d", g.MaxDegree(), deltaHat)
+		}
+		algo := New(deltaHat, mHat)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := local.Run(g, algo, local.Options{Seed: 1, Sequential: true}); err != nil {
+				t.Fatal(err)
+			}
+		}) / n
+	}
+	sparse, dense := perNode(8), perNode(24)
+	t.Logf("%.2f allocs per node at average degree 8, %.2f at 24", sparse, dense)
+	if dense-sparse > 0.5 {
+		t.Errorf("a node allocates %.2f more at average degree 24 than at 8; the budget is 0 (per-neighbour state is reused)", dense-sparse)
+	}
+}

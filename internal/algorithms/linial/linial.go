@@ -207,65 +207,89 @@ type node struct {
 	steps []step
 	mHat  int64
 	color int64 // current color, 0-based
+
+	// Per-round scratch, reused: send is the broadcast slice, carrying a
+	// pointer into out, the color double-buffered by round parity as the
+	// message-reuse rule of local.Node allows; nbColors and digits hold
+	// the received colors and their base-q digit vectors.
+	send     []local.Message
+	out      [2]colorMsg
+	nbColors []int64
+	digits   []int64
 }
+
+// colorMsg is the color a node broadcasts, sent by pointer.
+type colorMsg struct{ c int64 }
 
 func (n *node) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	if r > 0 {
 		st := n.steps[r-1]
-		nbColors := make([]int64, 0, len(recv))
+		n.nbColors = n.nbColors[:0]
 		for _, m := range recv {
-			if c, ok := m.(int64); ok {
-				nbColors = append(nbColors, c)
+			if c, ok := m.(*colorMsg); ok {
+				n.nbColors = append(n.nbColors, c.c)
 			}
 		}
-		n.color = reduceColor(n.color, nbColors, st)
+		n.color, n.digits = reduceColor(n.color, n.nbColors, st, n.digits)
 	}
-	if r == len(n.steps) {
-		return nil, true
+	if r == len(n.steps) || n.info.Degree == 0 {
+		return nil, r == len(n.steps)
 	}
-	return local.Broadcast(n.color, n.info.Degree), false
+	msg := &n.out[r&1]
+	msg.c = n.color
+	if n.send == nil {
+		n.send = make([]local.Message, n.info.Degree)
+	}
+	for p := range n.send {
+		n.send[p] = msg
+	}
+	return n.send, false
 }
 
 // reduceColor maps a color in [0, k) to a color in [0, q²) such that any two
-// adjacent distinct colors map to distinct colors.
-func reduceColor(c int64, nbColors []int64, st step) int64 {
-	q, d := st.q, st.d
-	own := digitsBaseQ(c, q, d+1)
-	polys := make([][]int64, 0, len(nbColors))
-	for _, nc := range nbColors {
+// adjacent distinct colors map to distinct colors. digits is scratch for
+// the colors' base-q digit vectors, reused across calls: it is grown if
+// needed and returned.
+func reduceColor(c int64, nbColors []int64, st step, digits []int64) (int64, []int64) {
+	q, w := st.q, st.d+1
+	if need := (len(nbColors) + 1) * w; cap(digits) < need {
+		digits = make([]int64, need)
+	}
+	own := digitsBaseQ(digits[:w], c, q)
+	for i, nc := range nbColors {
 		if nc == c {
 			// Improper input (possible under bad guesses): no x can work;
 			// fall back to an arbitrary in-range color, pruning deals with
 			// the consequences.
-			return evalPoly(own, 0, q)
+			return evalPoly(own, 0, q), digits
 		}
-		polys = append(polys, digitsBaseQ(nc, q, d+1))
+		digitsBaseQ(digits[(i+1)*w:(i+2)*w], nc, q)
 	}
+	polys := digits[w : (len(nbColors)+1)*w]
 	// Two distinct degree-<=d polynomials agree on at most d points, so at
-	// most len(polys)*d <= Δ̃d < q candidate x values are bad when the
+	// most len(nbColors)*d <= Δ̃d < q candidate x values are bad when the
 	// degree guess is good.
 	for x := int64(0); x < q; x++ {
 		px := evalPoly(own, x, q)
 		ok := true
-		for _, p := range polys {
-			if evalPoly(p, x, q) == px {
+		for i := 0; i < len(polys); i += w {
+			if evalPoly(polys[i:i+w], x, q) == px {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			return x*q + px
+			return x*q + px, digits
 		}
 	}
 	// Degree guess exceeded: arbitrary in-range fallback.
-	return evalPoly(own, 0, q)
+	return evalPoly(own, 0, q), digits
 }
 
-// digitsBaseQ returns the base-q digits of c (least significant first) as a
-// polynomial coefficient vector of the given length.
-func digitsBaseQ(c, q int64, coeffs int) []int64 {
-	out := make([]int64, coeffs)
-	for i := 0; i < coeffs && c > 0; i++ {
+// digitsBaseQ writes the base-q digits of c (least significant first) into
+// out, a polynomial coefficient vector, and returns it.
+func digitsBaseQ(out []int64, c, q int64) []int64 {
+	for i := range out {
 		out[i] = c % q
 		c /= q
 	}

@@ -163,8 +163,8 @@ func TestReduceColorPairwiseProperty(t *testing.T) {
 		if ca == cb {
 			return true
 		}
-		ra := reduceColor(ca, []int64{cb}, st)
-		rb := reduceColor(cb, []int64{ca}, st)
+		ra, _ := reduceColor(ca, []int64{cb}, st, nil)
+		rb, _ := reduceColor(cb, []int64{ca}, st, nil)
 		if ra == rb {
 			return false
 		}

@@ -39,8 +39,16 @@ func Batched(k, lambda, deltaHat int) local.Algorithm {
 	return local.AlgorithmFunc{
 		AlgoName: fmt.Sprintf("reduce-batched(k=%d,λ=%d)", k, lambda),
 		NewNode: func(info local.Info) local.Node {
-			return &batchNode{info: info, k: k, lambda: lambda, deltaHat: deltaHat,
-				color: inputColor(info, k)}
+			// At most Degree neighbours take colors, so the first free color
+			// of the private palette is among its first Degree+1.
+			n := &batchNode{info: info, lambda: lambda, span: min(deltaHat, info.Degree) + 1, color: inputColor(info, k)}
+			n.base = (n.color - 1) % lambda * (deltaHat + 1)
+			if words := (n.span + 63) / 64; words == 1 {
+				n.taken = n.word[:]
+			} else {
+				n.taken = make([]uint64, words)
+			}
+			return n
 		},
 	}
 }
@@ -94,24 +102,27 @@ func inputColor(info local.Info, k int) int {
 type batchMsg struct{ color int }
 
 type batchNode struct {
-	info     local.Info
-	k        int
-	lambda   int
-	deltaHat int
-	color    int
-	taken    map[int]bool // colors already fixed by neighbours
+	info   local.Info
+	lambda int
+	color  int
+	// base is the color before the node's private palette base+1 …
+	// base+Δ̃+1; the node picks the first color of base+1 … base+span not
+	// fixed by a neighbour, or base+1 if all are. Bit i of taken marks
+	// color base+1+i as fixed; word backs it for spans of at most 64.
+	base, span int
+	taken      []uint64
+	word       [1]uint64
 }
 
 // Round r >= 1 handles batch r-1; a node terminates right after fixing its
 // color (its announcement is still delivered), so the pass lasts
 // ceil(k/λ)+1 rounds in the worst case.
 func (n *batchNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
-	if n.taken == nil {
-		n.taken = make(map[int]bool, n.info.Degree)
-	}
 	for _, m := range recv {
 		if bm, ok := m.(batchMsg); ok {
-			n.taken[bm.color] = true
+			if i := bm.color - n.base - 1; i >= 0 && i < n.span {
+				n.taken[i>>6] |= 1 << (uint(i) & 63)
+			}
 		}
 	}
 	if r == 0 {
@@ -119,12 +130,10 @@ func (n *batchNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 		return nil, false
 	}
 	if myBatch := (n.color - 1) / n.lambda; myBatch == r-1 {
-		j := (n.color - 1) % n.lambda
-		base := j * (n.deltaHat + 1)
-		picked := base + 1
-		for c := base + 1; c <= base+n.deltaHat+1; c++ {
-			if !n.taken[c] {
-				picked = c
+		picked := n.base + 1
+		for i := 0; i < n.span; i++ {
+			if n.taken[i>>6]&(1<<(uint(i)&63)) == 0 {
+				picked = n.base + 1 + i
 				break
 			}
 		}

@@ -120,8 +120,8 @@ func Compose(name string, stages ...Stage) Algorithm {
 // position it was sent from, and the message. Only payloads from
 // neighbours ahead of the node's next step are buffered; the α-synchronizer
 // keeps neighbours within one position of each other (plus one free step at
-// a stage boundary), so a node holds only O(degree) entries at a time and a
-// linear scan beats a per-port map. Under simultaneous wake-up, when every
+// a stage boundary), so a node holds at most two entries per port at a time
+// and a linear scan beats a per-port map. Under simultaneous wake-up, when every
 // stage but the last ends in the same round at every node, the buffer stays
 // empty.
 type bufEntry struct {
@@ -226,6 +226,11 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 			case env.at == key:
 				n.innerRecv[p] = env.payload
 			case key.less(env.at):
+				if n.buf == nil {
+					// One entry per port covers the common case in one
+					// allocation; the bound is two (see bufEntry).
+					n.buf = make([]bufEntry, 0, n.info.Degree)
+				}
 				n.buf = append(n.buf, bufEntry{p: p, at: env.at, msg: env.payload})
 			}
 		}
