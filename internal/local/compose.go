@@ -120,10 +120,10 @@ func Compose(name string, stages ...Stage) Algorithm {
 // position it was sent from, and the message. Only payloads from
 // neighbours ahead of the node's next step are buffered; the α-synchronizer
 // keeps neighbours within one position of each other (plus one free step at
-// a stage boundary), so a node holds at most two entries per port at a time
-// and a linear scan beats a per-port map. Under simultaneous wake-up, when every
-// stage but the last ends in the same round at every node, the buffer stays
-// empty.
+// a stage boundary), so a node holds at most two entries per port at a
+// time and a linear scan beats a per-port map. Under simultaneous wake-up,
+// when every stage but the last ends in the same round at every node, the
+// buffer stays empty.
 type bufEntry struct {
 	p   int
 	at  pos
@@ -144,18 +144,25 @@ type composeNode struct {
 	last    int
 	blocked bool
 
-	nb  []anchor
-	buf []bufEntry
+	// nb holds the neighbours' anchors. blockAt caches blockFrom: the round
+	// in which the node, stepping every round, would block on them. It is
+	// valid while it is past the current round, and reset to 0 whenever
+	// an anchor or the node's stage changes.
+	nb      []anchor
+	blockAt int
+	buf     []bufEntry
 
 	// innerRecv is the inbox of the next inner step: payloads sent from the
 	// step's key position land in their port's slot on arrival, and after
-	// every step it is cleared and refilled from buf. envs is the send
+	// every step it is cleared, if pending says it holds any, and refilled
+	// from buf. envs is the send
 	// scratch, reused across rounds (the engine consumes a returned send
 	// slice before the next Round call, so handing out the same array every
 	// round is safe); both are carved from one backing array. status and
 	// payloadEnvs hold the envelope objects themselves, double-buffered by
 	// the parity of the sending round (payloadEnvs slot parity*degree+port).
 	innerRecv   []Message
+	pending     bool
 	envs        []Message
 	status      [2]composeEnv
 	payloadEnvs []composeEnv
@@ -209,15 +216,20 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		// anchored at (s+1, -1) already in round x: no key of this node
 		// lies between that and its last step of stage s, since the node
 		// is at most one step ahead of it.
+		var a anchor
 		switch env.kind {
 		case envStep:
-			n.nb[p] = anchor{s: int32(env.at.s), t: int32(env.at.t) - x, moving: true}
+			a = anchor{s: int32(env.at.s), t: int32(env.at.t) - x, moving: true}
 		case envEnded:
-			n.nb[p] = anchor{s: int32(env.at.s) + 1, t: -1 - x, moving: true}
+			a = anchor{s: int32(env.at.s) + 1, t: -1 - x, moving: true}
 		case envDone:
-			n.nb[p] = anchor{s: math.MaxInt32}
+			a = anchor{s: math.MaxInt32}
 		case envBlocked:
-			n.nb[p] = anchor{s: int32(env.at.s), t: int32(env.at.t)}
+			a = anchor{s: int32(env.at.s), t: int32(env.at.t)}
+		}
+		if a != n.nb[p] {
+			n.nb[p] = a
+			n.blockAt = 0
 		}
 		if env.payload != nil {
 			// Keys only grow, so a payload sent from behind the key can
@@ -225,6 +237,7 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 			switch {
 			case env.at == key:
 				n.innerRecv[p] = env.payload
+				n.pending = true
 			case key.less(env.at):
 				if n.buf == nil {
 					// One entry per port covers the common case in one
@@ -236,7 +249,10 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		}
 	}
 	// α-synchronizer rule: step (s,t) requires every neighbour at >= (s,t-1).
-	if n.at.t > 0 && n.lagging(x, key) {
+	if n.at.t > 0 && n.blockAt <= r {
+		n.blockAt = n.blockFrom(r)
+	}
+	if n.at.t > 0 && n.blockAt == r {
 		if n.blocked {
 			return nil, false
 		}
@@ -253,6 +269,7 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		n.prevOut = n.inner.Output()
 		n.at = pos{stepped.s + 1, 0}
 		kind = envEnded
+		n.blockAt = 0
 		if n.at.s < len(n.stages) {
 			n.startStage()
 		} else {
@@ -266,7 +283,10 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 	// One batched memclr over the window (a cache-line-wide wipe) instead of
 	// a bounds-checked store per port; it runs after the envelopes are built
 	// in case the inner node handed its inbox back as its send slice.
-	clear(n.innerRecv)
+	if n.pending {
+		clear(n.innerRecv)
+		n.pending = false
+	}
 	if kind != envDone {
 		n.refill()
 	}
@@ -305,17 +325,26 @@ func (n *composeNode) announce(r int, send []Message, st composeEnv, all bool) [
 	return envs
 }
 
-// lagging reports whether some neighbour's position as of round x is
-// behind key.
-func (n *composeNode) lagging(x int32, key pos) bool {
-	ks, kt := int32(key.s), int32(key.t)
+// blockFrom returns the first round x >= r in which the node, executing
+// its next step (s, t), t >= 1, in round r and one more step every round
+// after, would find a neighbour behind its key, given the anchors. Step
+// t+k (round r+k) needs every neighbour at >= (s, t+k-1). A neighbour in
+// a later stage stays ahead, and one moving in this stage keeps its
+// distance, so it blocks in round r or never; one in an earlier stage
+// blocks in round r, and one standing at (s, q) blocks step q+2.
+func (n *composeNode) blockFrom(r int) int {
+	ks, t := int32(n.at.s), n.at.t
+	block := math.MaxInt
 	for _, a := range n.nb {
-		s, t := a.at(x)
-		if s < ks || s == ks && t < kt {
-			return true
+		switch {
+		case a.s > ks:
+		case a.s < ks || a.moving && int(a.t)+r+1 < t:
+			return r
+		case !a.moving:
+			block = min(block, max(r, r+2+int(a.t)-t))
 		}
 	}
-	return false
+	return block
 }
 
 // Wake implements Sleeper. A blocked node sleeps until its lagging
@@ -328,13 +357,8 @@ func (n *composeNode) Wake(r int) int {
 	if n.blocked {
 		return n.resumeRound(r)
 	}
-	if n.at.t == 0 {
+	if n.at.t == 0 || n.pending {
 		return r + 1
-	}
-	for _, m := range n.innerRecv {
-		if m != nil {
-			return r + 1
-		}
 	}
 	sl, ok := n.inner.(Sleeper)
 	if !ok {
@@ -352,22 +376,10 @@ func (n *composeNode) Wake(r int) int {
 			wake = min(wake, r+2+e.at.t-n.at.t)
 		}
 	}
-	// Step at.t+k (round r+1+k) needs every neighbour at >= (s, at.t+k-1).
-	// A neighbour in a later stage stays ahead and one moving in this stage
-	// keeps its distance, so either blocks the next step or none; one in an
-	// earlier stage blocks the next step, and one standing at (s, q) blocks
-	// step q+2.
-	ks := int32(n.at.s)
-	for _, a := range n.nb {
-		switch {
-		case a.s > ks:
-		case a.s < ks || a.moving && int(a.t)+r+1 < last:
-			return r + 1
-		case !a.moving:
-			wake = min(wake, r+3+int(a.t)-n.at.t)
-		}
+	if n.blockAt <= r {
+		n.blockAt = n.blockFrom(r + 1)
 	}
-	return max(wake, r+1)
+	return max(min(wake, n.blockAt), r+1)
 }
 
 // resumeRound returns the first round after r in which a blocked node can
@@ -404,6 +416,7 @@ func (n *composeNode) refill() {
 		switch {
 		case e.at == key:
 			n.innerRecv[e.p] = e.msg
+			n.pending = true
 		case key.less(e.at):
 			n.buf[keep] = e
 			keep++

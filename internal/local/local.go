@@ -92,6 +92,13 @@ func (in *Info) NeighborPort(id int64) int {
 // rewrite it from its own step r+2h on, provided a relay leaves the stage
 // only after the sender has stopped writing it.
 //
+// Shared round counter: a host calls Round once per round with a round
+// counter its neighbours share, skipping only rounds a Sleeper promised
+// to idle through. Compose relies on it: a composed node reports its
+// position only when its status changes, and its neighbours extrapolate
+// one step per round in between. Run, Subrun.StepAt and the line, Power
+// and Product lifts step their nodes this way.
+//
 // Output may also be consulted by a wrapper *before* termination — the
 // paper's "algorithm restricted to i rounds" takes whatever tentative output
 // is present when the budget expires — so implementations should always
