@@ -256,6 +256,8 @@ func (n *misNode) Wake(r int) int { return max(r+1, n.color) }
 func (n *misNode) Output() any { return n.in }
 
 var (
+	_ local.Node    = (*batchNode)(nil)
 	_ local.Sleeper = (*batchNode)(nil)
+	_ local.Node    = (*misNode)(nil)
 	_ local.Sleeper = (*misNode)(nil)
 )

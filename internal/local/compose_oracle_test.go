@@ -1,8 +1,9 @@
 package local_test
 
-// Differential gate for Compose's direct delivery: Compose must produce
-// byte-identical Results (Outputs, HaltRounds, Rounds, Messages, Steps) to
-// the frozen buffer-everything oracle (compose_legacy_test.go) for the
+// Differential gate for Compose: Compose must produce byte-identical
+// Outputs, HaltRounds, Rounds and Steps to the frozen buffer-everything,
+// envelope-per-step oracle (compose_legacy_test.go; Messages differ, as
+// the oracle sends an envelope on every port at every step) for the
 // composed coloring stacks, under random wake-up delays and every scheduler
 // kind of the scenario layer, at 1 and 4 workers, and nested inside the
 // line-graph lift and inside the transformers' Subrun windows.
@@ -105,7 +106,8 @@ func digest(spread int64) local.Algorithm {
 // of (s, id, p, r) is divisible by 3, and stays silent in rounds where no
 // port is picked. Its composed stacks mix payload envelopes with rounds
 // that carry none, so a neighbour's position has to be tracked without a
-// payload to read it from.
+// payload to read it from, and its nodes sleep through their silent
+// rounds.
 func sparseDigest(spread int64, salt uint64) local.Algorithm {
 	name := fmt.Sprintf("digest(%d)", spread)
 	if salt != 0 {
@@ -134,22 +136,34 @@ func (n *digestNode) Round(r int, recv []local.Message) ([]local.Message, bool) 
 			n.acc = mathutil.SplitMix64(n.acc ^ uint64(dm.id)<<24 ^ uint64(dm.r)<<12 ^ uint64(r)<<6 ^ uint64(p))
 		}
 	}
-	done := r+1 >= n.rounds
-	msg := digestMsg{id: n.id, r: r}
-	if n.salt == 0 {
-		return local.Broadcast(msg, n.deg), done
-	}
 	var send []local.Message
 	for p := 0; p < n.deg; p++ {
-		if mathutil.SplitMix64(n.salt^uint64(n.id)<<20^uint64(p)<<10^uint64(r))%3 != 0 {
-			continue
+		if n.sends(p, r) {
+			if send == nil {
+				send = make([]local.Message, n.deg)
+			}
+			send[p] = digestMsg{id: n.id, r: r}
 		}
-		if send == nil {
-			send = make([]local.Message, n.deg)
-		}
-		send[p] = msg
 	}
-	return send, done
+	return send, r+1 >= n.rounds
+}
+
+// sends reports whether the node sends on port p in round r.
+func (n *digestNode) sends(p, r int) bool {
+	return n.salt == 0 || mathutil.SplitMix64(n.salt^uint64(n.id)<<20^uint64(p)<<10^uint64(r))%3 == 0
+}
+
+// Wake implements local.Sleeper: with an empty inbox the node idles until
+// its next sending round or its last round.
+func (n *digestNode) Wake(r int) int {
+	for t := r + 1; t < n.rounds-1; t++ {
+		for p := 0; p < n.deg; p++ {
+			if n.sends(p, t) {
+				return t
+			}
+		}
+	}
+	return max(r+1, n.rounds-1)
 }
 
 func (n *digestNode) Output() any { return n.acc }
