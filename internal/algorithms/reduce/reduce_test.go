@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +197,46 @@ func TestBadGuessesTerminate(t *testing.T) {
 	algoMIS := withGreedyColors(g, MISByColor(3)) // palette guess too small
 	if _, err := local.Run(g, algoMIS, local.Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hideWake exposes only the Node methods of a's nodes, so the engine steps
+// them every round.
+func hideWake(a local.Algorithm) local.Algorithm {
+	return local.AlgorithmFunc{
+		AlgoName: a.Name(),
+		NewNode:  func(info local.Info) local.Node { return struct{ local.Node }{a.New(info)} },
+	}
+}
+
+// TestSleepersMatchStepped runs Batched and MISByColor on spread input
+// colors, whose empty batches and color classes are silent stretches the
+// engine skips: the Results must equal those of the same nodes stepped
+// every round.
+func TestSleepersMatchStepped(t *testing.T) {
+	g, err := graph.GNP(120, 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.MaxDegree()
+	k := 5*g.N() + 1
+	algos := map[string]local.Algorithm{
+		"batched":      withSpreadColors(g, Batched(k, 3, d), 5),
+		"mis-by-color": withSpreadColors(g, MISByColor(k), 5),
+	}
+	for name, a := range algos {
+		for _, opts := range []local.Options{{Seed: 1, Workers: 1}, {Seed: 1, Workers: 4, Permute: &local.Permute{Seed: 2}}} {
+			want, err := local.Run(g, hideWake(a), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := local.Run(g, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s (workers %d): skipping run differs from the stepped run", name, opts.Workers)
+			}
+		}
 	}
 }
