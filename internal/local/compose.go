@@ -86,14 +86,6 @@ type anchor struct {
 	moving bool
 }
 
-// at returns the neighbour's position as of the round before round x.
-func (a anchor) at(x int32) (int32, int32) {
-	if a.moving {
-		return a.s, a.t + x
-	}
-	return a.s, a.t
-}
-
 // Compose returns the sequential composition of the given stages as a single
 // algorithm (the paper's A1;A2;...;Ak). Every stage algorithm must terminate
 // at every node on its own.
@@ -155,10 +147,10 @@ type composeNode struct {
 	// innerRecv is the inbox of the next inner step: payloads sent from the
 	// step's key position land in their port's slot on arrival, and after
 	// every step it is cleared, if pending says it holds any, and refilled
-	// from buf. envs is the send
-	// scratch, reused across rounds (the engine consumes a returned send
-	// slice before the next Round call, so handing out the same array every
-	// round is safe); both are carved from one backing array. status and
+	// from buf. envs is the send scratch, reused across rounds (the engine
+	// consumes a returned send slice before the next Round call, so handing
+	// out the same array every round is safe); both are carved from one
+	// backing array. status and
 	// payloadEnvs hold the envelope objects themselves, double-buffered by
 	// the parity of the sending round (payloadEnvs slot parity*degree+port).
 	innerRecv   []Message
@@ -249,15 +241,17 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		}
 	}
 	// α-synchronizer rule: step (s,t) requires every neighbour at >= (s,t-1).
-	if n.at.t > 0 && n.blockAt <= r {
-		n.blockAt = n.blockFrom(r)
-	}
-	if n.at.t > 0 && n.blockAt == r {
-		if n.blocked {
-			return nil, false
+	if n.at.t > 0 {
+		if n.blockAt <= r {
+			n.blockAt = n.blockFrom(r)
 		}
-		n.blocked = true
-		return n.announce(r, nil, composeEnv{at: key, kind: envBlocked}, true), false
+		if n.blockAt == r {
+			if n.blocked {
+				return nil, false
+			}
+			n.blocked = true
+			return n.announce(r, nil, composeEnv{at: key, kind: envBlocked}, true), false
+		}
 	}
 	resumed := n.blocked
 	n.blocked = false
@@ -277,8 +271,8 @@ func (n *composeNode) Round(r int, recv []Message) ([]Message, bool) {
 		}
 	}
 	var envs []Message
-	if resumed || done || len(send) > 0 {
-		envs = n.announce(r, send, composeEnv{at: stepped, kind: kind}, resumed || done)
+	if status := resumed || done; status || len(send) > 0 {
+		envs = n.announce(r, send, composeEnv{at: stepped, kind: kind}, status)
 	}
 	// One batched memclr over the window (a cache-line-wide wipe) instead of
 	// a bounds-checked store per port; it runs after the envelopes are built
