@@ -1,37 +1,27 @@
 package lift_test
 
 // Digest oracle for the Power and Product lifts: every case's Result is
-// hashed twice (Outputs, HaltRounds, Rounds and Steps into a behaviour hash,
-// Messages into a traffic hash) and compared with the committed table in
-// testdata/run_digests.json. The cases run each lift
-// with Luby inside on every host-suite graph, under every scheduler kind of
-// the knowledge axis, at 1 and 4 workers, as a Compose stage under
-// staggered wake-up, and inside the transformer's windows. Regenerate the
-// table only when a change is meant to alter these Results:
+// hashed (see internal/digest) and compared with the committed table in
+// testdata/run_digests.json. The cases run each lift with Luby inside on
+// every host-suite graph, under every scheduler kind of the knowledge axis,
+// at 1 and 4 workers, as a Compose stage under staggered wake-up, and
+// inside the transformer's windows. Regenerate the table only when a change
+// is meant to alter these Results:
 //
 //	go test ./internal/algorithms/lift -run TestLiftRunDigests -update
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/algorithms/lift"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
 	"github.com/unilocal/unilocal/internal/core"
+	"github.com/unilocal/unilocal/internal/digest"
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/run_digests.json from the live lifts")
-
-const digestFile = "testdata/run_digests.json"
 
 // digestLift is one lift under test, with Luby's MIS as the inner algorithm.
 type digestLift struct {
@@ -95,22 +85,15 @@ var digestScheds = []struct {
 	}},
 }
 
-type digestCase struct {
-	name string
-	g    *graph.Graph
-	algo local.Algorithm
-	opts local.Options
-}
-
-func digestCases(t *testing.T) []digestCase {
-	var cases []digestCase
+func digestCases(t *testing.T) []digest.Case {
+	var cases []digest.Case
 	add := func(name string, g *graph.Graph, algo local.Algorithm, permute *local.Permute) {
 		for _, w := range []int{1, 4} {
-			cases = append(cases, digestCase{
-				name: fmt.Sprintf("%s/w%d", name, w),
-				g:    g,
-				algo: algo,
-				opts: local.Options{Seed: 7, Workers: w, Permute: permute},
+			cases = append(cases, digest.Case{
+				Name:  fmt.Sprintf("%s/w%d", name, w),
+				Graph: g,
+				Algo:  algo,
+				Opts:  local.Options{Seed: 7, Workers: w, Permute: permute},
 			})
 		}
 	}
@@ -133,72 +116,10 @@ func digestCases(t *testing.T) []digestCase {
 	return cases
 }
 
-// runDigest is one table entry: a behaviour hash over Outputs, HaltRounds,
-// Rounds and Steps, and a traffic hash over Messages. They are kept apart so
-// a change of the messages a protocol sends (the α-synchronizer's envelopes)
-// can move the traffic hash while the behaviour hash pins everything else.
-type runDigest struct {
-	Behaviour string `json:"behaviour"`
-	Traffic   string `json:"traffic"`
-}
-
-func (d runDigest) String() string {
-	return fmt.Sprintf("behaviour %.12s traffic %.12s", d.Behaviour, d.Traffic)
-}
-
-// resultDigest hashes every deterministic field of a Result.
-func resultDigest(res *local.Result) runDigest {
-	h := sha256.New()
-	for u, o := range res.Outputs {
-		fmt.Fprintf(h, "%d %T %v\n", u, o, o)
-	}
-	fmt.Fprintf(h, "halt %v\nrounds %d steps %d\n", res.HaltRounds, res.Rounds, res.Steps)
-	behaviour := hex.EncodeToString(h.Sum(nil))
-	traffic := sha256.Sum256(fmt.Appendf(nil, "messages %d\n", res.Messages))
-	return runDigest{Behaviour: behaviour, Traffic: hex.EncodeToString(traffic[:])}
-}
-
 // TestLiftRunDigests checks every lift case against the committed digest
 // table; with -update it rewrites the table instead.
 func TestLiftRunDigests(t *testing.T) {
-	var want map[string]runDigest
-	if !*update {
-		raw, err := os.ReadFile(digestFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make(map[string]runDigest)
-	for _, c := range digestCases(t) {
-		res, err := local.Run(c.g, c.algo, c.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		got[c.name] = resultDigest(res)
-		if !*update && got[c.name] != want[c.name] {
-			t.Errorf("%s: %v, table %v", c.name, got[c.name], want[c.name])
-		}
-	}
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestFile, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), digestFile)
-		return
-	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			t.Errorf("%s: in the table but no longer a case", name)
-		}
-	}
+	tab := digest.Open[digest.Digest](t, "testdata/run_digests.json")
+	digest.Run(tab, digestCases(t))
+	tab.Close()
 }
