@@ -116,7 +116,7 @@ func TestProductLiftSteadyStateAllocs(t *testing.T) {
 // equal the direct run on the explicit G^3.
 func TestPowerLiftInComposeMatchesExplicitPower(t *testing.T) {
 	const k = 3
-	for name, g := range oracleHosts(t) {
+	for name, g := range lineHosts(t, quickN(80)) {
 		pg, err := graph.Power(g, k)
 		if err != nil {
 			t.Fatal(err)

@@ -24,16 +24,12 @@ import (
 	"github.com/unilocal/unilocal/internal/problems"
 )
 
-// oracleHosts is the lift host suite plus one geometric, one G(n,p) and
-// one preferential-attachment graph (hubs give the widest routing tables),
-// halved under -short so the matrix stays quick under -race.
-func oracleHosts(t *testing.T) map[string]*graph.Graph {
+// lineHosts is the lift host suite plus one geometric, one G(n,p) and one
+// preferential-attachment graph (hubs give the widest routing tables) on n
+// nodes.
+func lineHosts(t *testing.T, n int) map[string]*graph.Graph {
 	t.Helper()
 	gs := lift.HostSuite(t)
-	n := 80
-	if testing.Short() {
-		n = 40
-	}
 	geo, err := graph.RandomGeometric(n, 0.16, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +46,12 @@ func oracleHosts(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// lineGuesses bounds the line graph's max degree and identities from the
-// host's, as the matching engine does.
-func lineGuesses(g *graph.Graph) (int, int64) {
-	m := max(g.MaxIDValue(), 1)
-	return max(2*g.MaxDegree(), 1), graph.PackIDs(m, m)
+// quickN is n, halved under -short so a matrix stays quick under -race.
+func quickN(n int) int {
+	if testing.Short() {
+		return n / 2
+	}
+	return n
 }
 
 func sameResult(t *testing.T, got, want *local.Result) {
@@ -98,7 +95,7 @@ func TestLineLiftMatchesLegacy(t *testing.T) {
 		"staggered": {wrap: func(a local.Algorithm) local.Algorithm { return local.StaggeredWakeup(a, 3, 4) }},
 		"permuted":  {wrap: func(a local.Algorithm) local.Algorithm { return a }, permute: &local.Permute{Seed: 11}},
 	}
-	for gname, g := range oracleHosts(t) {
+	for gname, g := range lineHosts(t, quickN(80)) {
 		for iname, inner := range inners {
 			for sname, sched := range schedulers {
 				for _, workers := range []int{1, 4} {
@@ -127,7 +124,7 @@ func TestLineLiftMatchesLegacyInCompose(t *testing.T) {
 			local.Stage{Algo: line(luby.New(), nil)},
 		), delay)
 	}
-	for gname, g := range oracleHosts(t) {
+	for gname, g := range lineHosts(t, quickN(80)) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", gname, workers), func(t *testing.T) {
 				runBoth(t, g, chain(lift.LineGraph, g), chain(lift.LegacyLineGraph, g),
@@ -184,7 +181,7 @@ func TestUniformMatchingMatchesLegacy(t *testing.T) {
 	}
 	flat := engines.UniformMatching()
 	legacy := core.Uniform(legacyNU, seq, core.MatchingPruner())
-	for gname, g := range oracleHosts(t) {
+	for gname, g := range lineHosts(t, quickN(80)) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", gname, workers), func(t *testing.T) {
 				runBoth(t, g, flat, legacy, local.Options{Seed: 5, Workers: workers})

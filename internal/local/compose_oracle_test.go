@@ -85,44 +85,44 @@ func (c composer) lambda(lambda, deltaHat int, mHat int64) local.Algorithm {
 	)
 }
 
-// digestMsg is what a digest node broadcasts each round.
-type digestMsg struct {
+// foldMsg is what a fold node broadcasts each round.
+type foldMsg struct {
 	id int64
 	r  int
 }
 
-// digest is a stage that reacts to every payload it receives: it runs
+// fold is a stage that reacts to every payload it receives: it runs
 // 2 + id mod spread rounds, broadcasting (id, round) each round, and folds
 // every received payload with its port and round into its output (seeded
 // with the previous stage's output). Stage lengths differ between
 // neighbours, so nodes run ahead and behind each other, and a payload
 // delivered at the wrong step or into the wrong stage changes an output.
-func digest(spread int64) local.Algorithm {
-	return sparseDigest(spread, 0)
+func fold(spread int64) local.Algorithm {
+	return sparseFold(spread, 0)
 }
 
-// sparseDigest is digest sending on a seeded subset of ports and rounds:
+// sparseFold is fold sending on a seeded subset of ports and rounds:
 // with salt s != 0, the node sends on port p in round r only when a hash
 // of (s, id, p, r) is divisible by 3, and stays silent in rounds where no
 // port is picked. Its composed stacks mix payload envelopes with rounds
 // that carry none, so a neighbour's position has to be tracked without a
 // payload to read it from, and its nodes sleep through their silent
 // rounds.
-func sparseDigest(spread int64, salt uint64) local.Algorithm {
-	name := fmt.Sprintf("digest(%d)", spread)
+func sparseFold(spread int64, salt uint64) local.Algorithm {
+	name := fmt.Sprintf("fold(%d)", spread)
 	if salt != 0 {
-		name = fmt.Sprintf("sparse-digest(%d,%d)", spread, salt)
+		name = fmt.Sprintf("sparse-fold(%d,%d)", spread, salt)
 	}
 	return local.AlgorithmFunc{
 		AlgoName: name,
 		NewNode: func(info local.Info) local.Node {
 			acc, _ := info.Input.(uint64)
-			return &digestNode{id: info.ID, deg: info.Degree, rounds: 2 + int(info.ID%spread), acc: acc, salt: salt}
+			return &foldNode{id: info.ID, deg: info.Degree, rounds: 2 + int(info.ID%spread), acc: acc, salt: salt}
 		},
 	}
 }
 
-type digestNode struct {
+type foldNode struct {
 	id     int64
 	deg    int
 	rounds int
@@ -130,9 +130,9 @@ type digestNode struct {
 	salt   uint64
 }
 
-func (n *digestNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
+func (n *foldNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	for p, m := range recv {
-		if dm, ok := m.(digestMsg); ok {
+		if dm, ok := m.(foldMsg); ok {
 			n.acc = mathutil.SplitMix64(n.acc ^ uint64(dm.id)<<24 ^ uint64(dm.r)<<12 ^ uint64(r)<<6 ^ uint64(p))
 		}
 	}
@@ -142,20 +142,20 @@ func (n *digestNode) Round(r int, recv []local.Message) ([]local.Message, bool) 
 			if send == nil {
 				send = make([]local.Message, n.deg)
 			}
-			send[p] = digestMsg{id: n.id, r: r}
+			send[p] = foldMsg{id: n.id, r: r}
 		}
 	}
 	return send, r+1 >= n.rounds
 }
 
 // sends reports whether the node sends on port p in round r.
-func (n *digestNode) sends(p, r int) bool {
+func (n *foldNode) sends(p, r int) bool {
 	return n.salt == 0 || mathutil.SplitMix64(n.salt^uint64(n.id)<<20^uint64(p)<<10^uint64(r))%3 == 0
 }
 
 // Wake implements local.Sleeper: with an empty inbox the node idles until
 // its next sending round or its last round.
-func (n *digestNode) Wake(r int) int {
+func (n *foldNode) Wake(r int) int {
 	for t := r + 1; t < n.rounds-1; t++ {
 		for p := 0; p < n.deg; p++ {
 			if n.sends(p, t) {
@@ -166,18 +166,18 @@ func (n *digestNode) Wake(r int) int {
 	return max(r+1, n.rounds-1)
 }
 
-func (n *digestNode) Output() any { return n.acc }
+func (n *foldNode) Output() any { return n.acc }
 
 // stacks are the composed algorithms under test, built for a graph's true
 // parameters.
 var stacks = map[string]func(c composer, g *graph.Graph) local.Algorithm{
-	"digest": func(c composer, _ *graph.Graph) local.Algorithm {
-		return c.compose("digest", local.Stage{Algo: digest(3)}, local.Stage{Algo: digest(4)}, local.Stage{Algo: digest(2)})
+	"fold": func(c composer, _ *graph.Graph) local.Algorithm {
+		return c.compose("fold", local.Stage{Algo: fold(3)}, local.Stage{Algo: fold(4)}, local.Stage{Algo: fold(2)})
 	},
 	"sparse": func(c composer, _ *graph.Graph) local.Algorithm {
 		return c.compose("sparse",
-			local.Stage{Algo: sparseDigest(5, 1)}, local.Stage{Algo: sparseDigest(3, 2)},
-			local.Stage{Algo: sparseDigest(7, 3)}, local.Stage{Algo: sparseDigest(4, 4)})
+			local.Stage{Algo: sparseFold(5, 1)}, local.Stage{Algo: sparseFold(3, 2)},
+			local.Stage{Algo: sparseFold(7, 3)}, local.Stage{Algo: sparseFold(4, 4)})
 	},
 	"colormis": func(c composer, g *graph.Graph) local.Algorithm {
 		return c.colormis(g.MaxDegree(), g.MaxIDValue())
@@ -233,14 +233,9 @@ func (s scheduler) wrap(c composer, a local.Algorithm) local.Algorithm {
 	return c.wakeup(a, s.delay)
 }
 
-// oracleGraphs is a small suite of the corpus's families, trimmed under
-// -short so the matrix stays quick under -race.
-func oracleGraphs(t testing.TB) map[string]*graph.Graph {
+// stackGraphs is a small suite of the corpus's families on about n nodes.
+func stackGraphs(t testing.TB, n int) map[string]*graph.Graph {
 	t.Helper()
-	n := 90
-	if testing.Short() {
-		n = 45
-	}
 	gs := map[string]*graph.Graph{
 		"grid": graph.Grid(6, n/6),
 		"tree": graph.RandomTree(n, 3),
@@ -259,6 +254,14 @@ func oracleGraphs(t testing.TB) map[string]*graph.Graph {
 	shuffled, err := graph.WithShuffledIDs(graph.Grid(5, n/5), 1<<30, 5)
 	add("shuffled", shuffled, err)
 	return gs
+}
+
+// quickN is n, halved under -short so a matrix stays quick under -race.
+func quickN(n int) int {
+	if testing.Short() {
+		return n / 2
+	}
+	return n
 }
 
 func runBoth(t *testing.T, g *graph.Graph, got, want local.Algorithm, opts local.Options) {
@@ -283,7 +286,7 @@ func TestComposeStacksMirrorProduction(t *testing.T) {
 		"delta+1":  func(g *graph.Graph) local.Algorithm { return coloralgo.DeltaPlusOne(g.MaxDegree(), g.MaxIDValue()) },
 		"lambda3":  func(g *graph.Graph) local.Algorithm { return coloralgo.Lambda(3, g.MaxDegree(), g.MaxIDValue()) },
 	}
-	for gname, g := range oracleGraphs(t) {
+	for gname, g := range stackGraphs(t, quickN(90)) {
 		for sname, build := range prod {
 			t.Run(gname+"/"+sname, func(t *testing.T) {
 				runBoth(t, g, stacks[sname](current, g), build(g), local.Options{Seed: 3})
@@ -293,7 +296,7 @@ func TestComposeStacksMirrorProduction(t *testing.T) {
 }
 
 func TestComposeMatchesLegacy(t *testing.T) {
-	for gname, g := range oracleGraphs(t) {
+	for gname, g := range stackGraphs(t, quickN(90)) {
 		for sname, build := range stacks {
 			for kname, sched := range schedulers(g) {
 				for _, workers := range []int{1, 4} {
@@ -320,7 +323,7 @@ func TestComposeMatchesLegacyInLineLift(t *testing.T) {
 	line := func(c composer, g *graph.Graph) local.Algorithm {
 		return lift.LineGraph(c.colormis(lineGuesses(g)), nil)
 	}
-	for gname, g := range oracleGraphs(t) {
+	for gname, g := range stackGraphs(t, quickN(90)) {
 		for _, kname := range []string{"lockstep", "staggered", "permuted"} {
 			sched := schedulers(g)[kname]
 			for _, workers := range []int{1, 4} {
@@ -370,7 +373,7 @@ func TestComposeMatchesLegacyInSubrunWindows(t *testing.T) {
 			return func(d int, m int64) local.Algorithm { return c.lambda(2, d, m) }
 		}),
 	}
-	graphs := oracleGraphs(t)
+	graphs := stackGraphs(t, quickN(90))
 	for aname, build := range builders {
 		cur, err := build(current)
 		if err != nil {
@@ -408,7 +411,7 @@ func TestComposeMatchesLegacyInSubrunWindows(t *testing.T) {
 func TestComposeBufferPeak(t *testing.T) {
 	emptyInLockstep := map[string]bool{"lambda3": true}
 	var staggeredPeak int64
-	for gname, g := range oracleGraphs(t) {
+	for gname, g := range stackGraphs(t, quickN(90)) {
 		for sname, build := range stacks {
 			for kname, sched := range schedulers(g) {
 				for _, workers := range []int{1, 4} {

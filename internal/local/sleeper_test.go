@@ -215,7 +215,7 @@ func TestSleeperRunCanceled(t *testing.T) {
 // configuration, and skip some rounds overall.
 func TestComposeSleepMatchesStepped(t *testing.T) {
 	var calls, steps int64
-	for gname, g := range oracleGraphs(t) {
+	for gname, g := range stackGraphs(t, quickN(90)) {
 		for sname, build := range stacks {
 			for kname, sched := range schedulers(g) {
 				if sched.permute != nil {

@@ -35,6 +35,7 @@ var digestTables = []struct {
 		variants: append(digest.Workers(1, 4),
 			digest.Variant{Name: "w4-permuted", Workers: 4, Permute: &local.Permute{Seed: 17}}),
 	},
+	{file: "testdata/paper_digests.json", dirs: []string{paperDir}, variants: digest.Workers(1)},
 }
 
 // TestCorpusRunDigests checks every corpus job against its committed digest
