@@ -28,31 +28,21 @@ func benchHost(tb testing.TB) *graph.Graph {
 }
 
 // BenchmarkLineLift runs the non-uniform matching baseline (colormis
-// through the line lift) on the matching-geometric-dense host, against the
-// same matching over the frozen map-based lift.
+// through the line lift) on the matching-geometric-dense host.
 func BenchmarkLineLift(b *testing.B) {
 	g := benchHost(b)
 	p := engines.GraphParams(g)
-	for _, bc := range []struct {
-		name string
-		algo local.Algorithm
-	}{
-		{"flat", matching.New(p.Delta, p.M)},
-		{"legacy", legacyMatching(p.Delta, p.M)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var steps int64
-			for b.Loop() {
-				res, err := local.Run(g, bc.algo, local.Options{Seed: 1, Sequential: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps += res.Steps
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-		})
+	algo := matching.New(p.Delta, p.M)
+	b.ReportAllocs()
+	var steps int64
+	for b.Loop() {
+		res, err := local.Run(g, algo, local.Options{Seed: 1, Sequential: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
 // chatter sends one message to every neighbour for rounds rounds, then
@@ -84,8 +74,9 @@ func chatter(rounds int) local.Algorithm {
 // steady state a host node-round allocates nothing, because each phase
 // rewrites its own bundle and item arena two steps after sending from it.
 // Setup, teardown and the arenas' first growth cancel out of the difference
-// between a short and a long run. The map-based lift allocates about 30
-// objects per host node-round (its per-round maps, inboxes and send slices).
+// between a short and a long run. The map-based lift it replaced allocated
+// about 30 objects per host node-round (its per-round maps, inboxes and
+// send slices).
 func TestLineLiftSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -95,23 +86,19 @@ func TestLineLiftSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const short, long = 4, 12
-	perNodeRound := func(line func(local.Algorithm, func(a, b int64) any) local.Algorithm) float64 {
-		allocs := func(rounds int) float64 {
-			algo := line(chatter(rounds), nil)
-			return testing.AllocsPerRun(5, func() {
-				if _, err := local.Run(g, algo, local.Options{Seed: 1, Sequential: true}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		// Each virtual round costs two host rounds.
-		return (allocs(long) - allocs(short)) / float64(2*(long-short)*g.N())
+	allocs := func(rounds int) float64 {
+		algo := lift.LineGraph(chatter(rounds), nil)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := local.Run(g, algo, local.Options{Seed: 1, Sequential: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	flat := perNodeRound(lift.LineGraph)
-	legacy := perNodeRound(lift.LegacyLineGraph)
-	t.Logf("allocs per host node-round: flat %.2f, legacy %.2f", flat, legacy)
-	if flat > 0.05 {
-		t.Errorf("line lift allocates %.2f per host node-round; the budget is 0 (both phase arenas are reused)", flat)
+	// Each virtual round costs two host rounds.
+	got := (allocs(long) - allocs(short)) / float64(2*(long-short)*g.N())
+	t.Logf("%.2f allocs per host node-round", got)
+	if got > 0.05 {
+		t.Errorf("line lift allocates %.2f per host node-round; the budget is 0 (both phase arenas are reused)", got)
 	}
 }
 

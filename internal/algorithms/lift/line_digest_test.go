@@ -15,6 +15,36 @@ import (
 	"github.com/unilocal/unilocal/internal/local"
 )
 
+// lineHosts is the lift host suite plus one geometric, one G(n,p) and one
+// preferential-attachment graph (hubs give the widest routing tables) on n
+// nodes.
+func lineHosts(t *testing.T, n int) map[string]*graph.Graph {
+	t.Helper()
+	gs := lift.HostSuite(t)
+	geo, err := graph.RandomGeometric(n, 0.16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnp, err := graph.GNP(n, 0.07, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := graph.PreferentialAttachment(n, 2, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs["geometric"], gs["gnp-extra"], gs["ba"] = geo, gnp, ba
+	return gs
+}
+
+// quickN is n, halved under -short so a matrix stays quick under -race.
+func quickN(n int) int {
+	if testing.Short() {
+		return n / 2
+	}
+	return n
+}
+
 // lineGuesses bounds the line graph's max degree and identities from the
 // host's, as the matching engine does.
 func lineGuesses(g *graph.Graph) (int, int64) {

@@ -65,7 +65,7 @@ func TestGatherSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs: pad=2 %.0f, pad=6 %.0f, per node-window %.2f", base, long, perWindow)
 	// Steady-state budget per node per idle window: one gatherMsg boxing
 	// per gather round (pruner radius 2) plus small constant slack for the
-	// pruner's Decide. The legacy path costs >20 here.
+	// pruner's Decide. The pre-refactor path cost >20 here.
 	if perWindow > 8 {
 		t.Errorf("gather phase allocates %.2f allocs per node-window; pooled-state budget is 8", perWindow)
 	}

@@ -1,15 +1,12 @@
 package core_test
 
-// BenchmarkAlternating* measures the transformer hot path against the
-// frozen legacy implementation (alternating_legacy_test.go) on the two
+// BenchmarkAlternating* measures the transformer hot path on the two
 // experiment shapes the paper's Table 1 reproduction leans on: the E11
 // alternating cascade (Theorem 2 Las Vegas MIS, many windows, shrinking
 // survivor set) and the E14 transformer-overhead sweep (Theorem 1 uniform
 // MIS on a sparse regular graph). BenchmarkAlternatingGather isolates the
 // pruning machinery itself with idle run phases, and BenchmarkPlanStep
-// isolates the plan schedule arithmetic. Run with -benchmem: the
-// acceptance bar for this refactor is >= 2x fewer allocs/op on the E11 and
-// E14 shapes.
+// isolates the plan schedule arithmetic. Run with -benchmem.
 
 import (
 	"fmt"
@@ -17,37 +14,24 @@ import (
 
 	"github.com/unilocal/unilocal/internal/algorithms/colormis"
 	"github.com/unilocal/unilocal/internal/core"
+	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
 
-// benchPair runs the same workload through the current and the legacy
-// alternating implementation.
-func benchPair(b *testing.B, g *graph.Graph, mk func(alternating func(string, core.Plan, core.Pruner) local.Algorithm) local.Algorithm) {
-	impls := []struct {
-		name string
-		alt  func(string, core.Plan, core.Pruner) local.Algorithm
-	}{
-		{"new", core.NewAlternating},
-		{"legacy", newAlternatingLegacy},
+// benchAlt runs a on g, one seed per iteration.
+func benchAlt(b *testing.B, g *graph.Graph, a local.Algorithm) {
+	b.ReportAllocs()
+	var res *local.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = local.Run(g, a, local.Options{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, impl := range impls {
-		b.Run("impl="+impl.name, func(b *testing.B) {
-			a := mk(impl.alt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = local.Run(g, a, local.Options{Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-			b.ReportMetric(float64(res.Messages), "messages")
-		})
-	}
+	b.ReportMetric(float64(res.Rounds), "rounds")
+	b.ReportMetric(float64(res.Messages), "messages")
 }
 
 // BenchmarkAlternatingCascade is the E11 shape: a weak Monte Carlo engine
@@ -59,10 +43,8 @@ func BenchmarkAlternatingCascade(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nu, seq := oracleLubyEngine()
-	benchPair(b, g, func(alt func(string, core.Plan, core.Pruner) local.Algorithm) local.Algorithm {
-		return alt("lasvegas(luby)", core.Theorem2Plan(nu, seq), core.MISPruner())
-	})
+	nu, seq := lubyEngine()
+	benchAlt(b, g, core.NewAlternating("lasvegas(luby)", core.Theorem2Plan(nu, seq), core.MISPruner()))
 }
 
 // BenchmarkAlternatingOverhead is the E14 shape: the Theorem 1 uniform MIS
@@ -74,11 +56,9 @@ func BenchmarkAlternatingOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nu, seq := oracleMISEngine()
+		nu, seq := engines.MISDeltaEngine()
 		b.Run(fmt.Sprintf("regular4/n=%d", n), func(b *testing.B) {
-			benchPair(b, g, func(alt func(string, core.Plan, core.Pruner) local.Algorithm) local.Algorithm {
-				return alt("uniform(colormis)", core.Theorem1Plan(nu, seq), core.MISPruner())
-			})
+			benchAlt(b, g, core.NewAlternating("uniform(colormis)", core.Theorem1Plan(nu, seq), core.MISPruner()))
 		})
 	}
 }
@@ -104,9 +84,7 @@ func BenchmarkAlternatingGather(b *testing.B) {
 		steps = append(steps, core.Step{Algo: idle, Budget: 2})
 	}
 	steps = append(steps, core.Step{Algo: correct, Budget: budget})
-	benchPair(b, g, func(alt func(string, core.Plan, core.Pruner) local.Algorithm) local.Algorithm {
-		return alt("gather-probe", benchListPlan{steps: steps}, core.MISPruner())
-	})
+	benchAlt(b, g, core.NewAlternating("gather-probe", benchListPlan{steps: steps}, core.MISPruner()))
 }
 
 type benchFalseNode struct{}
@@ -127,7 +105,7 @@ func (p benchListPlan) Step(k int) (core.Step, bool) {
 // versus re-walking the raw Theorem 2 doubling schedule, as every node of
 // every window did before the cache.
 func BenchmarkPlanStep(b *testing.B) {
-	nu, seq := oracleLubyEngine()
+	nu, seq := lubyEngine()
 	const windows = 24
 	b.Run("memo", func(b *testing.B) {
 		plan := core.MemoPlan(core.Theorem2Plan(nu, seq))

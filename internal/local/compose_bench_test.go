@@ -1,36 +1,28 @@
 package local_test
 
-// Microbenchmarks for Compose's direct delivery: colormis (Linial, halving
-// reduction, MIS by color) on G(n,p), over the current Compose and the
-// frozen legacy one (compose_legacy_test.go), so the layer win is
-// measurable in-repo: go test -run '^$' -bench BenchmarkCompose ./internal/local.
+// Microbenchmarks for Compose: colormis (Linial, halving reduction, MIS by
+// color) on G(n,p) under lockstep, staggered and loose-guess workloads:
+// go test -run '^$' -bench BenchmarkCompose ./internal/local.
 
 import (
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/algorithms/colormis"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
 
-func benchCompose(b *testing.B, g *graph.Graph, build func(c composer) local.Algorithm) {
-	for _, impl := range []struct {
-		name string
-		c    composer
-	}{{"current", current}, {"legacy", legacy}} {
-		a := build(impl.c)
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				res, err := local.Run(g, a, local.Options{Seed: 1, Sequential: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps = res.Steps
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps*int64(b.N)), "ns/step")
-		})
+func benchCompose(b *testing.B, g *graph.Graph, a local.Algorithm) {
+	b.ReportAllocs()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		res, err := local.Run(g, a, local.Options{Seed: 1, Sequential: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Steps
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps*int64(b.N)), "ns/step")
 }
 
 func benchGNP(tb testing.TB) *graph.Graph {
@@ -43,8 +35,8 @@ func benchGNP(tb testing.TB) *graph.Graph {
 
 // looseColorMIS is colormis under guesses λ = 16 times the true maximum
 // degree and identity.
-func looseColorMIS(c composer, g *graph.Graph) local.Algorithm {
-	return c.colormis(16*g.MaxDegree(), 16*g.MaxIDValue())
+func looseColorMIS(g *graph.Graph) local.Algorithm {
+	return colormis.New(16*g.MaxDegree(), 16*g.MaxIDValue())
 }
 
 // BenchmarkComposeColorMIS is the lockstep workload: nearly every payload
@@ -52,9 +44,7 @@ func looseColorMIS(c composer, g *graph.Graph) local.Algorithm {
 // the hand-offs between the halving reduction's passes buffer any).
 func BenchmarkComposeColorMIS(b *testing.B) {
 	g := benchGNP(b)
-	benchCompose(b, g, func(c composer) local.Algorithm {
-		return c.colormis(g.MaxDegree(), g.MaxIDValue())
-	})
+	benchCompose(b, g, colormis.New(g.MaxDegree(), g.MaxIDValue()))
 }
 
 // BenchmarkComposeColorMISStaggered runs the same stack under seeded
@@ -62,9 +52,7 @@ func BenchmarkComposeColorMIS(b *testing.B) {
 // buffer is in use.
 func BenchmarkComposeColorMISStaggered(b *testing.B) {
 	g := benchGNP(b)
-	benchCompose(b, g, func(c composer) local.Algorithm {
-		return c.wakeup(c.colormis(g.MaxDegree(), g.MaxIDValue()), staggerDelay(5, 8))
-	})
+	benchCompose(b, g, local.WithWakeup(colormis.New(g.MaxDegree(), g.MaxIDValue()), staggerDelay(5, 8)))
 }
 
 // BenchmarkComposeColorMISLoose runs colormis under λ = 16 loose guesses:
@@ -73,5 +61,5 @@ func BenchmarkComposeColorMISStaggered(b *testing.B) {
 // composed nodes send only payloads and status changes.
 func BenchmarkComposeColorMISLoose(b *testing.B) {
 	g := benchGNP(b)
-	benchCompose(b, g, func(c composer) local.Algorithm { return looseColorMIS(c, g) })
+	benchCompose(b, g, looseColorMIS(g))
 }

@@ -5,27 +5,22 @@ import "sync/atomic"
 // Test-only exports for the external local_test package, which can import
 // the algorithms built on Compose (colormis, coloralgo, core, lift).
 
-// LegacyCompose is the frozen pre-refactor Compose (compose_legacy_test.go).
-var LegacyCompose = legacyCompose
-
-// LegacyWithWakeup is WithWakeup over LegacyCompose.
-var LegacyWithWakeup = legacyWithWakeup
-
 // BufPeaks collects the largest early-payload buffer any probed node held
 // after a Round: Len its length, Cap the capacity of its backing array.
 // Cap stays 0 only if no payload ever entered the buffer, even one taken
 // out again within the same Round.
 type BufPeaks struct{ Len, Cap atomic.Int64 }
 
-// ComposeBufProbe returns Compose(name, stages...) instrumented to fold
-// every node's buffer into peaks after each Round (atomic maxima, safe at
-// any worker count).
-func ComposeBufProbe(peaks *BufPeaks, name string, stages ...Stage) Algorithm {
-	c := Compose(name, stages...)
+// BufProbe returns a, a composition, instrumented to fold the buffer of
+// every composed node it runs, its own and those of the compositions nested
+// in its stages, into peaks after each Round (atomic maxima, safe at any
+// worker count). A nested node steps only inside its parent's Round, so
+// none of its Rounds goes unobserved.
+func BufProbe(peaks *BufPeaks, a Algorithm) Algorithm {
 	return AlgorithmFunc{
-		AlgoName: name,
+		AlgoName: a.Name(),
 		NewNode: func(info Info) Node {
-			return &bufProbe{composeNode: c.New(info).(*composeNode), peaks: peaks}
+			return &bufProbe{composeNode: a.New(info).(*composeNode), peaks: peaks}
 		},
 	}
 }
@@ -37,8 +32,10 @@ type bufProbe struct {
 
 func (b *bufProbe) Round(r int, recv []Message) ([]Message, bool) {
 	send, done := b.composeNode.Round(r, recv)
-	atomicMax(&b.peaks.Len, int64(len(b.buf)))
-	atomicMax(&b.peaks.Cap, int64(cap(b.buf)))
+	for n, ok := b.composeNode, true; ok; n, ok = n.inner.(*composeNode) {
+		atomicMax(&b.peaks.Len, int64(len(n.buf)))
+		atomicMax(&b.peaks.Cap, int64(cap(n.buf)))
+	}
 	return send, done
 }
 

@@ -209,8 +209,8 @@ func TestSleeperRunCanceled(t *testing.T) {
 	}
 }
 
-// TestComposeSleepMatchesStepped runs every composed stack of the oracle
-// under every wake-up pattern with its Wake hidden and exposed: the
+// TestComposeSleepMatchesStepped runs every composed stack of the digest
+// table under every wake-up pattern with its Wake hidden and exposed: the
 // skipping run must give the stepped run's Result at every engine
 // configuration, and skip some rounds overall.
 func TestComposeSleepMatchesStepped(t *testing.T) {
@@ -221,7 +221,7 @@ func TestComposeSleepMatchesStepped(t *testing.T) {
 				if sched.permute != nil {
 					continue // sleeperConfigs permutes
 				}
-				a := sched.wrap(current, build(current, g))
+				a := sched.wrap(build(g))
 				for cname, opts := range sleeperConfigs() {
 					label := fmt.Sprintf("%s/%s/%s/%s", gname, sname, kname, cname)
 					var hiddenCalls, shownCalls atomic.Int64
@@ -252,7 +252,7 @@ func TestComposeSleepMatchesStepped(t *testing.T) {
 // under half of its steps.
 func TestComposeColorMISLooseSleeps(t *testing.T) {
 	g := benchGNP(t)
-	a := looseColorMIS(current, g)
+	a := looseColorMIS(g)
 	for cname, opts := range sleeperConfigs() {
 		if testing.Short() && cname != "w4" {
 			continue
