@@ -103,6 +103,12 @@ func TestLineLiftRunDigests(t *testing.T) {
 	g := benchHost(t)
 	p := engines.GraphParams(g)
 	cases = append(cases, digest.Case{Name: "matching/bench-host", Graph: g, Algo: matching.New(p.Delta, p.M), Opts: local.Options{Seed: 1}})
+	// The longest case takes 3,081 rounds; the cap makes a lift or Compose
+	// that deadlocks fail in seconds instead of running to the engine's
+	// default cap.
+	for i := range cases {
+		cases[i].Opts.MaxRounds = 1 << 14
+	}
 	tab := digest.Open[digest.Digest](t, "testdata/line_digests.json")
 	digest.Run(tab, cases, digest.Workers(1, 4)...)
 	tab.Close()
