@@ -119,7 +119,5 @@ func digestCases(t *testing.T) []digest.Case {
 // TestLiftRunDigests checks every lift case against the committed digest
 // table; with -update it rewrites the table instead.
 func TestLiftRunDigests(t *testing.T) {
-	tab := digest.Open[digest.Digest](t, "testdata/run_digests.json")
-	digest.Run(tab, digestCases(t))
-	tab.Close()
+	digest.Run(t, "testdata/run_digests.json", digestCases(t))
 }

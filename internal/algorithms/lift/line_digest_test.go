@@ -109,7 +109,5 @@ func TestLineLiftRunDigests(t *testing.T) {
 	for i := range cases {
 		cases[i].Opts.MaxRounds = 1 << 14
 	}
-	tab := digest.Open[digest.Digest](t, "testdata/line_digests.json")
-	digest.Run(tab, cases, digest.Workers(1, 4)...)
-	tab.Close()
+	digest.Run(t, "testdata/line_digests.json", cases, digest.Workers(1, 4)...)
 }

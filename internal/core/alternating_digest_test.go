@@ -82,9 +82,7 @@ func TestAlternatingRunDigests(t *testing.T) {
 			}
 		}
 	}
-	tab := digest.Open[digest.Digest](t, "testdata/alternating_digests.json")
-	digest.Run(tab, cases, digest.Workers(1, 4, 13)...)
-	tab.Close()
+	digest.Run(t, "testdata/alternating_digests.json", cases, digest.Workers(1, 4, 13)...)
 }
 
 // TestAlternatingSharedAcrossRuns pins the plan-cache sharing rule: one

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -68,12 +67,14 @@ type T interface {
 // Table is one committed table, case name to value. Add is safe for
 // concurrent use.
 type Table[V comparable] struct {
-	t    T
-	file string
-	want map[string]V // nil under -update
+	t       T
+	file    string
+	rewrite bool         // -update was given at Open
+	want    map[string]V // nil when rewriting
 
-	mu  sync.Mutex
-	got map[string]V
+	mu      sync.Mutex
+	got     map[string]V
+	partial bool // a -run pattern left some of Run's cases out
 }
 
 // Open loads the table in file, a path relative to the test's package
@@ -81,8 +82,8 @@ type Table[V comparable] struct {
 // there.
 func Open[V comparable](t T, file string) *Table[V] {
 	t.Helper()
-	tab := &Table[V]{t: t, file: file, got: make(map[string]V)}
-	if *update {
+	tab := &Table[V]{t: t, file: file, rewrite: *update, got: make(map[string]V)}
+	if tab.rewrite {
 		return tab
 	}
 	raw, err := os.ReadFile(file)
@@ -100,28 +101,42 @@ func Open[V comparable](t T, file string) *Table[V] {
 // added twice is an error: two cases would share one entry.
 func (tab *Table[V]) Add(name string, v V) {
 	tab.t.Helper()
+	tab.add(tab.t, name, v)
+}
+
+// add is Add reporting through t, the subtest of the case.
+func (tab *Table[V]) add(t T, name string, v V) {
+	t.Helper()
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	if _, dup := tab.got[name]; dup {
-		tab.t.Errorf("%s: duplicate case name", name)
+		t.Errorf("%s: duplicate case name", name)
 		return
 	}
 	tab.got[name] = v
-	if *update {
+	if tab.rewrite {
 		return
 	}
 	if want, ok := tab.want[name]; !ok {
-		tab.t.Errorf("%s: %v, not in %s", name, v, tab.file)
+		t.Errorf("%s: %v, not in %s", name, v, tab.file)
 	} else if v != want {
-		tab.t.Errorf("%s: %v, table %v", name, v, want)
+		t.Errorf("%s: %v, table %v", name, v, want)
 	}
 }
 
 // Close reports every table entry no case was added for; under -update it
-// writes the table instead.
+// writes the table instead. When a -run pattern left cases out, Close
+// checks nothing more, and refuses to write a table that would lose their
+// entries.
 func (tab *Table[V]) Close() {
 	tab.t.Helper()
-	if *update {
+	if tab.partial {
+		if tab.rewrite {
+			tab.t.Fatalf("%s: -update needs every case; run the whole test", tab.file)
+		}
+		return
+	}
+	if tab.rewrite {
 		raw, err := json.MarshalIndent(tab.got, "", "  ")
 		if err != nil {
 			tab.t.Fatalf("%v", err)
@@ -176,33 +191,33 @@ func Workers(counts ...int) []Variant {
 	return vs
 }
 
-// Run runs every case under every variant, spreading the cases over
-// GOMAXPROCS goroutines; -short runs the first variant only, unless the
-// table is being rewritten. A case's variants must all give one digest,
-// which is added to tab under the case's name. With no variants a case runs
-// once under its own options.
-func Run(tab *Table[Digest], cases []Case, variants ...Variant) {
-	if testing.Short() && !*update && len(variants) > 1 {
+// Run checks cases against the table in file, a path relative to the
+// test's package directory, and under -update rewrites it. Each case is a
+// parallel subtest of t named after the case, and runs under every
+// variant; -short runs the first variant only, unless the table is being
+// rewritten. A case's variants must all give one digest, which is the
+// case's entry. With no variants a case runs once under its own options.
+// The table is closed once every case has finished.
+func Run(t *testing.T, file string, cases []Case, variants ...Variant) {
+	t.Helper()
+	tab := Open[Digest](t, file)
+	if testing.Short() && !tab.rewrite && len(variants) > 1 {
 		variants = variants[:1]
 	}
-	next := make(chan Case)
-	var wg sync.WaitGroup
-	for range runtime.GOMAXPROCS(0) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				if d, ok := runCase(tab.t, c, variants); ok {
-					tab.Add(c.Name, d)
-				}
-			}
-		}()
-	}
+	t.Cleanup(tab.Close)
 	for _, c := range cases {
-		next <- c
+		ran := false
+		t.Run(c.Name, func(t *testing.T) {
+			ran = true
+			t.Parallel()
+			if d, ok := runCase(t, c, variants); ok {
+				tab.add(t, c.Name, d)
+			}
+		})
+		if !ran {
+			tab.partial = true
+		}
 	}
-	close(next)
-	wg.Wait()
 }
 
 // runCase runs c under each variant and reports whether they agreed.

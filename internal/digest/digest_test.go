@@ -189,28 +189,41 @@ func (n *orderNode) Output() any { return n.order }
 // value matches the table written from it.
 func TestRunVariantsMustAgree(t *testing.T) {
 	g := graph.Path(64)
-	file := filepath.Join(t.TempDir(), "t.json")
-	withUpdate(t, func() {
-		var r recorder
-		tab := Open[Digest](&r, file)
-		Run(tab, []Case{{Name: "order", Graph: g, Algo: orderAlgo()}},
-			Workers(1, 4)...)
-		if !r.failed() || !strings.Contains(r.errs[0], "gave") {
-			t.Errorf("disagreeing variants passed: %v", r.errs)
-		}
-		var single recorder
-		tab = Open[Digest](&single, file)
-		Run(tab, []Case{{Name: "order", Graph: g, Algo: orderAlgo(), Opts: local.Options{Workers: 1}}})
-		tab.Close()
-		if single.failed() {
-			t.Errorf("a single run failed: %v", single.errs)
-		}
-	})
 	var r recorder
-	tab := Open[Digest](&r, file)
-	Run(tab, []Case{{Name: "order", Graph: g, Algo: orderAlgo()}}, Workers(1)...)
-	tab.Close()
-	if r.failed() {
-		t.Errorf("the rerun disagreed with the table it wrote: %v", r.errs)
+	runCase(&r, Case{Name: "order", Graph: g, Algo: orderAlgo()}, Workers(1, 4))
+	if !r.failed() || !strings.Contains(r.errs[0], "gave") {
+		t.Errorf("disagreeing variants passed: %v", r.errs)
+	}
+	file := filepath.Join(t.TempDir(), "t.json")
+	t.Run("record", func(t *testing.T) {
+		withUpdate(t, func() {
+			Run(t, file, []Case{{Name: "order", Graph: g, Algo: orderAlgo(), Opts: local.Options{Workers: 1}}})
+		})
+	})
+	t.Run("rerun", func(t *testing.T) {
+		Run(t, file, []Case{{Name: "order", Graph: g, Algo: orderAlgo()}}, Workers(1)...)
+	})
+}
+
+// TestRunPartialLeavesTable runs one case of a two-entry table, as a -run
+// pattern would: the missing entry is not reported, and -update refuses to
+// write a table that would lose it.
+func TestRunPartialLeavesTable(t *testing.T) {
+	file := writeTable(t, map[string]string{"a": "1", "b": "2"})
+	for _, rewrite := range []bool{false, true} {
+		var r recorder
+		saved := *update
+		*update = rewrite
+		tab := Open[string](&r, file)
+		*update = saved
+		tab.Add("a", "1")
+		tab.partial = true
+		tab.Close()
+		if r.failed() == !rewrite {
+			t.Errorf("rewrite %v: failures %v", rewrite, r.errs)
+		}
+	}
+	if raw, err := os.ReadFile(file); err != nil || !strings.Contains(string(raw), `"b"`) {
+		t.Errorf("the table lost its entry: %q, %v", raw, err)
 	}
 }

@@ -261,9 +261,7 @@ func TestComposeRunDigests(t *testing.T) {
 			}
 		}
 	}
-	tab := digest.Open[digest.Digest](t, "testdata/compose_digests.json")
-	digest.Run(tab, cases, digest.Workers(1, 4)...)
-	tab.Close()
+	digest.Run(t, "testdata/compose_digests.json", cases, digest.Workers(1, 4)...)
 }
 
 // TestComposeBufferPeak pins the point of direct delivery: in-step payloads

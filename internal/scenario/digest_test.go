@@ -65,9 +65,7 @@ func TestCorpusRunDigests(t *testing.T) {
 					Opts:  local.Options{Seed: j.Seed, MaxRounds: j.MaxRounds, Permute: j.Permute},
 				}
 			}
-			tab := digest.Open[digest.Digest](t, tc.file)
-			digest.Run(tab, cases, tc.variants...)
-			tab.Close()
+			digest.Run(t, tc.file, cases, tc.variants...)
 		})
 	}
 }
