@@ -17,7 +17,33 @@ build:
 test: build
 	$(GO) test ./...
 
-# The same package list as the CI test job's race step.
+# The race detector over the packages where goroutines meet; CI's "Race"
+# step runs this target, so the list exists only here.
+# internal/engines is included because its sweep tests are the only place
+# the real transformer algorithms run concurrently through the scheduler
+# (shared uniform values, memoized plans); internal/scenario because
+# expansion shares uniform algorithms across parallel jobs; internal/serve
+# because its load test races 64 concurrent requests (with mid-batch client
+# disconnects) through the whole stack, and job shards share its execution
+# slots; internal/fabric/... because the coordinator chaos tests race
+# retries, attempt timeouts, breaker probes and replica death against the
+# scheduler and assert goroutine quiescence afterwards; internal/job because
+# its crash/drain/coalesce tests race workers, SSE subscribers,
+# cancellation and simulated process death against the journal;
+# internal/bitset because the engine's parallel workers record halts into a
+# shared Set via AddAtomic, and the local package's bitset differential
+# (5 graph families × 3 schedulers × worker counts) must hold under the race
+# detector; internal/algorithms/lift and internal/algorithms/matching because
+# the line, Power and Product run-digest tables (every scheduler kind, under
+# Compose and inside the transformer's Subrun windows, cases run
+# concurrently) must hold with their per-round arenas and reused buffers
+# under the race detector; internal/algorithms/linial because parallel sweep
+# jobs share the memoized Linial schedule, and its memo test races
+# concurrent first use of each guess pair (internal/local's Compose digest
+# table runs the composed stacks concurrently on the same memo);
+# internal/core and internal/algorithms/arbmis because both drive the
+# engine's silent-stretch skip path (the transformer's altNode and the
+# arboricity MIS answer Wake between rounds) at 1 and 4 workers.
 race:
 	$(GO) test -race -short ./internal/bitset ./internal/local ./internal/graph \
 		./internal/sweep ./internal/engines ./internal/scenario ./internal/serve \
@@ -25,8 +51,18 @@ race:
 		./internal/algorithms/matching ./internal/algorithms/linial \
 		./internal/core ./internal/algorithms/arbmis
 
-# The same benchmark list as the CI test job's "Perf smoke" step, one
-# iteration each and every line with -benchmem.
+# One-shot run of the headline Table 1 benchmark, the engine
+# microbenchmarks, the transformer hot-path benchmarks, the line lift on the
+# matching-geometric-dense host, the Power and Product lifts on the
+# rulingset-smallworld and deg-coloring-hypercube-dense shapes, the composed
+# colorings under lockstep, staggered and loose-guess workloads, the
+# arboricity MIS under loose guesses and its uniform transform (the
+# silent-stretch skip path), the derived-construction builds and the
+# run-level sweep benchmarks, one iteration each and every line with
+# -benchmem, so an allocation regression in any pooled/flattened path is
+# visible in the log: a regression that breaks or grossly slows a hot path
+# fails loudly. CI's "Perf smoke" step runs this target, so the list exists
+# only here.
 bench:
 	$(GO) test -run xxx -bench BenchmarkTable1_LubyMIS -benchmem -benchtime=1x -short .
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem -benchtime=1x .

@@ -60,18 +60,24 @@ func TestJobLifecycleAcrossRestart(t *testing.T) {
 	spool := t.TempDir()
 	base, shutdown := startServer(t, spool)
 
-	// The synchronous path still answers, for the byte-identity check below.
-	resp, err := http.Post(base+"/run", "application/json", strings.NewReader(smokeSpec))
-	if err != nil {
-		t.Fatal(err)
+	// The synchronous path still answers, in both formats, for the
+	// byte-identity checks below.
+	runBodies := map[string]string{}
+	for _, format := range []string{"md", "json"} {
+		resp, err := http.Post(base+"/run?format="+format, "application/json", strings.NewReader(smokeSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/run?format=%s = %d: %s", format, resp.StatusCode, body)
+		}
+		runBodies[format] = string(body)
 	}
-	runBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/run = %d: %s", resp.StatusCode, runBody)
-	}
+	runBody := runBodies["md"]
 
-	resp, err = http.Post(base+"/jobs", "application/json", strings.NewReader(smokeSpec))
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(smokeSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,20 +90,22 @@ func TestJobLifecycleAcrossRestart(t *testing.T) {
 		t.Fatalf("submit: %d %+v", resp.StatusCode, sub)
 	}
 
-	// Poll to done, then the stored markdown must equal the synchronous
-	// response byte-for-byte.
+	// Poll to done, then the stored documents must equal the synchronous
+	// responses byte-for-byte.
 	waitDone(t, base, sub.ID)
-	resp, err = http.Get(base + "/jobs/" + sub.ID + "/result?format=md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result = %d: %s", resp.StatusCode, jobBody)
-	}
-	if string(jobBody) != string(runBody) {
-		t.Fatalf("async result diverges from synchronous /run:\n got: %s\nwant: %s", jobBody, runBody)
+	for format, want := range runBodies {
+		resp, err = http.Get(base + "/jobs/" + sub.ID + "/result?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobBody, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s result = %d: %s", format, resp.StatusCode, jobBody)
+		}
+		if string(jobBody) != want {
+			t.Fatalf("async %s result diverges from synchronous /run:\n got: %s\nwant: %s", format, jobBody, want)
+		}
 	}
 	shutdown()
 
@@ -122,7 +130,7 @@ func TestJobLifecycleAcrossRestart(t *testing.T) {
 	}
 	recovered, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if string(recovered) != string(runBody) {
+	if string(recovered) != runBody {
 		t.Fatalf("recovered result diverges:\n got: %s\nwant: %s", recovered, runBody)
 	}
 }

@@ -5,13 +5,18 @@
 // document, byte-identical to cmd/localbench -scenarios output for the same
 // spec at any parallelism.
 //
+// Every simulation batch — a whole-grid /run, a ?shard= request, a job
+// shard — runs through one executor under -max-inflight execution slots. A
+// /run that finds them busy waits in the -queue or gets 429; a job shard
+// waits without a bound, and the job manager runs one worker per slot.
+//
 // Usage:
 //
 //	localserved [-addr host:port] [-parallel N] [-workers N]
 //	            [-corpus-limit N] [-corpus-dir dir] [-corpus-mem BYTES]
 //	            [-max-inflight N] [-queue N]
 //	            [-timeout D] [-drain-timeout D] [-fault exit-after=N]
-//	            [-spool dir] [-job-workers N] [-job-shards N] [-job-rate F]
+//	            [-spool dir] [-job-shards N] [-job-rate F]
 //	            [-job-burst N] [-job-max-per-client N]
 //	            [-fault exit-after-shard=N]
 //
@@ -52,7 +57,8 @@
 //
 // On SIGTERM/SIGINT the server drains gracefully: /healthz flips to 503, new
 // runs and submissions are refused, running jobs checkpoint at their next
-// shard boundary, open SSE streams flush a terminal drained event, requests
+// shard boundary (a job shard still waiting for a slot gives up and stays
+// queued), open SSE streams flush a terminal drained event, requests
 // already admitted finish (up to -drain-timeout), then the process exits 0.
 // CI's server smoke job exercises exactly this lifecycle.
 //
@@ -92,7 +98,7 @@ var (
 	flagCorpus      = flag.Int("corpus-limit", serve.DefaultCorpusLimit, "max cached graphs, LRU-evicted (<0 = unbounded)")
 	flagCorpusDir   = flag.String("corpus-dir", "", "content-addressed CSR image store directory; replicas sharing it build each graph once and restarts warm-start from disk")
 	flagCorpusMem   = flag.Int64("corpus-mem", 0, "max estimated in-heap graph bytes in the corpus, LRU-evicted (0 = unbounded); with -corpus-dir, evicted graphs reload from disk")
-	flagInFlight    = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
+	flagInFlight    = flag.Int("max-inflight", 0, "execution slots: max concurrently executing /run requests and job shards together (0 = GOMAXPROCS)")
 	flagQueue       = flag.Int("queue", serve.DefaultQueueDepth, "max requests waiting for a slot before 429 (<0 = none)")
 	flagTimeout     = flag.Duration("timeout", 0, "per-request execution deadline (0 = none)")
 	flagDrain       = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
@@ -103,7 +109,6 @@ var (
 	flagFault       = flag.String("fault", "", "chaos-test fault mode: exit-after=N crashes the process (exit 3) on the Nth /run request, before responding; exit-after-shard=N crashes on the Nth journaled job shard checkpoint")
 
 	flagSpool        = flag.String("spool", "", "job spool directory; enables the durable async job API at /jobs")
-	flagJobWorkers   = flag.Int("job-workers", 0, "concurrent async job executions (0 = default)")
 	flagJobShards    = flag.Int("job-shards", 0, "shard checkpoints per job — the crash-resume granularity (0 = default, <0 = one)")
 	flagJobRate      = flag.Float64("job-rate", 0, "per-client job submissions per second (0 = default, <0 = unlimited)")
 	flagJobBurst     = flag.Int("job-burst", 0, "per-client submission burst size (0 = default)")
@@ -159,7 +164,7 @@ func run(ctx context.Context, addr string, ready chan<- string) error {
 			Exec:         s.ShardExecutor(),
 			Terminal:     serve.TerminalError,
 			CheckSpec:    s.CheckSpec,
-			Workers:      *flagJobWorkers,
+			Workers:      s.MaxInFlight(),
 			ShardsPerJob: *flagJobShards,
 			Rate:         *flagJobRate,
 			Burst:        *flagJobBurst,
@@ -203,12 +208,13 @@ func run(ctx context.Context, addr string, ready chan<- string) error {
 	go func() {
 		<-ctx.Done()
 		// Drain: stop advertising health, refuse new runs and submissions,
-		// checkpoint running jobs at their next shard boundary and flush
+		// release job shards waiting for a slot, checkpoint running jobs at
+		// their next shard boundary and flush
 		// drained events to open SSE streams, then let admitted requests
 		// finish within the grace period. The job drain runs first — its
 		// drained events are what lets Shutdown's wait for open event
 		// streams terminate.
-		s.SetDraining(true)
+		s.StartDrain()
 		fmt.Fprintln(os.Stderr, "localserved: draining")
 		drainCtx, cancel := context.WithTimeout(context.Background(), *flagDrain)
 		defer cancel()

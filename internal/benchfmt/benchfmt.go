@@ -33,8 +33,8 @@ type Record struct {
 	// Steps is the run's total node-steps (Σ per-round live-frontier sizes)
 	// — the engine's deterministic work measure, identical at any worker
 	// count and pinned by benchguard like rounds and messages. Zero (and
-	// omitted) in the served deterministic view, whose shard-merged twin
-	// (scenario.SlotsDoc) carries only rounds and messages per slot.
+	// omitted) in the served deterministic view (scenario.SlotsDoc), which
+	// is built from shard slot outcomes: rounds and messages only.
 	Steps int64 `json:"steps,omitempty"`
 	// Ratio is uniform rounds / non-uniform rounds, on uniform records only.
 	Ratio float64 `json:"ratio,omitempty"`

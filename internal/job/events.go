@@ -40,15 +40,6 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// terminal reports whether the event ends its stream.
-func terminalEvent(t string) bool {
-	switch t {
-	case EventDone, EventFailed, EventCanceled, EventDrained:
-		return true
-	}
-	return false
-}
-
 // hubWindow bounds how many past events a hub retains for late or slow
 // subscribers. A job's slot events can outnumber this (grids run to
 // thousands of slots); a subscriber that falls behind sees a seq gap, not a

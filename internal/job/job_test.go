@@ -682,3 +682,66 @@ func TestTransientRetry(t *testing.T) {
 	}
 	waitState(t, m, st.ID, StateDone)
 }
+
+// TestRetryExhaustedJobRunsAgain: running out of transient retries says
+// nothing about the spec, so unlike a deterministic failure the job is not
+// poisoned: a resubmission runs it again, live and after a restart.
+func TestRetryExhaustedJobRunsAgain(t *testing.T) {
+	dir := t.TempDir()
+	spec := parseSpec(t, testSpec)
+	var broken atomic.Bool
+	broken.Store(true)
+	var calls atomic.Int64
+	exec := func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
+		if broken.Load() {
+			return scenario.GraphInfo{}, nil, fmt.Errorf("synthetic transient failure")
+		}
+		return fakeExec(&calls)(ctx, spec, seed, shard, onSlot)
+	}
+	cfg := func(c *Config) {
+		c.Exec = exec
+		c.Terminal = func(error) bool { return false }
+		c.Retries = 1
+	}
+	exhaust := func(m *Manager, seed int64) string {
+		t.Helper()
+		st, _, err := m.Submit(spec, seed, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitState(t, m, st.ID, StateFailed)
+		if !strings.Contains(fin.Error, "after 1 retries") {
+			t.Fatalf("seed %d: not a retry exhaustion: %+v", seed, fin)
+		}
+		return st.ID
+	}
+	rerun := func(m *Manager, id string, seed int64) {
+		t.Helper()
+		before := calls.Load()
+		st, coalesced, err := m.Submit(spec, seed, "a")
+		if err != nil || coalesced || st.ID != id {
+			t.Fatalf("seed %d: resubmission of an exhausted job: %+v coalesced=%v err=%v", seed, st, coalesced, err)
+		}
+		waitState(t, m, id, StateDone)
+		if calls.Load() == before {
+			t.Fatalf("seed %d: resubmitted job reached done without executing", seed)
+		}
+	}
+
+	m := newManager(t, dir, cfg)
+	live := exhaust(m, 1)
+	restarted := exhaust(m, 2)
+	broken.Store(false)
+	rerun(m, live, 1)
+	drain(t, m)
+
+	m2 := newManager(t, dir, cfg)
+	defer drain(t, m2)
+	if st, err := m2.Status(restarted); err != nil || st.State != StateFailed {
+		t.Fatalf("exhausted job after restart: %+v, %v", st, err)
+	}
+	rerun(m2, restarted, 2)
+	if st, coalesced, err := m2.Submit(spec, 1, "a"); err != nil || !coalesced || st.State != StateDone {
+		t.Fatalf("rerun job after restart: %+v coalesced=%v err=%v", st, coalesced, err)
+	}
+}

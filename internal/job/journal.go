@@ -27,8 +27,9 @@ const (
 	OpShard = "shard"
 	// OpDone marks a job complete; its result files exist in the spool.
 	OpDone = "done"
-	// OpFail marks a job failed with a deterministic error (re-running the
-	// identical spec would fail identically).
+	// OpFail marks a job failed: with a deterministic error (re-running the
+	// identical spec would fail identically), or, with Exhausted set, after
+	// its transient retries ran out.
 	OpFail = "fail"
 	// OpCancel marks a job canceled by a client. Checkpointed shards stay
 	// valid; a resubmission requeues the job and reuses them.
@@ -54,6 +55,10 @@ type Record struct {
 	Slots []scenario.SlotOutcome `json:"slots,omitempty"`
 	// Error is the failure message (OpFail).
 	Error string `json:"error,omitempty"`
+	// Exhausted marks an OpFail written when the job ran out of transient
+	// retries: the failure says nothing about the spec, so a resubmission
+	// requeues the job instead of replaying the error.
+	Exhausted bool `json:"exhausted,omitempty"`
 }
 
 // encodeRecord frames one record for the journal: an 8-hex-digit CRC32

@@ -17,7 +17,6 @@
 package job
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,8 +30,9 @@ import (
 )
 
 // Job states, as reported by Status. Done, Failed and Canceled are terminal;
-// a canceled job can be requeued by resubmitting it (its checkpoints
-// survive), a failed one replays its deterministic error to resubmissions.
+// a canceled job, or one that ran out of transient retries, is requeued by
+// resubmitting it (its checkpoints survive), a deterministically failed one
+// replays its error to resubmissions.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -84,6 +84,8 @@ type Config struct {
 	// applies the server's admission bounds); nil accepts everything.
 	CheckSpec func(*scenario.Spec) error
 	// Workers is the number of concurrent job executions; 0 = DefaultWorkers.
+	// cmd/localserved runs one per server execution slot, which every shard
+	// execution waits for.
 	Workers int
 	// ShardsPerJob is the checkpoint granularity: each job's grid is split
 	// into this many modulus shards, journaled one by one, and a crashed
@@ -134,6 +136,7 @@ type entry struct {
 	slots     int // grid size (plan.Jobs())
 	state     string
 	errMsg    string
+	exhausted bool         // failed by running out of transient retries
 	ckpts     []checkpoint // contiguous prefix: ckpts[i] is shard i
 	retries   int
 	cancel    context.CancelFunc // non-nil while running
@@ -296,6 +299,7 @@ func (m *Manager) replay(recs []*Record) error {
 				if terminalState(e.state) {
 					e.state = StateQueued
 					e.errMsg = ""
+					e.exhausted = false
 				}
 				continue
 			}
@@ -338,6 +342,7 @@ func (m *Manager) replay(recs []*Record) error {
 			if e, ok := m.jobs[rec.ID]; ok {
 				e.state = StateFailed
 				e.errMsg = rec.Error
+				e.exhausted = rec.Exhausted
 			}
 		case OpCancel:
 			if e, ok := m.jobs[rec.ID]; ok {
@@ -383,28 +388,27 @@ func terminalEventType(state string) string {
 }
 
 // liveRecords reconstructs the minimal journal representing current state:
-// per job, its submit record, then — only if unfinished — its checkpoints,
-// or its terminal record. This is the spool's GC policy: a finished job
-// compacts to two records regardless of how many shards it journaled.
+// per job, its submit record, then its checkpoints if it can still run
+// (unfinished, canceled or out of retries), then its terminal record. This
+// is the spool's GC policy: a done or deterministically failed job compacts
+// to two records regardless of how many shards it journaled.
 func (m *Manager) liveRecords() []*Record {
 	recs := make([]*Record, 0, len(m.order)*2)
 	for _, id := range m.order {
 		e := m.jobs[id]
 		recs = append(recs, &Record{V: RecordVersion, Op: OpSubmit, ID: id, Seed: e.seed, Spec: e.canonical, Shards: e.shards, Client: e.client})
+		if e.state != StateDone && (e.state != StateFailed || e.exhausted) {
+			for i := range e.ckpts {
+				recs = append(recs, m.ckptRecord(e, i))
+			}
+		}
 		switch e.state {
 		case StateDone:
 			recs = append(recs, &Record{V: RecordVersion, Op: OpDone, ID: id})
 		case StateFailed:
-			recs = append(recs, &Record{V: RecordVersion, Op: OpFail, ID: id, Error: e.errMsg})
+			recs = append(recs, &Record{V: RecordVersion, Op: OpFail, ID: id, Error: e.errMsg, Exhausted: e.exhausted})
 		case StateCanceled:
-			for i := range e.ckpts {
-				recs = append(recs, m.ckptRecord(e, i))
-			}
 			recs = append(recs, &Record{V: RecordVersion, Op: OpCancel, ID: id})
-		default:
-			for i := range e.ckpts {
-				recs = append(recs, m.ckptRecord(e, i))
-			}
 		}
 	}
 	return recs
@@ -435,7 +439,8 @@ func (m *Manager) append(rec *Record) error {
 // Submit registers a job for (spec, seed) on behalf of client and returns
 // its status. If a job with the same execution identity already exists the
 // submission coalesces onto it (coalesced=true): done/failed/running/queued
-// jobs answer with their current state, canceled ones are requeued. New
+// jobs answer with their current state; canceled ones, and failed ones that
+// only ran out of transient retries, are requeued. New
 // submissions pay the client's rate-limit token and queue quota, and are
 // journaled durably before Submit returns. A spec the client got wrong
 // fails with ErrInvalid; a journal failure does not wrap it.
@@ -452,17 +457,20 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 		return Status{}, false, ErrDraining
 	}
 	if e, ok := m.jobs[id]; ok {
-		if e.state != StateCanceled {
+		if e.state != StateCanceled && (e.state != StateFailed || !e.exhausted) {
 			m.coalescedN.Add(1)
 			return m.statusLocked(e), true, nil
 		}
-		// Requeue a canceled job: journal a fresh submit (replay requeues on
-		// the same rule), keep its checkpoints.
+		// Requeue a canceled or retry-exhausted job: journal a fresh submit
+		// (replay requeues on the same rule), keep its checkpoints, give it a
+		// fresh retry budget.
 		if err := m.append(&Record{V: RecordVersion, Op: OpSubmit, ID: id, Seed: seed, Spec: canonical, Shards: e.shards, Client: client}); err != nil {
 			return Status{}, false, err
 		}
 		e.state = StateQueued
 		e.errMsg = ""
+		e.exhausted = false
+		e.retries = 0
 		e.client = client
 		e.hub = newHub()
 		m.queue = append(m.queue, id)
@@ -563,19 +571,15 @@ func (m *Manager) finishLocked(e *entry, state, errMsg string) {
 	} else {
 		delete(m.active, e.client)
 	}
-	var typ string
 	switch state {
 	case StateDone:
-		typ = EventDone
 		m.doneN.Add(1)
 	case StateFailed:
-		typ = EventFailed
 		m.failedN.Add(1)
 	case StateCanceled:
-		typ = EventCanceled
 		m.canceledN.Add(1)
 	}
-	e.hub.publish(Event{Type: typ, Shards: e.shards, ShardsDone: len(e.ckpts), Slots: e.slots, SlotsDone: e.ckptSlots(), Error: errMsg})
+	e.hub.publish(Event{Type: terminalEventType(state), Shards: e.shards, ShardsDone: len(e.ckpts), Slots: e.slots, SlotsDone: e.ckptSlots(), Error: errMsg})
 	e.hub.close()
 }
 
@@ -745,7 +749,7 @@ func (m *Manager) execute(ctx context.Context, e *entry) {
 			return
 		}
 		if len(e.ckpts) > 0 && info != e.ckpts[0].info {
-			m.failJob(e, fmt.Sprintf("job %s: shard %s graph header %+v disagrees with checkpointed %+v", e.id, sh, info, e.ckpts[0].info))
+			m.failJob(e, false, fmt.Sprintf("job %s: shard %s graph header %+v disagrees with checkpointed %+v", e.id, sh, info, e.ckpts[0].info))
 			return
 		}
 
@@ -805,24 +809,27 @@ func (m *Manager) execError(e *entry, err error) {
 		return
 	}
 	if m.cfg.Terminal(err) {
-		m.failJob(e, err.Error())
+		m.failJob(e, false, err.Error())
 		return
 	}
 	m.retryOrFail(e, err)
 }
 
-// failJob journals and applies a permanent failure.
-func (m *Manager) failJob(e *entry, msg string) {
+// failJob journals and applies a failure: a deterministic one that
+// resubmissions replay, or — exhausted — one that ran out of transient
+// retries and runs again when resubmitted.
+func (m *Manager) failJob(e *entry, exhausted bool, msg string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e.state != StateRunning {
 		return
 	}
-	if err := m.append(&Record{V: RecordVersion, Op: OpFail, ID: e.id, Error: msg}); err != nil {
+	if err := m.append(&Record{V: RecordVersion, Op: OpFail, ID: e.id, Error: msg, Exhausted: exhausted}); err != nil {
 		m.cfg.Logf("job %s: journaling failure: %v", e.id, err)
 		e.state = StateQueued // try again after restart; the journal has no fail record
 		return
 	}
+	e.exhausted = exhausted
 	m.finishLocked(e, StateFailed, msg)
 }
 
@@ -844,26 +851,20 @@ func (m *Manager) retryOrFail(e *entry, cause error) {
 		return
 	}
 	m.mu.Unlock()
-	m.failJob(e, fmt.Sprintf("after %d retries: %v", m.cfg.Retries, cause))
+	m.failJob(e, true, fmt.Sprintf("after %d retries: %v", m.cfg.Retries, cause))
 }
 
 // assemble merges a fully checkpointed job into its result documents and
-// journals it done. Both documents are pure functions of (spec, seed) —
-// SectionFrom/Table.Write for markdown, SlotsDoc for JSON — so a document
-// assembled here after a crash-and-resume is byte-identical to one from an
-// uninterrupted run.
+// journals it done. scenario.Documents builds them, the builder a
+// whole-grid POST /run answers with, so a document assembled here — after a
+// crash-and-resume too — is byte-identical to the synchronous response.
 func (m *Manager) assemble(e *entry) {
-	plan, err := scenario.PlanOf(e.spec, e.seed-1)
-	if err != nil {
-		m.failJob(e, fmt.Sprintf("planning for assembly: %v", err))
-		return
-	}
-	slots := make([]scenario.SlotOutcome, plan.Jobs())
+	slots := make([]scenario.SlotOutcome, e.slots)
 	filled := 0
 	for i := range e.ckpts {
 		for _, out := range e.ckpts[i].slots {
 			if out.Slot < 0 || out.Slot >= len(slots) {
-				m.failJob(e, fmt.Sprintf("checkpoint slot %d out of range [0,%d)", out.Slot, len(slots)))
+				m.failJob(e, false, fmt.Sprintf("checkpoint slot %d out of range [0,%d)", out.Slot, len(slots)))
 				return
 			}
 			slots[out.Slot] = out
@@ -871,33 +872,15 @@ func (m *Manager) assemble(e *entry) {
 		}
 	}
 	if filled != len(slots) {
-		m.failJob(e, fmt.Sprintf("checkpoints cover %d of %d slots", filled, len(slots)))
+		m.failJob(e, false, fmt.Sprintf("checkpoints cover %d of %d slots", filled, len(slots)))
 		return
 	}
-	info := e.ckpts[0].info
-	sec, err := scenario.SectionFrom(plan, info, slots)
+	md, js, err := scenario.Documents(e.spec, e.seed, e.ckpts[0].info, slots)
 	if err != nil {
-		m.failJob(e, err.Error())
+		m.failJob(e, false, err.Error())
 		return
 	}
-	var md bytes.Buffer
-	t := scenario.Table{Jobs: plan.Jobs(), Sections: []scenario.Section{sec}}
-	if err := t.Write(&md); err != nil {
-		m.failJob(e, err.Error())
-		return
-	}
-	doc, err := scenario.SlotsDoc(plan, info, slots, e.seed)
-	if err != nil {
-		m.failJob(e, err.Error())
-		return
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		m.failJob(e, err.Error())
-		return
-	}
-	data = append(data, '\n')
-	if err := m.spool.WriteResult(e.id, md.Bytes(), data); err != nil {
+	if err := m.spool.WriteResult(e.id, md, js); err != nil {
 		m.retryOrFail(e, err)
 		return
 	}

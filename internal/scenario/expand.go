@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -46,7 +48,7 @@ type JobMeta struct {
 
 // label renders the benchfmt record label of one job: role/seed/rep, with a
 // λ suffix under non-exact knowledge. Doc and SlotsDoc both write exactly
-// this (a serve test pins the two paths together).
+// this.
 func (m *JobMeta) label() string {
 	l := fmt.Sprintf("%s/seed=%d/rep=%d", m.Role, m.Seed, m.Rep)
 	if !m.Know.IsExact() {
@@ -194,12 +196,19 @@ func Expand(specs []*Spec, opts ExpandOptions) (*Batch, error) {
 	return b, nil
 }
 
-// Summarize validates a batch's results — job errors and registry output
-// checks — and reduces them to the deterministic render model. A failed job
-// or an invalid output aborts with an error naming the job.
-func Summarize(b *Batch, results []sweep.Result) (*Table, error) {
+// Render writes the corpus results as markdown, one section per scenario, in
+// batch order. Every rendered field is deterministic (rounds, messages,
+// ratios — never wall time), so sequential and parallel sweeps of the same
+// batch produce byte-identical output; CI's scenario gate diffs exactly
+// this. Each job's outputs are re-validated through its registry checker,
+// and a failed check (or failed job) aborts rendering with an error naming
+// the job. The results reduce to a Table and Table.Write writes it — the
+// same model and writer the distributed fabric merges shard documents into,
+// which is what makes a multi-replica sweep byte-identical to this
+// single-process path.
+func Render(w io.Writer, b *Batch, results []sweep.Result) error {
 	if len(results) != len(b.Jobs) {
-		return nil, fmt.Errorf("scenario: %d results for %d jobs", len(results), len(b.Jobs))
+		return fmt.Errorf("scenario: %d results for %d jobs", len(results), len(b.Jobs))
 	}
 	t := &Table{Jobs: len(b.Jobs), Sections: make([]Section, 0, len(b.Plans))}
 	base := 0
@@ -209,48 +218,59 @@ func Summarize(b *Batch, results []sweep.Result) (*Table, error) {
 			ji := base + k
 			r := results[ji]
 			if r.Err != nil {
-				return nil, fmt.Errorf("scenario %s: %s: %w", b.Specs[si].Name, b.Jobs[ji].Label, r.Err)
+				return fmt.Errorf("scenario %s: %s: %w", b.Specs[si].Name, b.Jobs[ji].Label, r.Err)
 			}
 			if err := b.Check(ji, r.Res.Outputs); err != nil {
-				return nil, fmt.Errorf("scenario %s: %s: invalid output: %w", b.Specs[si].Name, b.Jobs[ji].Label, err)
+				return fmt.Errorf("scenario %s: %s: invalid output: %w", b.Specs[si].Name, b.Jobs[ji].Label, err)
 			}
 			slots[k] = SlotOutcome{Slot: k, Rounds: r.Res.Rounds, Messages: r.Res.Messages}
 		}
 		sec, err := SectionFrom(p, InfoOf(b.Graphs[si]), slots)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.Sections = append(t.Sections, sec)
 		base += len(p.Metas)
 	}
-	return t, nil
-}
-
-// Render writes the corpus results as markdown, one section per scenario, in
-// batch order. Every rendered field is deterministic (rounds, messages,
-// ratios — never wall time), so sequential and parallel sweeps of the same
-// batch produce byte-identical output; CI's scenario gate diffs exactly
-// this. Each job's outputs are re-validated through its registry checker,
-// and a failed check (or failed job) aborts rendering with an error.
-// Internally this is Summarize followed by Table.Write — the same model and
-// writer the distributed fabric merges shard documents into, which is what
-// makes a multi-replica sweep byte-identical to this single-process path.
-func Render(w io.Writer, b *Batch, results []sweep.Result) error {
-	t, err := Summarize(b, results)
-	if err != nil {
-		return err
-	}
 	return t.Write(w)
 }
 
-// SlotsDoc rebuilds the serving layer's scrubbed benchfmt document for one
+// Documents renders the two documents the serving layer answers for one
+// spec: the markdown table and the indented JSON benchfmt document with its
+// trailing newline, built from the graph header and the full slot-indexed
+// outcomes (slots[k] is plan slot k). It is the one document builder of
+// every localserved front — a whole-grid POST /run builds from its one-shard
+// execution, the job manager from its checkpoints — so a document is
+// byte-identical whichever front or process computed its slots.
+func Documents(s *Spec, seed int64, info GraphInfo, slots []SlotOutcome) (md, js []byte, err error) {
+	p, err := PlanOf(s, seed-1)
+	if err != nil {
+		return nil, nil, err
+	}
+	sec, err := SectionFrom(p, info, slots)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	t := Table{Jobs: p.Jobs(), Sections: []Section{sec}}
+	if err := t.Write(&buf); err != nil {
+		return nil, nil, err
+	}
+	doc, err := SlotsDoc(p, info, slots, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if js, err = json.MarshalIndent(doc, "", "  "); err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), append(js, '\n'), nil
+}
+
+// SlotsDoc builds the serving layer's scrubbed benchfmt document for one
 // plan from slot outcomes alone — no batch, no results, no graph. Every
-// field it writes is a pure function of (plan, graph header, outcomes), so a
-// document reassembled from journaled shard checkpoints after a crash is
-// byte-identical to the one serve.DeterministicDoc renders for an
-// uninterrupted synchronous run of the same spec (a serve test pins the two
-// paths together). Wall times, allocation counters and parallelism are zero
-// by construction, exactly as DeterministicDoc scrubs them.
+// field it writes is a pure function of (plan, graph header, outcomes);
+// wall times, allocation counters, node-steps and parallelism are left zero,
+// since a shard reports only rounds and messages per slot.
 func SlotsDoc(p *Plan, info GraphInfo, slots []SlotOutcome, seed int64) (*benchfmt.Doc, error) {
 	if len(slots) != len(p.Metas) {
 		return nil, fmt.Errorf("scenario %s: %d slot outcomes for %d jobs", p.Spec.Name, len(slots), len(p.Metas))

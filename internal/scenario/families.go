@@ -513,12 +513,6 @@ func FamilyNames() string {
 	return strings.Join(names, ", ")
 }
 
-// LookupFamily returns the family table entry for name.
-func LookupFamily(name string) (Family, bool) {
-	f, ok := families[name]
-	return f, ok
-}
-
 // Validate checks the spec against its family's parameter ranges without
 // building the graph. A set parameter the family does not consume is an
 // error, for the same reason the loader rejects unknown JSON fields: a spec

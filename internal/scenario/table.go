@@ -75,7 +75,7 @@ type Section struct {
 }
 
 // Table is the deterministic render model of a whole corpus document. Both
-// execution paths reduce to it — Summarize from in-process sweep results,
+// execution paths reduce to it — Render from in-process sweep results,
 // the fabric coordinator from merged shard documents — so the markdown they
 // write is byte-identical by construction, not by parallel maintenance of
 // two formatters.

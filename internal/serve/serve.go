@@ -15,8 +15,13 @@
 // bounded with 429 overflow, and /healthz + /metrics expose the state an
 // operator needs to drain or debug the process.
 //
+// One executor, one builder, one admission: every simulation batch — a
+// whole-grid /run (shard 0/1), a ?shard= request, a job shard — is an
+// ExecuteShard call holding one of MaxInFlight execution slots, and a whole
+// grid's documents come from scenario.Documents, as the job manager's do.
+//
 // Request lifecycle: parse → work-bound check → canonicalize → table lookup
-// → admission → execute → render → settle. The execution table is keyed by
+// → admission → execute → build → settle. The execution table is keyed by
 // execution identity (seed + canonical spec, plus the shard for a shard
 // request). A lookup finds a settled execution (answered from memory), a
 // pending one (the request waits for its leader), or nothing (the request
@@ -43,6 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,11 +99,13 @@ type Config struct {
 	// attached, evicted graphs reload from disk, so a small budget plus a
 	// warm store serves graphs far larger than the budget.
 	CorpusMemBytes int64
-	// MaxInFlight caps concurrently executing requests; 0 means GOMAXPROCS.
+	// MaxInFlight caps concurrently executing simulation batches — /run
+	// requests and job shards alike; 0 means GOMAXPROCS.
 	MaxInFlight int
-	// QueueDepth caps requests waiting for an execution slot; beyond it the
-	// server answers 429. 0 means DefaultQueueDepth, negative means no queue
-	// (reject as soon as all slots are busy).
+	// QueueDepth caps /run requests waiting for an execution slot; beyond it
+	// the server answers 429. 0 means DefaultQueueDepth, negative means no
+	// queue (reject as soon as all slots are busy). Job shards wait without
+	// a bound: their jobs already hold a place in the job queue.
 	QueueDepth int
 	// Timeout caps one request's execution; 0 means no server-side deadline
 	// (the client's disconnect still cancels).
@@ -126,9 +134,10 @@ type Server struct {
 	sem    chan struct{}
 	start  time.Time
 
-	draining atomic.Bool
-	inFlight atomic.Int64
-	queued   atomic.Int64
+	drain     chan struct{} // closed by StartDrain
+	drainOnce sync.Once
+	inFlight  atomic.Int64
+	queued    atomic.Int64
 
 	requests     atomic.Uint64
 	ok           atomic.Uint64
@@ -192,6 +201,7 @@ func New(cfg Config) *Server {
 		table:  newExecTable(),
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		start:  time.Now(),
+		drain:  make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", s.handleRun)
@@ -204,16 +214,24 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// SetDraining flips the drain flag: /healthz answers 503 (so load balancers
-// stop routing here) and new /run requests are refused, while requests
-// already admitted run to completion under http.Server.Shutdown.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
+// StartDrain puts the server into drain mode for good: /healthz answers 503
+// (so load balancers stop routing here), new /run requests are refused and
+// job shards still waiting for an execution slot give up, while requests
+// already admitted or queued run to completion under http.Server.Shutdown.
+func (s *Server) StartDrain() { s.drainOnce.Do(func() { close(s.drain) }) }
 
 // Draining reports whether the server is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool {
+	select {
+	case <-s.drain:
+		return true
+	default:
+		return false
+	}
+}
 
-// ExecOptions configures one spec-set execution (the request → document path
-// shared by the server and cmd/localbench -scenarios).
+// ExecOptions configures one execution: ExecuteShard (every localserved
+// front) or Execute (cmd/localbench -scenarios).
 type ExecOptions struct {
 	// Corpus memoizes graphs across calls; nil uses a private one.
 	Corpus *graph.Corpus
@@ -226,10 +244,10 @@ type ExecOptions struct {
 	Context context.Context
 	// OnSlot, when non-nil, receives each successfully completed slot's
 	// deterministic outcome the moment it lands — the progress feed the
-	// async job API streams over SSE. Slot indices are global grid slots
-	// (identical for sharded and whole-grid execution). Callbacks arrive
-	// from sweep workers concurrently and must be safe for concurrent use;
-	// failed or canceled slots do not report.
+	// async job API streams over SSE. ExecuteShard alone reports, with
+	// global grid slot indices. Callbacks arrive from sweep workers
+	// concurrently and must be safe for concurrent use; failed or canceled
+	// slots do not report.
 	OnSlot func(out scenario.SlotOutcome)
 }
 
@@ -243,14 +261,11 @@ type Outcome struct {
 }
 
 // Execute expands the specs, runs the batch and renders the markdown
-// document. Expansion problems (the client's spec) are wrapped in ErrSpec;
-// execution problems — including cancellation, which satisfies
-// errors.Is(err, sweep.ErrCanceled) — are returned as-is.
+// document: cmd/localbench -scenarios, which runs many specs as one batch.
+// Expansion problems (the client's spec) are
+// wrapped in ErrSpec; execution problems — including cancellation, which
+// satisfies errors.Is(err, sweep.ErrCanceled) — are returned as-is.
 func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
-	// Expansion (graph generation included) is not cancellable; refuse work
-	// for a context that is already dead rather than building for a caller
-	// that is gone. Callers bound expansion size up front (see
-	// Config.MaxNodes) — mid-expansion the context is not consulted.
 	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %w: batch not started", sweep.ErrCanceled, ctx.Err())
 	}
@@ -265,7 +280,6 @@ func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
 		Parallel:      opts.Parallel,
 		EngineWorkers: opts.EngineWorkers,
 		Context:       opts.Context,
-		OnResult:      slotReporter(opts.OnSlot, nil),
 	})
 	var buf bytes.Buffer
 	if err := scenario.Render(&buf, batch, results); err != nil {
@@ -274,60 +288,75 @@ func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
 	return &Outcome{Batch: batch, Results: results, Stats: stats, Markdown: buf.Bytes()}, nil
 }
 
-// DeterministicDoc builds the benchfmt document for a served response with
-// every non-deterministic field scrubbed: wall times, allocation counters
-// and the server's own parallelism are zeroed, so the JSON body — like the
-// markdown one — is a pure function of (spec, seed) and safe to cache and
-// diff across worker counts. Node-steps and the instruction block are
-// dropped too: a shard reports only rounds and messages per slot, so
-// scenario.SlotsDoc cannot rebuild them and the two paths must agree byte
-// for byte. CLI consumers that want timing and steps keep using
-// localbench -json.
+// DeterministicDoc builds the served JSON document of a one-spec Outcome
+// (the body a whole-grid POST /run?format=json answers for that spec and
+// seed) by handing its slot outcomes to scenario.SlotsDoc, the builder
+// behind every served document. Wall times, allocation counters, node-steps
+// and parallelism are absent, so the document is a pure function of (spec,
+// seed); localbench -json keeps them.
 func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
-	doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, seed, 0, 0)
-	if err != nil {
-		return nil, err
+	slots := make([]scenario.SlotOutcome, len(out.Results))
+	for k, r := range out.Results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		slots[k] = scenario.SlotOutcome{Slot: k, Rounds: r.Res.Rounds, Messages: r.Res.Messages}
 	}
-	doc.GeneratedBy = "cmd/localserved"
-	doc.Sweep = benchfmt.SweepStats{Jobs: out.Stats.Jobs}
-	doc.Instr = nil
-	for i := range doc.Results {
-		doc.Results[i].WallNs = 0
-		doc.Results[i].Allocs = 0
-		doc.Results[i].Steps = 0
-	}
-	return doc, nil
+	return scenario.SlotsDoc(out.Batch.Plans[0], scenario.InfoOf(out.Batch.Graphs[0]), slots, seed)
 }
 
-// admit acquires an execution slot, waiting in the bounded queue when all
-// slots are busy. It returns a release func on success, or the HTTP status
-// to answer with (429 on queue overflow, 499 when the client gave up while
-// queued).
-func (s *Server) admit(ctx context.Context) (func(), int) {
-	admitted := false
+// Admission refusals: errBusy answers a /run leader 429, errDraining ends a
+// job shard's wait for a slot.
+var (
+	errBusy     = errors.New("all execution slots busy and queue full")
+	errDraining = errors.New("server draining")
+)
+
+// admit takes one of the MaxInFlight execution slots that every simulation
+// batch in the process runs under and returns its release. A free slot is
+// taken at once. Otherwise a /run leader (queued) waits in the bounded
+// queue, refused with errBusy when it is full, and a job shard waits as
+// long as it takes, but gives up with errDraining once the server drains,
+// so the job manager's drain is never held up by a slot the shard has not
+// got. Both give up when ctx ends.
+func (s *Server) admit(ctx context.Context, queued bool) (func(), error) {
 	select {
 	case s.sem <- struct{}{}:
-		admitted = true
 	default:
-	}
-	if !admitted {
-		if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-			s.queued.Add(-1)
-			return nil, http.StatusTooManyRequests
+		drain := s.drain
+		if queued {
+			if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+				s.queued.Add(-1)
+				return nil, errBusy
+			}
+			defer s.queued.Add(-1)
+			drain = nil // a queued /run request is still served during a drain
 		}
 		select {
 		case s.sem <- struct{}{}:
-			s.queued.Add(-1)
 		case <-ctx.Done():
-			s.queued.Add(-1)
-			return nil, statusClientClosedRequest
+			return nil, ctx.Err()
+		case <-drain:
+			return nil, errDraining
 		}
 	}
 	s.inFlight.Add(1)
 	return func() {
 		s.inFlight.Add(-1)
 		<-s.sem
-	}, 0
+	}, nil
+}
+
+// execOptions configures one of the server's executions.
+func (s *Server) execOptions(ctx context.Context, seed int64, onSlot func(scenario.SlotOutcome)) ExecOptions {
+	return ExecOptions{
+		Corpus:        s.corpus,
+		SeedOffset:    seed - 1,
+		Parallel:      s.cfg.Parallel,
+		EngineWorkers: s.cfg.EngineWorkers,
+		Context:       ctx,
+		OnSlot:        onSlot,
+	}
 }
 
 // Response content types. One whole-grid execution renders both the
@@ -338,17 +367,6 @@ const (
 	jsonCT = "application/json"
 )
 
-// runRequest is one parsed POST /run, threaded from handleRun to the
-// execution's leader.
-type runRequest struct {
-	spec  *scenario.Spec
-	shard *scenario.Shard // nil for a whole-grid request
-	seed  int64
-	// format is "md" or "json"; always "json" for a shard request (its
-	// response is the JSON shard document).
-	format string
-}
-
 // handleRun is POST /run: body is one scenario.Spec (same strict JSON schema
 // as a scenarios/ file), query parameters seed (default 1, shifts the spec's
 // seed grid exactly like localbench -seed), format (md | json) and shard
@@ -356,7 +374,7 @@ type runRequest struct {
 // the JSON shard document; mutually exclusive with format).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	if s.draining.Load() {
+	if s.Draining() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -445,27 +463,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if how == cacheMiss {
-		s.lead(w, r, e, &runRequest{spec: spec, shard: shard, seed: seed, format: format})
+		s.lead(w, r, e, spec, shard, seed, format)
 		return
 	}
 	s.respond(w, e, format, how)
 }
 
 // lead runs a request's execution as its leader: admission, execution,
-// rendering and the response. It records a settled outcome on e — the
-// rendered documents or a deterministic client error — and finish runs on
-// every path, so waiters never block on a leader that errored out.
-func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *execution, req *runRequest) {
+// document building and the response. shard is nil for a whole-grid
+// request; format is "json" for a shard request. It records a settled
+// outcome on e — the documents or a deterministic client error — and finish
+// runs on every path, so waiters never block on a leader that errored out.
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *execution, spec *scenario.Spec, shard *scenario.Shard, seed int64, format string) {
 	defer s.table.finish(e)
 
-	release, status := s.admit(r.Context())
-	if status != 0 {
-		if status == http.StatusTooManyRequests {
+	release, err := s.admit(r.Context(), true)
+	if err != nil {
+		if errors.Is(err, errBusy) {
 			s.rejected.Add(1)
 			s.writeBusy(w)
 		} else {
 			s.canceled.Add(1)
-			httpError(w, status, "not admitted")
+			httpError(w, statusClientClosedRequest, "not admitted")
 		}
 		return
 	}
@@ -477,59 +496,36 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *execution, req 
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	opts := ExecOptions{
-		Corpus:        s.corpus,
-		SeedOffset:    req.seed - 1,
-		Parallel:      s.cfg.Parallel,
-		EngineWorkers: s.cfg.EngineWorkers,
-		Context:       ctx,
+	// A whole grid runs as its one shard 0/1, whose slots are the grid in
+	// order.
+	sh := scenario.Shard{Index: 0, Count: 1}
+	if shard != nil {
+		sh = *shard
 	}
-
-	if req.shard != nil {
-		doc, stats, err := ExecuteShard(req.spec, *req.shard, opts)
-		if err != nil {
-			s.execError(w, e, err)
-			return
-		}
-		s.recordStats(stats)
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			s.failed.Add(1)
-			httpError(w, http.StatusInternalServerError, "encoding shard document: %v", err)
-			return
-		}
-		e.json = append(data, '\n')
+	doc, stats, err := ExecuteShard(spec, sh, s.execOptions(ctx, seed, nil))
+	if err != nil {
+		s.execError(w, e, err)
+		return
+	}
+	s.recordStats(stats)
+	if shard != nil {
+		e.json, err = json.MarshalIndent(doc, "", "  ")
+		e.json = append(e.json, '\n')
 	} else {
-		out, err := Execute([]*scenario.Spec{req.spec}, opts)
-		if err != nil {
-			s.execError(w, e, err)
-			return
-		}
-		s.recordStats(out.Stats)
-
-		// One execution serves both formats: the JSON document derives from
-		// the same Outcome the markdown does, so render both now — a later
-		// or coalesced request for the other format is answered from this
-		// execution instead of re-running the whole batch.
-		doc, err := DeterministicDoc(out, req.seed)
-		if err != nil {
-			s.failed.Add(1)
-			httpError(w, http.StatusInternalServerError, "building document: %v", err)
-			return
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			s.failed.Add(1)
-			httpError(w, http.StatusInternalServerError, "encoding document: %v", err)
-			return
-		}
-		e.md, e.json = out.Markdown, append(data, '\n')
+		// One execution serves both formats, so a later or coalesced request
+		// for the other format is answered without re-running the grid.
+		e.md, e.json, err = scenario.Documents(spec, seed, doc.Graph, doc.Slots)
+	}
+	if err != nil {
+		s.failed.Add(1)
+		httpError(w, http.StatusInternalServerError, "building documents: %v", err)
+		return
 	}
 	e.status = http.StatusOK
-	s.respond(w, e, req.format, cacheMiss)
+	s.respond(w, e, format, cacheMiss)
 }
 
-// execError maps an Execute/ExecuteShard error to its HTTP response.
+// execError maps an ExecuteShard error to its HTTP response.
 // Deterministic client errors (bad spec, max_rounds expiry) settle the
 // execution, so identical requests replay them; transient outcomes
 // (cancellation, timeout, server fault) leave it unsettled, and the next
@@ -636,7 +632,7 @@ func (s *Server) checkLimits(spec *scenario.Spec, shard *scenario.Shard) error {
 // handleHealthz is GET /healthz: 200 while serving, 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
+	if s.Draining() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "{\"status\":\"draining\"}\n")
 		return
@@ -714,7 +710,7 @@ type DiskMetrics struct {
 func (s *Server) Snapshot() Metrics {
 	var m Metrics
 	m.UptimeSeconds = time.Since(s.start).Seconds()
-	m.Draining = s.draining.Load()
+	m.Draining = s.Draining()
 	m.InFlight = s.inFlight.Load()
 	m.Queued = s.queued.Load()
 	m.RequestsTotal = s.requests.Load()
@@ -784,6 +780,10 @@ func (s *Server) CheckSpec(spec *scenario.Spec) error { return s.checkLimits(spe
 // defaulting), for front ends mounted beside /run that take the same bodies.
 func (s *Server) MaxBodyBytes() int64 { return s.cfg.MaxBodyBytes }
 
+// MaxInFlight is the number of execution slots (Config.MaxInFlight after
+// defaulting): the job manager runs one worker per slot.
+func (s *Server) MaxInFlight() int { return s.cfg.MaxInFlight }
+
 // TerminalError reports whether an execution error is deterministic — the
 // identical request would fail identically on any replica, any retry, any
 // restart: a bad spec (ErrSpec) or a max_rounds expiry. Retry machinery
@@ -794,22 +794,22 @@ func TerminalError(err error) bool {
 }
 
 // ShardExecutor returns the shard-wise execution function the async job
-// manager checkpoints around: one call runs one shard of one spec's grid on
-// this server's corpus and sweep configuration, reports per-slot progress
-// through onSlot, and returns the deterministic graph header and slot
-// outcomes — exactly the fields a journal checkpoint persists. Executions
-// feed the server's /metrics throughput counters like synchronous requests
-// do.
+// manager checkpoints around: one call takes an execution slot — waiting
+// for one without a bound, never refused with 429 — runs one shard of one
+// spec's grid on this server's corpus and sweep configuration, reports
+// per-slot progress through onSlot, and returns the deterministic graph
+// header and slot outcomes — exactly the fields a journal checkpoint
+// persists. A wait ended by ctx or by the server's drain returns an error
+// wrapping sweep.ErrCanceled, so the manager requeues the job. Executions
+// feed the server's /metrics counters like synchronous requests do.
 func (s *Server) ShardExecutor() func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
 	return func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
-		doc, stats, err := ExecuteShard(spec, shard, ExecOptions{
-			Corpus:        s.corpus,
-			SeedOffset:    seed - 1,
-			Parallel:      s.cfg.Parallel,
-			EngineWorkers: s.cfg.EngineWorkers,
-			Context:       ctx,
-			OnSlot:        onSlot,
-		})
+		release, err := s.admit(ctx, false)
+		if err != nil {
+			return scenario.GraphInfo{}, nil, fmt.Errorf("%w: %w: no execution slot", sweep.ErrCanceled, err)
+		}
+		defer release()
+		doc, stats, err := ExecuteShard(spec, shard, s.execOptions(ctx, seed, onSlot))
 		s.recordStats(stats)
 		if err != nil {
 			return scenario.GraphInfo{}, nil, err

@@ -3,20 +3,23 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/scenario"
 )
 
-// TestSlotsDocMatchesDeterministicDoc pins the crash-recovery JSON path to
-// the synchronous serving path: a document reassembled from shard slot
-// outcomes via scenario.SlotsDoc (what the job manager writes to its spool
-// after a resume) must be byte-identical to the DeterministicDoc the server
-// renders for an uninterrupted whole-grid run of the same spec. If either
-// side gains or scrubs a field, this fails before the job-durability CI gate
-// does.
+// TestSlotsDocMatchesDeterministicDoc pins the one document builder to the
+// served bodies: a spec executed as 3 job shards and reassembled through
+// scenario.Documents (what the job manager writes to its spool, after a
+// resume too) must equal the whole-grid POST /run response byte for byte in
+// both formats, and DeterministicDoc over a localbench-style Execute must
+// equal the served JSON. If any path gains or scrubs a field, this fails
+// before the job-durability CI gate does.
 func TestSlotsDocMatchesDeterministicDoc(t *testing.T) {
-	spec, err := scenario.Parse(shardTestSpec())
+	body := shardTestSpec()
+	spec, err := scenario.Parse(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,22 +29,20 @@ func TestSlotsDocMatchesDeterministicDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Whole-grid path, exactly as POST /run?format=json renders it.
-	out, err := Execute([]*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullDoc, err := DeterministicDoc(out, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.MarshalIndent(fullDoc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	served := map[string][]byte{}
+	for _, format := range []string{"md", "json"} {
+		resp, got := postSpec(t, ts.Client(), ts.URL+"/run?seed=3&format="+format, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", format, resp.StatusCode, got)
+		}
+		served[format] = got
 	}
 
 	// Sharded path, exactly as the job manager executes and reassembles.
-	exec := New(Config{}).ShardExecutor()
+	exec := s.ShardExecutor()
 	const shards = 3
 	slots := make([]scenario.SlotOutcome, plan.Jobs())
 	filled := make([]bool, plan.Jobs())
@@ -69,15 +70,30 @@ func TestSlotsDocMatchesDeterministicDoc(t *testing.T) {
 			t.Fatalf("slot %d never delivered", i)
 		}
 	}
-	slotsDoc, err := scenario.SlotsDoc(plan, info, slots, seed)
+	md, js, err := scenario.Documents(spec, seed, info, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.MarshalIndent(slotsDoc, "", "  ")
+	if string(md) != string(served["md"]) {
+		t.Errorf("reassembled markdown diverges from the served body:\n got: %s\nwant: %s", md, served["md"])
+	}
+	if string(js) != string(served["json"]) {
+		t.Errorf("reassembled JSON diverges from the served body:\n got: %s\nwant: %s", js, served["json"])
+	}
+
+	out, err := Execute([]*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Fatalf("SlotsDoc diverges from DeterministicDoc:\n got: %s\nwant: %s", got, want)
+	doc, err := DeterministicDoc(out, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(data, '\n')) != string(served["json"]) {
+		t.Errorf("DeterministicDoc diverges from the served JSON:\n got: %s\nwant: %s", data, served["json"])
 	}
 }

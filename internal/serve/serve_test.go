@@ -270,7 +270,7 @@ func TestServeHealthzAndDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
 	}
-	s.SetDraining(true)
+	s.StartDrain()
 	resp, err = ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -68,32 +68,13 @@ func (d *ShardDoc) Validate(specName string, seed int64, shard scenario.Shard, j
 	return nil
 }
 
-// slotReporter adapts an ExecOptions.OnSlot callback to sweep's OnResult
-// hook. slots maps the executed batch's job index to its global grid slot;
-// nil means identity (whole-grid execution). Failed and canceled slots are
-// not reported — a progress stream only ever sees outcomes that will appear
-// in the final document.
-func slotReporter(onSlot func(scenario.SlotOutcome), slots []int) func(int, sweep.Result) {
-	if onSlot == nil {
-		return nil
-	}
-	return func(i int, r sweep.Result) {
-		if r.Err != nil || r.Res == nil {
-			return
-		}
-		slot := i
-		if slots != nil {
-			slot = slots[i]
-		}
-		onSlot(scenario.SlotOutcome{Slot: slot, Rounds: r.Res.Rounds, Messages: r.Res.Messages})
-	}
-}
-
 // ExecuteShard expands one spec's full job grid, runs only the slots the
-// shard owns, validates their outputs and returns the shard document.
+// shard owns, validates their outputs and returns the shard document. It is
+// the one executor of every localserved front: a whole grid is shard 0/1.
 // Expansion still builds the whole graph — slots share it — but simulation
 // work shrinks to the shard's share, which is the resource a sweep is
-// bounded by. Error wrapping matches Execute: spec problems wrap ErrSpec,
+// bounded by. Error wrapping and wording match Execute, so a whole grid
+// fails with the text localbench prints: spec problems wrap ErrSpec,
 // execution problems (including sweep.ErrCanceled) return as-is, with a
 // genuine slot failure preferred over a concurrent cancellation so a
 // deterministic client error is never misreported as a transient one.
@@ -101,8 +82,12 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 	if err := shard.Validate(); err != nil {
 		return nil, sweep.Stats{}, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
+	// Expansion (graph generation included) is not cancellable; refuse work
+	// for a context that is already dead rather than building for a caller
+	// that is gone. Callers bound expansion size up front (see
+	// Config.MaxNodes) — mid-expansion the context is not consulted.
 	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-		return nil, sweep.Stats{}, fmt.Errorf("%w: %w: shard not started", sweep.ErrCanceled, ctx.Err())
+		return nil, sweep.Stats{}, fmt.Errorf("%w: %w: batch not started", sweep.ErrCanceled, ctx.Err())
 	}
 	batch, err := scenario.Expand([]*scenario.Spec{spec}, scenario.ExpandOptions{
 		Corpus:     opts.Corpus,
@@ -116,15 +101,25 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 	for k, slot := range slots {
 		sub[k] = batch.Jobs[slot]
 	}
+	var onResult func(int, sweep.Result)
+	if opts.OnSlot != nil {
+		// Failed and canceled slots are not reported: a progress stream only
+		// ever sees outcomes that will appear in the final document.
+		onResult = func(k int, r sweep.Result) {
+			if r.Err == nil && r.Res != nil {
+				opts.OnSlot(scenario.SlotOutcome{Slot: slots[k], Rounds: r.Res.Rounds, Messages: r.Res.Messages})
+			}
+		}
+	}
 	res, stats := sweep.Run(sub, sweep.Options{
 		Parallel:      opts.Parallel,
 		EngineWorkers: opts.EngineWorkers,
 		Context:       opts.Context,
-		OnResult:      slotReporter(opts.OnSlot, slots),
+		OnResult:      onResult,
 	})
 	if err := res.FirstErr(); err != nil {
 		slot := slots[res.FirstIncomplete()]
-		return nil, stats, fmt.Errorf("shard %s: %s: %w", shard, batch.Jobs[slot].Label, err)
+		return nil, stats, fmt.Errorf("scenario %s: %s: %w", spec.Name, batch.Jobs[slot].Label, err)
 	}
 	doc := &ShardDoc{
 		SchemaVersion: ShardDocSchemaVersion,
@@ -138,7 +133,7 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 	for k, slot := range slots {
 		r := res[k]
 		if err := batch.Check(slot, r.Res.Outputs); err != nil {
-			return nil, stats, fmt.Errorf("shard %s: %s: invalid output: %w", shard, batch.Jobs[slot].Label, err)
+			return nil, stats, fmt.Errorf("scenario %s: %s: invalid output: %w", spec.Name, batch.Jobs[slot].Label, err)
 		}
 		doc.Slots = append(doc.Slots, scenario.SlotOutcome{Slot: slot, Rounds: r.Res.Rounds, Messages: r.Res.Messages})
 	}
