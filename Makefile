@@ -51,7 +51,8 @@ race:
 		./internal/algorithms/matching ./internal/algorithms/linial \
 		./internal/core ./internal/algorithms/arbmis
 
-# One-shot run of the headline Table 1 benchmark, the engine
+# One-shot run of every paper experiment (BenchmarkPaper: each spec of
+# scenarios/paper, outputs checked by the registry checkers), the engine
 # microbenchmarks, the transformer hot-path benchmarks, the line lift on the
 # matching-geometric-dense host, the Power and Product lifts on the
 # rulingset-smallworld and deg-coloring-hypercube-dense shapes, the composed
@@ -64,7 +65,7 @@ race:
 # fails loudly. CI's "Perf smoke" step runs this target, so the list exists
 # only here.
 bench:
-	$(GO) test -run xxx -bench BenchmarkTable1_LubyMIS -benchmem -benchtime=1x -short .
+	$(GO) test -run xxx -bench BenchmarkPaper -benchmem -benchtime=1x .
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem -benchtime=1x .
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkCompose' -benchmem -benchtime=1x ./internal/local
 	$(GO) test -run xxx -bench BenchmarkBitset -benchmem -benchtime=1x ./internal/bitset

@@ -1,16 +1,18 @@
 package unilocal
 
-// One benchmark per experiment of DESIGN.md §3: each regenerates the
-// measured counterpart of a Table 1 row, a corollary, or Figure 1 of the
-// paper. The reported custom metrics are the LOCAL-model quantities the
-// paper reasons about: "rounds" (the running time of the algorithm on that
-// instance) and, where relevant, "ratio" (uniform rounds / non-uniform
-// rounds with correct guesses — the paper's headline "same asymptotic
-// running time" claim corresponds to this ratio staying bounded as n
-// grows). Wall-clock ns/op only measures the simulator.
+// The paper's experiments (DESIGN.md §3) run as BenchmarkPaper, one
+// sub-benchmark per spec of scenarios/paper. The reported custom metrics
+// are the LOCAL-model quantities the paper reasons about: "rounds" (the
+// running time of the algorithm on that instance) and, where relevant,
+// "ratio" (uniform rounds / non-uniform rounds with correct guesses — the
+// paper's headline "same asymptotic running time" claim corresponds to
+// this ratio staying bounded as n grows). Wall-clock ns/op only measures
+// the simulator. The experiments without a spec yet (E11, E12, E14), an
+// ablation and the simulator throughput benchmarks follow it.
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
-	"github.com/unilocal/unilocal/internal/problems"
+	"github.com/unilocal/unilocal/internal/scenario"
 	"github.com/unilocal/unilocal/internal/sweep"
 )
 
@@ -68,236 +70,61 @@ func benchGNP(b *testing.B, n int, avgDeg float64) *graph.Graph {
 	return g
 }
 
-// compare runs the non-uniform baseline (correct guesses) and the uniform
-// transform as one scheduler batch per iteration, reporting rounds and the
-// ratio.
-func compare(b *testing.B, g *graph.Graph, nonUniform, uniform local.Algorithm, check func([]any) error) {
-	b.Helper()
-	var nu, un *local.Result
-	for i := 0; i < b.N; i++ {
-		results, _ := sweep.Run([]sweep.Job{
-			{Graph: g, Algo: func() local.Algorithm { return nonUniform }, Seed: int64(i)},
-			{Graph: g, Algo: func() local.Algorithm { return uniform }, Seed: int64(i)},
-		}, sweep.Options{Parallel: 1})
-		if err := sweep.FirstErr(results); err != nil {
-			b.Fatal(err)
-		}
-		nu, un = results[0].Res, results[1].Res
-	}
-	if err := check(un.Outputs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(nu.Rounds), "rounds/nonuniform")
-	b.ReportMetric(float64(un.Rounds), "rounds/uniform")
-	b.ReportMetric(float64(un.Rounds)/float64(nu.Rounds), "ratio")
-}
-
-func misCheck(g *graph.Graph) func([]any) error {
-	return func(outputs []any) error {
-		in, err := problems.Bools(outputs)
-		if err != nil {
-			return err
-		}
-		return problems.ValidMIS(g, in)
-	}
-}
-
-// BenchmarkTable1_MISColoring_DeltaLogStar reproduces the "Det. MIS and
-// (Δ+1)-coloring, O(Δ + log* n)" row (E1): colormis with correct {Δ, m}
-// versus the Theorem 1 uniform algorithm.
-func BenchmarkTable1_MISColoring_DeltaLogStar(b *testing.B) {
-	uniform := engines.UniformMISDelta()
-	for _, n := range []int{256, 1024, 4096} {
-		for _, fam := range []struct {
-			name string
-			g    *graph.Graph
-		}{
-			{"cycle", benchCycle(b, n)},
-			{"regular4", benchRegular(b, n, 4)},
-			{"gnp8", benchGNP(b, n, 8)},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d", fam.name, n), func(b *testing.B) {
-				compare(b, fam.g, engines.NonUniformMISDelta(engines.GraphParams(fam.g)), uniform, misCheck(fam.g))
-			})
-		}
-	}
-}
-
-// BenchmarkTable1_MIS_NKnowledge reproduces the "Det. MIS, time depending
-// on the global size only" row (E2; Panconesi–Srinivasan slot, greedy
-// substitution per DESIGN.md §4).
-func BenchmarkTable1_MIS_NKnowledge(b *testing.B) {
-	uniform := engines.UniformMISID()
-	for _, n := range []int{64, 256, 1024} {
-		g := benchGNP(b, n, 6)
-		b.Run(fmt.Sprintf("gnp6/n=%d", n), func(b *testing.B) {
-			compare(b, g, engines.NonUniformMISID(engines.GraphParams(g)), uniform, misCheck(g))
-		})
-	}
-}
-
-// BenchmarkTable1_MIS_Arboricity reproduces the arboricity rows (E3):
-// H-partition MIS on bounded-arboricity graphs, uniform via the
-// product-form set-sequence.
-func BenchmarkTable1_MIS_Arboricity(b *testing.B) {
-	uniform := engines.UniformMISArb()
-	for _, n := range []int{256, 1024} {
-		for _, a := range []int{1, 3} {
-			g := graph.ForestUnion(n, a, int64(n*a))
-			b.Run(fmt.Sprintf("forest%d/n=%d", a, n), func(b *testing.B) {
-				compare(b, g, engines.NonUniformMISArb(engines.GraphParams(g)), uniform, misCheck(g))
-			})
-		}
-	}
-}
-
-// BenchmarkTable1_LambdaColoring reproduces the λ(Δ+1)-coloring trade-off
-// row (E4): more colors buy fewer rounds; Theorem 5 uniformizes each point.
-func BenchmarkTable1_LambdaColoring(b *testing.B) {
-	g := benchRegular(b, 1024, 8)
-	for _, lambda := range []int{1, 2, 4, 8} {
-		uniform, err := engines.UniformLambdaColoring(lambda)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("lambda=%d", lambda), func(b *testing.B) {
-			compare(b, g, engines.NonUniformLambdaColoring(lambda)(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				colors, err := problems.Ints(outputs)
-				if err != nil {
-					return err
-				}
-				return problems.ValidColoring(g, colors, 0)
-			})
-		})
-	}
-}
-
-// BenchmarkTable1_EdgeColoring reproduces the edge-coloring rows (E5) via
-// the line-graph lift.
-func BenchmarkTable1_EdgeColoring(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		g := benchRegular(b, n, 6)
-		b.Run(fmt.Sprintf("regular6/n=%d", n), func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, g, engines.NonUniformEdgeColoring(engines.GraphParams(g)), int64(i))
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds/nonuniform")
-		})
-	}
-	uniform, err := engines.UniformEdgeColoring()
+// BenchmarkPaper runs every experiment spec of scenarios/paper, one
+// sub-benchmark per spec: each iteration runs the spec's jobs as one
+// scheduler batch, and every output must pass its registry checker. It
+// reports the mean rounds of each role and, for specs with a baseline, the
+// mean uniform/baseline ratio.
+func BenchmarkPaper(b *testing.B) {
+	specs, err := scenario.LoadDir(filepath.Join("scenarios", "paper"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := benchRegular(b, 256, 6)
-	b.Run("uniform/regular6/n=256", func(b *testing.B) {
-		var res *local.Result
-		for i := 0; i < b.N; i++ {
-			res = run(b, g, uniform, int64(i))
-		}
-		b.ReportMetric(float64(res.Rounds), "rounds/uniform")
-	})
-}
-
-// BenchmarkTable1_MaximalMatching reproduces the maximal-matching row (E6).
-func BenchmarkTable1_MaximalMatching(b *testing.B) {
-	uniform := engines.UniformMatching()
-	for _, n := range []int{256, 1024} {
-		g := benchGNP(b, n, 5)
-		b.Run(fmt.Sprintf("gnp5/n=%d", n), func(b *testing.B) {
-			compare(b, g, engines.NonUniformMatching(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				return problems.ValidMaximalMatching(g, outputs)
-			})
-		})
-	}
-}
-
-// BenchmarkTable1_RulingSet reproduces the randomized ruling-set row (E7):
-// weak Monte Carlo baseline vs the Theorem 2 uniform Las Vegas transform.
-func BenchmarkTable1_RulingSet(b *testing.B) {
-	for _, beta := range []int{1, 2} {
-		uniform := engines.LasVegasRulingSet(beta)
-		g := benchGNP(b, 512, 8)
-		b.Run(fmt.Sprintf("beta=%d/gnp8/n=512", beta), func(b *testing.B) {
-			compare(b, g, engines.NonUniformRulingSet(beta)(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				in, err := problems.Bools(outputs)
-				if err != nil {
-					return err
-				}
-				return problems.ValidRulingSet(g, in, 2, beta)
-			})
-		})
-	}
-}
-
-// BenchmarkTable1_LubyMIS reproduces the uniform randomized MIS row (E8):
-// rounds grow logarithmically with n. Under -short (the CI perf smoke) the
-// largest instance is dropped.
-func BenchmarkTable1_LubyMIS(b *testing.B) {
-	sizes := []int{1024, 4096, 16384}
-	if testing.Short() {
-		sizes = sizes[:2]
-	}
-	for _, n := range sizes {
-		g := benchGNP(b, n, 8)
-		b.Run(fmt.Sprintf("gnp8/n=%d", n), func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, g, luby.New(), int64(i))
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-		})
-	}
-}
-
-// BenchmarkCorollary1_FastestOf reproduces the min{...} of Corollary 1(i)
-// via Theorem 4 (E9): on each extreme topology the combination tracks its
-// best engine.
-func BenchmarkCorollary1_FastestOf(b *testing.B) {
-	combined := engines.BestMIS()
-	cyc := benchCycle(b, 2048)
-	for _, fam := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", graph.Star(2048)},     // arboricity engine territory (a=1, Δ=n-1)
-		{"clique", graph.Complete(96)}, // identity engine territory (Δ = n-1, a large)
-		{"cycle", cyc},                 // Δ-engine territory (Δ = 2)
-	} {
-		b.Run(fam.name, func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, fam.g, combined, int64(i))
-			}
-			if err := misCheck(fam.g)(res.Outputs); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-		})
-	}
-}
-
-// BenchmarkCorollary1_DegPlus1Coloring reproduces the Section 5.1 product
-// construction (E10): uniform (deg+1)-coloring from a uniform MIS.
-func BenchmarkCorollary1_DegPlus1Coloring(b *testing.B) {
-	uniform := engines.UniformDegPlusOneColoring(engines.LubyMIS())
-	for _, n := range []int{256, 1024} {
-		g := benchGNP(b, n, 6)
-		b.Run(fmt.Sprintf("gnp6/n=%d", n), func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, g, uniform, int64(i))
-			}
-			colors, err := problems.Ints(res.Outputs)
+	for _, s := range specs {
+		b.Run(s.Name, func(b *testing.B) {
+			batch, err := scenario.Expand([]*scenario.Spec{s}, scenario.ExpandOptions{Corpus: benchCorpus})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := problems.ValidColoring(g, colors, g.MaxDegree()+1); err != nil {
-				b.Fatal(err)
+			b.ResetTimer()
+			var results []sweep.Result
+			for i := 0; i < b.N; i++ {
+				results, _ = sweep.Run(batch.Jobs, sweep.Options{Parallel: 1})
+				if err := sweep.FirstErr(results); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
+			rounds, runs := map[string]int{}, map[string]int{}
+			ratio, ratios := 0.0, 0
+			for ji, r := range results {
+				if err := batch.Check(ji, r.Res.Outputs); err != nil {
+					b.Fatalf("%s: %v", batch.Jobs[ji].Label, err)
+				}
+				m := batch.Metas[ji]
+				rounds[m.Role] += r.Res.Rounds
+				runs[m.Role]++
+				if m.RatioOf >= 0 {
+					ratio += float64(r.Res.Rounds) / float64(results[m.RatioOf].Res.Rounds)
+					ratios++
+				}
+			}
+			for role, total := range rounds {
+				b.ReportMetric(float64(total)/float64(runs[role]), "rounds/"+role)
+			}
+			if ratios > 0 {
+				b.ReportMetric(ratio/float64(ratios), "ratio")
+			}
 		})
 	}
+}
+
+// uniformOf builds row r's uniform algorithm.
+func uniformOf(b *testing.B, r engines.Row) local.Algorithm {
+	a, err := r.New(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a
 }
 
 // BenchmarkFigure1_AlternatingCascade reproduces Figure 1 (E11): the
@@ -305,12 +132,12 @@ func BenchmarkCorollary1_DegPlus1Coloring(b *testing.B) {
 // driven by a weak Monte Carlo engine so several iterations are exercised.
 func BenchmarkFigure1_AlternatingCascade(b *testing.B) {
 	g := benchGNP(b, 2048, 8)
-	lv := engines.LasVegasMIS()
+	lv := uniformOf(b, engines.RowLasVegasMIS)
 	var res *local.Result
 	for i := 0; i < b.N; i++ {
 		res = run(b, g, lv, int64(i))
 	}
-	if err := misCheck(g)(res.Outputs); err != nil {
+	if err := engines.RowLasVegasMIS.CheckUniform(g, 0, res.Outputs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(res.Rounds), "rounds")
@@ -335,7 +162,7 @@ func BenchmarkFigure1_AlternatingCascade(b *testing.B) {
 // BenchmarkTheorem2_LasVegas reproduces the Monte-Carlo-to-Las-Vegas
 // transformation (E12) on MIS.
 func BenchmarkTheorem2_LasVegas(b *testing.B) {
-	lv := engines.LasVegasMIS()
+	lv := uniformOf(b, engines.RowLasVegasMIS)
 	for _, n := range []int{256, 1024, 4096} {
 		g := benchGNP(b, n, 8)
 		b.Run(fmt.Sprintf("gnp8/n=%d", n), func(b *testing.B) {
@@ -345,7 +172,7 @@ func BenchmarkTheorem2_LasVegas(b *testing.B) {
 				res = run(b, g, lv, int64(i))
 				total += res.Rounds
 			}
-			if err := misCheck(g)(res.Outputs); err != nil {
+			if err := engines.RowLasVegasMIS.CheckUniform(g, 0, res.Outputs); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "rounds/avg")
@@ -353,57 +180,43 @@ func BenchmarkTheorem2_LasVegas(b *testing.B) {
 	}
 }
 
-// BenchmarkObservation21_Composition measures the α-synchronizer
-// composition (E13): composed time stays below the sum of stage times plus
-// the wake-up skew.
-func BenchmarkObservation21_Composition(b *testing.B) {
-	g := benchGNP(b, 1024, 6)
-	delayed := local.WithWakeup(luby.New(), func(id int64) int { return int(id % 17) })
-	var res *local.Result
-	for i := 0; i < b.N; i++ {
-		res = run(b, g, delayed, int64(i))
-	}
-	if err := misCheck(g)(res.Outputs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Rounds), "rounds")
-}
-
 // BenchmarkAblation_TransformerOverhead isolates the Theorem 1 overhead
 // (E14): the ratio uniform/non-uniform across a size sweep must stay flat.
+// Each iteration runs the baseline (correct guesses) and the uniform
+// transform as one scheduler batch.
 func BenchmarkAblation_TransformerOverhead(b *testing.B) {
-	uniform := engines.UniformMISDelta()
+	r := engines.RowMISDelta
+	uniform := uniformOf(b, r)
 	for _, n := range []int{128, 512, 2048, 8192} {
 		g := benchRegular(b, n, 4)
+		baseline := r.NewBaseline(0, engines.GraphParams(g))
 		b.Run(fmt.Sprintf("regular4/n=%d", n), func(b *testing.B) {
-			compare(b, g, engines.NonUniformMISDelta(engines.GraphParams(g)), uniform, misCheck(g))
-		})
-	}
-}
-
-// BenchmarkAblation_PruningRadius measures the cost of the pruning phase as
-// a function of the pruner radius β (every alternating window pays
-// radius+2 rounds).
-func BenchmarkAblation_PruningRadius(b *testing.B) {
-	g := benchGNP(b, 512, 8)
-	for _, beta := range []int{1, 2, 3} {
-		uniform := engines.LasVegasRulingSet(beta)
-		b.Run(fmt.Sprintf("beta=%d", beta), func(b *testing.B) {
-			var res *local.Result
+			var nu, un *local.Result
 			for i := 0; i < b.N; i++ {
-				res = run(b, g, uniform, int64(i))
+				results, _ := sweep.Run([]sweep.Job{
+					{Graph: g, Algo: func() local.Algorithm { return baseline }, Seed: int64(i)},
+					{Graph: g, Algo: func() local.Algorithm { return uniform }, Seed: int64(i)},
+				}, sweep.Options{Parallel: 1})
+				if err := sweep.FirstErr(results); err != nil {
+					b.Fatal(err)
+				}
+				nu, un = results[0].Res, results[1].Res
 			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
+			if err := r.CheckUniform(g, 0, un.Outputs); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(nu.Rounds), "rounds/nonuniform")
+			b.ReportMetric(float64(un.Rounds), "rounds/uniform")
+			b.ReportMetric(float64(un.Rounds)/float64(nu.Rounds), "ratio")
 		})
 	}
 }
 
 // BenchmarkAblation_SeqNumberShapes contrasts the additive (s_f = 1) and
-// product (s_f = O(log)) sequence-number machineries on the same engine by
-// counting scheduled guess vectors per iteration.
+// product (s_f = O(log)) sequence-number machineries of the Δ- and
+// arboricity-rows by counting scheduled guess vectors per iteration.
 func BenchmarkAblation_SeqNumberShapes(b *testing.B) {
-	_, additive := engines.MISDeltaEngine()
-	_, product := engines.MISArbEngine()
+	additive, product := engines.RowMISDelta.Seq(0), engines.RowMISArb.Seq(0)
 	var addTotal, prodTotal int
 	for i := 0; i < b.N; i++ {
 		addTotal, prodTotal = 0, 0

@@ -6,8 +6,12 @@
 //
 // Usage:
 //
-//	localtrace [-algo lasvegas-mis|uniform-mis|uniform-matching] [-n N] [-deg D]
-//	           [-seed S] [-max-rounds R]
+//	localtrace [-algo NAME] [-n N] [-deg D] [-seed S] [-max-rounds R]
+//
+// NAME is an entry of the scenario registry (`scenarioctl -algos` lists
+// them), e.g. lasvegas-mis, uniform-mis-delta or uniform-matching. A
+// non-uniform baseline runs with the exact parameters of the instance;
+// entries that need a λ or β parameter cannot be traced.
 //
 // With -max-rounds, the algorithm is truncated at R rounds in the paper's
 // "restricted to i rounds" sense (every live node is forced to terminate
@@ -28,10 +32,11 @@ import (
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
+	"github.com/unilocal/unilocal/internal/scenario"
 )
 
 var (
-	flagAlgo      = flag.String("algo", "lasvegas-mis", "algorithm: lasvegas-mis, uniform-mis, uniform-matching")
+	flagAlgo      = flag.String("algo", "lasvegas-mis", "registry algorithm to trace (scenarioctl -algos lists them)")
 	flagN         = flag.Int("n", 2048, "number of nodes (>= 1)")
 	flagDeg       = flag.Float64("deg", 8, "average degree of the G(n,p) instance (0 <= deg <= n-1)")
 	flagSeed      = flag.Int64("seed", 1, "simulation seed")
@@ -85,18 +90,18 @@ func trace(cfg traceConfig, w io.Writer) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	var algo local.Algorithm
-	switch cfg.Algo {
-	case "lasvegas-mis":
-		algo = engines.LasVegasMIS()
-	case "uniform-mis":
-		algo = engines.UniformMISDelta()
-	case "uniform-matching":
-		algo = engines.UniformMatching()
-	default:
-		return fmt.Errorf("unknown algorithm %q", cfg.Algo)
+	as := scenario.AlgoSpec{Name: cfg.Algo}
+	if err := as.Validate(); err != nil {
+		return err
 	}
+	entry, _ := scenario.LookupAlgorithm(as.Name)
 	g, err := graph.GNP(cfg.N, cfg.p(), cfg.Seed)
+	if err != nil {
+		return err
+	}
+	// A baseline reads the exact parameters, as Expand's exact regime
+	// advertises them; a uniform algorithm ignores them.
+	algo, err := entry.Build(engines.GraphParams(g), as)
 	if err != nil {
 		return err
 	}

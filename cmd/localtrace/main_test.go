@@ -53,13 +53,23 @@ func TestTraceValidationAndOutput(t *testing.T) {
 			wantErr: `unknown algorithm "no-such"`,
 		},
 		{
+			name:    "entries with a parameter fail validation",
+			cfg:     traceConfig{Algo: "uniform-lambda-coloring", N: 16, Deg: 2, Seed: 1},
+			wantErr: "needs lambda >= 1, got 0",
+		},
+		{
+			name: "baseline runs with the exact parameters",
+			cfg:  traceConfig{Algo: "nonuniform-mis-delta", N: 64, Deg: 4, Seed: 1},
+			want: []string{"alternating cascade of colormis"},
+		},
+		{
 			name: "full run has a cascade and no never-halted row",
 			cfg:  traceConfig{Algo: "lasvegas-mis", N: 256, Deg: 6, Seed: 1},
 			want: []string{"alternating cascade of", "iteration | announce round"},
 		},
 		{
 			name: "truncated run counts never-halted nodes explicitly",
-			cfg:  traceConfig{Algo: "uniform-mis", N: 256, Deg: 6, Seed: 1, MaxRounds: 3},
+			cfg:  traceConfig{Algo: "uniform-mis-delta", N: 256, Deg: 6, Seed: 1, MaxRounds: 3},
 			want: []string{"never halted within 3 rounds"},
 		},
 	}

@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"github.com/unilocal/unilocal/internal/cliutil"
+	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/scenario"
 )
@@ -46,13 +47,13 @@ func main() {
 			if e.PerGraph {
 				tags += " [baseline]"
 			}
-			if e.NeedsLambda {
+			switch e.Row.Arg {
+			case engines.ArgLambda:
 				tags += " [lambda]"
-			}
-			if e.NeedsBeta {
+			case engines.ArgBeta:
 				tags += " [beta]"
 			}
-			if e.PacksIDs {
+			if e.Row.PacksIDs {
 				tags += " [packs-ids]"
 			}
 			fmt.Printf("%-28s%s — %s\n", e.Name, tags, e.Doc)

@@ -37,11 +37,14 @@ func run() error {
 	feeders := graph.Caterpillar(40, 2)
 	g := graph.DisjointUnion(core, grid, feeders)
 
-	quad, err := engines.UniformQuadColoring()
+	quad, err := engines.RowQuadColoring.New(0)
 	if err != nil {
 		return err
 	}
-	degPlus1 := engines.UniformDegPlusOneColoring(engines.LubyMIS())
+	degPlus1, err := engines.RowDegColoring.New(0)
+	if err != nil {
+		return err
+	}
 
 	for _, tc := range []struct {
 		name string

@@ -54,8 +54,11 @@ func run() error {
 		return err
 	}
 
-	baseline := engines.NonUniformMatching(engines.GraphParams(g))
-	uniform := engines.UniformMatching()
+	baseline := engines.RowMatching.NewBaseline(0, engines.GraphParams(g))
+	uniform, err := engines.RowMatching.New(0)
+	if err != nil {
+		return err
+	}
 
 	resBase, err := local.Run(g, baseline, local.Options{Seed: 2})
 	if err != nil {

@@ -38,14 +38,17 @@ func run() error {
 
 	// The baseline needs to be told Δ and the identity bound m. The exact
 	// regime advertises the measured parameters verbatim.
-	baseline := engines.NonUniformMISDelta(engines.GraphParams(g))
+	baseline := engines.RowMISDelta.NewBaseline(0, engines.GraphParams(g))
 	resBase, err := local.Run(g, baseline, local.Options{Seed: 1})
 	if err != nil {
 		return err
 	}
 
 	// The uniform algorithm is told NOTHING.
-	uniform := engines.UniformMISDelta()
+	uniform, err := engines.RowMISDelta.New(0)
+	if err != nil {
+		return err
+	}
 	resUni, err := local.Run(g, uniform, local.Options{Seed: 1})
 	if err != nil {
 		return err

@@ -34,7 +34,10 @@ func run() error {
 		return err
 	}
 
-	lv := engines.LasVegasRulingSet(beta)
+	lv, err := engines.RowRulingSet.New(beta)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("uniform Las Vegas (2,%d)-ruling set on %d nodes (size unknown to nodes)\n\n", beta, g.N())
 	fmt.Println("seed | rounds | heads | validity")
 	total := 0

@@ -35,5 +35,9 @@ func BenchmarkArbMISLoose(b *testing.B) {
 }
 
 func BenchmarkArbMISUniform(b *testing.B) {
-	benchRun(b, graph.ForestUnion(256, 3, 6), engines.UniformMISArb())
+	uniform, err := engines.RowMISArb.New(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRun(b, graph.ForestUnion(256, 3, 6), uniform)
 }

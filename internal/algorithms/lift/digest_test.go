@@ -35,9 +35,12 @@ func digestLifts() []digestLift {
 	var lifts []digestLift
 	for _, k := range []int{1, 2, 3} {
 		lifts = append(lifts, digestLift{
-			name:    fmt.Sprintf("power%d", k),
-			algo:    func() local.Algorithm { return lift.Power(k, luby.New()) },
-			windows: func() local.Algorithm { return engines.LasVegasRulingSet(k) },
+			name: fmt.Sprintf("power%d", k),
+			algo: func() local.Algorithm { return lift.Power(k, luby.New()) },
+			windows: func() local.Algorithm {
+				a, _ := engines.RowRulingSet.New(k) // a Theorem 2 row cannot fail to build
+				return a
+			},
 		})
 	}
 	return append(lifts, digestLift{

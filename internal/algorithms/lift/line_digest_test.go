@@ -79,7 +79,10 @@ func TestLineLiftRunDigests(t *testing.T) {
 		"permuted":  {wrap: func(a local.Algorithm) local.Algorithm { return a }, permute: &local.Permute{Seed: 11}},
 	}
 	delay := func(id int64) int { return int(id*7) % 5 }
-	uniform := engines.UniformMatching()
+	uniform, err := engines.RowMatching.New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cases []digest.Case
 	for gname, g := range lineHosts(t, 80) {
 		for iname, inner := range inners {

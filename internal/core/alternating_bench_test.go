@@ -43,7 +43,7 @@ func BenchmarkAlternatingCascade(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nu, seq := lubyEngine()
+	nu, seq := parts(engines.RowLasVegasMIS)
 	benchAlt(b, g, core.NewAlternating("lasvegas(luby)", core.Theorem2Plan(nu, seq), core.MISPruner()))
 }
 
@@ -56,7 +56,7 @@ func BenchmarkAlternatingOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nu, seq := engines.MISDeltaEngine()
+		nu, seq := parts(engines.RowMISDelta)
 		b.Run(fmt.Sprintf("regular4/n=%d", n), func(b *testing.B) {
 			benchAlt(b, g, core.NewAlternating("uniform(colormis)", core.Theorem1Plan(nu, seq), core.MISPruner()))
 		})
@@ -105,7 +105,7 @@ func (p benchListPlan) Step(k int) (core.Step, bool) {
 // versus re-walking the raw Theorem 2 doubling schedule, as every node of
 // every window did before the cache.
 func BenchmarkPlanStep(b *testing.B) {
-	nu, seq := lubyEngine()
+	nu, seq := parts(engines.RowLasVegasMIS)
 	const windows = 24
 	b.Run("memo", func(b *testing.B) {
 		plan := core.MemoPlan(core.Theorem2Plan(nu, seq))

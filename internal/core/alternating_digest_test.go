@@ -13,17 +13,9 @@ import (
 	"github.com/unilocal/unilocal/internal/local"
 )
 
-// lubyEngine is truncated Luby as the weak Monte Carlo black box of
-// Theorem 2, wired as engines.LasVegasMIS wires it.
-func lubyEngine() (core.NonUniform, core.SetSequence) {
-	nu := core.NonUniformFunc{
-		AlgoName: "luby-truncated",
-		Needs:    []core.Param{core.ParamN},
-		Build: func(p core.Params) local.Algorithm {
-			return luby.Truncated(p.N)
-		},
-	}
-	return nu, core.Additive(luby.Rounds)
+// parts returns a row's black box and the set-sequence of its bound.
+func parts(r engines.Row) (core.NonUniform, core.SetSequence) {
+	return r.NonUniform(0), r.Seq(0)
 }
 
 // altAlgos are the transformer stacks under test, one per plan family of
@@ -31,9 +23,9 @@ func lubyEngine() (core.NonUniform, core.SetSequence) {
 // an alternating algorithm over two engines, one of which is another
 // alternating algorithm.
 func altAlgos() map[string]local.Algorithm {
-	misNU, misSeq := engines.MISDeltaEngine()
-	lubyNU, lubySeq := lubyEngine()
-	mmNU, mmSeq := engines.MatchingEngine()
+	misNU, misSeq := parts(engines.RowMISDelta)
+	lubyNU, lubySeq := parts(engines.RowLasVegasMIS)
+	mmNU, mmSeq := parts(engines.RowMatching)
 	inner := core.NewAlternating("t1", core.Theorem1Plan(misNU, misSeq), core.MISPruner())
 	return map[string]local.Algorithm{
 		"theorem1-mis":      core.NewAlternating("t1", core.Theorem1Plan(misNU, misSeq), core.MISPruner()),
@@ -89,7 +81,7 @@ func TestAlternatingRunDigests(t *testing.T) {
 // algorithm value (with its shared memoized plan) reused across many
 // concurrent Runs must behave exactly like a fresh instance per Run.
 func TestAlternatingSharedAcrossRuns(t *testing.T) {
-	misNU, misSeq := engines.MISDeltaEngine()
+	misNU, misSeq := parts(engines.RowMISDelta)
 	shared := core.NewAlternating("t1", core.Theorem1Plan(misNU, misSeq), core.MISPruner())
 	g := altGraphs(t)["gnp"]
 
@@ -128,8 +120,8 @@ func TestAlternatingSharedAcrossRuns(t *testing.T) {
 // TestMemoPlanMatchesRaw checks the cache against the raw schedules step by
 // step, including exhaustion, under interleaved out-of-order access.
 func TestMemoPlanMatchesRaw(t *testing.T) {
-	misNU, misSeq := engines.MISDeltaEngine()
-	lubyNU, lubySeq := lubyEngine()
+	misNU, misSeq := parts(engines.RowMISDelta)
+	lubyNU, lubySeq := parts(engines.RowLasVegasMIS)
 	// Probe depths stay within the window indices an execution can actually
 	// reach for plans that construct inner algorithms eagerly (cache
 	// extension materialises every intermediate step, and colormis.New at

@@ -1,22 +1,25 @@
-// Package engines wires every Table 1 row of Korman–Sereni–Viennot to its
-// concrete algorithms and transformers: for each row it exposes the
-// non-uniform engine (instantiated with correct guesses, the baseline the
-// paper compares against) and the uniform algorithm obtained through the
-// paper's machinery (Theorems 1–5 and Section 5.1). The benchmark harness,
-// the command-line tools and the examples all build on this package, so the
-// wiring of each experiment lives in exactly one place.
+// Package engines declares every Table 1 row of Korman–Sereni–Viennot (and
+// the corollaries built on the rows) once, as a Row: the non-uniform
+// algorithm with its Γ, the set-sequence of its running-time bound, the
+// pruner, the exact running time, the theorem that makes it uniform, and the
+// problem checker with its palette bounds. The scenario registry derives
+// its entries from Rows, and the tests, the command-line tools and the
+// examples build on the rows, so the wiring of each experiment lives in
+// exactly one place.
 //
-// Every uniform algorithm returned here is an alternating algorithm whose
+// Every uniform algorithm a row builds is an alternating algorithm whose
 // plan is backed by a shared memoized step cache (core.MemoPlan, see
-// DESIGN.md §2.5): construct it once and reuse the value across any number
-// of graphs, seeds and concurrent Runs — the schedule arithmetic is paid
-// once per step index for the lifetime of the value, and results are
-// byte-identical to a fresh instance per run. Constructing a new algorithm
-// per run (as a throwaway script might) is correct but re-pays the
-// schedule walks.
+// DESIGN.md §2.5): build it once and reuse the value across any number of
+// graphs, seeds and concurrent Runs — the schedule arithmetic is paid once
+// per step index for the lifetime of the value, and results are
+// byte-identical to a fresh instance per run. Building a new algorithm per
+// run (as a throwaway script might) is correct but re-pays the schedule
+// walks.
 package engines
 
 import (
+	"fmt"
+
 	"github.com/unilocal/unilocal/internal/algorithms/arbmis"
 	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
 	"github.com/unilocal/unilocal/internal/algorithms/colormis"
@@ -31,6 +34,7 @@ import (
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
+	"github.com/unilocal/unilocal/internal/problems"
 )
 
 // GraphParams measures the true parameter vector (n, Δ, arboricity upper
@@ -42,183 +46,343 @@ func GraphParams(g *graph.Graph) core.Params {
 	return core.NewParams(g.N(), g.MaxDegree(), arb, g.MaxIDValue())
 }
 
-// --- Row "Det. MIS and (Δ+1)-coloring, O(Δ + log* n)" (BE/Kuhn regime) ---
+// Row is one row as the transformers consume it. Every function field takes
+// the row's argument k, named by Arg: the λ of the coloring trade-off or
+// the β of the ruling set; rows without an argument ignore it.
+type Row struct {
+	// UniformName and BaselineName are the registry names of the row's
+	// uniform algorithm and of its non-uniform baseline ("" when the row
+	// has none); UniformDoc and BaselineDoc describe them in one line.
+	UniformName, UniformDoc   string
+	BaselineName, BaselineDoc string
+	Arg                       Arg
+	// PacksIDs marks rows whose algorithms simulate pair-packed derived
+	// graphs (line graphs, clique products) and therefore require node
+	// identities <= graph.MaxID.
+	PacksIDs bool
 
-// MISDeltaEngine is the colormis stack as a Theorem 1 black box with
-// Γ = {Δ, m} and an additive bound.
-func MISDeltaEngine() (core.NonUniform, core.SetSequence) {
-	nu := core.NonUniformFunc{
-		AlgoName: "colormis",
-		Needs:    []core.Param{core.ParamMaxDegree, core.ParamMaxID},
-		Build: func(p core.Params) local.Algorithm {
-			return colormis.New(p.Delta, p.M)
-		},
+	// NonUniform is the non-uniform algorithm with its Γ: the baseline, and
+	// the black box that Transform makes uniform. Nil on rows with neither.
+	NonUniform func(k int) core.NonUniformFunc
+	// Seq is the set-sequence of NonUniform's running-time bound and Pruner
+	// certifies the row's problem; Transform (core.Uniform for Theorem 1,
+	// core.LasVegas for Theorem 2) combines the three. Rows made uniform
+	// another way set Build instead.
+	Seq       func(k int) core.SetSequence
+	Pruner    func(k int) core.Pruner
+	Transform func(core.NonUniform, core.SetSequence, core.Pruner) local.Algorithm
+	Build     func(k int) (local.Algorithm, error)
+	// Rounds is NonUniform's exact running time under the guesses p, or nil
+	// when the row declares none.
+	Rounds func(k int, p core.Params) int
+
+	// Problem checks every run's outputs. UniformPalette bounds the colors
+	// of the uniform algorithm on g, BaselinePalette those of the baseline
+	// under its advertised parameters; nil means no bound.
+	Problem         Problem
+	UniformPalette  func(g *graph.Graph, k int) int
+	BaselinePalette func(p core.Params, k int) int
+}
+
+// Arg names the integer argument k of a row's functions.
+type Arg int
+
+// The row arguments.
+const (
+	ArgNone   Arg = iota // the row takes no argument
+	ArgLambda            // the λ of the λ(Δ+1)-coloring trade-off
+	ArgBeta              // the β of the (2, β)-ruling set
+)
+
+// New builds the row's uniform algorithm at argument k.
+func (r Row) New(k int) (local.Algorithm, error) {
+	if r.Build != nil {
+		return r.Build(k)
 	}
-	return nu, core.Additive(colormis.BoundDelta, colormis.BoundM)
+	return r.Transform(r.NonUniform(k), r.Seq(k), r.Pruner(k)), nil
 }
 
-// NonUniformMISDelta is the baseline under the advertised parameters.
-func NonUniformMISDelta(p core.Params) local.Algorithm {
-	return colormis.New(p.Delta, p.M)
+// NewBaseline builds the row's non-uniform algorithm at argument k under
+// the advertised parameters p.
+func (r Row) NewBaseline(k int, p core.Params) local.Algorithm {
+	return r.NonUniform(k).Build(p)
 }
 
-// UniformMISDelta is the Theorem 1 uniform MIS (Corollary 2, first item).
-func UniformMISDelta() local.Algorithm {
-	nu, seq := MISDeltaEngine()
-	return core.Uniform(nu, seq, core.MISPruner())
-}
-
-// --- Row "Det. MIS, 2^O(√log n)" (Panconesi–Srinivasan slot; see
-// DESIGN.md §4 for the greedy-by-identity substitution) ---
-
-// MISIDEngine is the truncated sequential-greedy MIS with Γ = {m}.
-func MISIDEngine() (core.NonUniform, core.SetSequence) {
-	nu := core.NonUniformFunc{
-		AlgoName: "seqmis",
-		Needs:    []core.Param{core.ParamMaxID},
-		Build: func(p core.Params) local.Algorithm {
-			return seqmis.Truncated(int(p.M))
-		},
+// CheckUniform validates the outputs of the row's uniform algorithm on g.
+func (r Row) CheckUniform(g *graph.Graph, k int, outputs []any) error {
+	palette := 0
+	if r.UniformPalette != nil {
+		palette = r.UniformPalette(g, k)
 	}
-	return nu, core.Additive(seqmis.Rounds)
+	return r.Problem.Check(g, k, palette, outputs)
 }
 
-// NonUniformMISID is the baseline under the advertised parameters.
-func NonUniformMISID(p core.Params) local.Algorithm {
-	return seqmis.Truncated(int(p.M))
-}
-
-// UniformMISID is the Theorem 1 uniform MIS whose time depends on m only.
-func UniformMISID() local.Algorithm {
-	nu, seq := MISIDEngine()
-	return core.Uniform(nu, seq, core.MISPruner())
-}
-
-// --- Arboricity rows (Barenboim–Elkin [6] regime) ---
-
-// MISArbEngine is the H-partition MIS with Γ = {n, a, m} and the
-// product-form bound f(ñ)·(f(ã)+f(m̃)) of Observation 4.1.
-func MISArbEngine() (core.NonUniform, core.SetSequence) {
-	nu := core.NonUniformFunc{
-		AlgoName: "arbmis",
-		Needs:    []core.Param{core.ParamN, core.ParamArboricity, core.ParamMaxID},
-		Build: func(p core.Params) local.Algorithm {
-			return arbmis.New(p.Arb, p.N, p.M)
-		},
+// CheckBaseline validates the outputs of the row's baseline on g; its
+// palette bound is stated in the advertised parameters p it was built with.
+func (r Row) CheckBaseline(g *graph.Graph, k int, p core.Params, outputs []any) error {
+	palette := 0
+	if r.BaselinePalette != nil {
+		palette = r.BaselinePalette(p, k)
 	}
-	seq := core.Product(
-		core.Additive(arbmis.BoundLayers),
-		core.Additive(arbmis.BoundA, arbmis.BoundM),
-	)
-	return nu, seq
+	return r.Problem.Check(g, k, palette, outputs)
 }
 
-// NonUniformMISArb is the baseline under the advertised parameters
-// (arboricity taken as its degeneracy upper bound).
-func NonUniformMISArb(p core.Params) local.Algorithm {
-	return arbmis.New(p.Arb, p.N, p.M)
-}
+// Problem is the problem a row solves, with the output convention of
+// internal/problems.
+type Problem int
 
-// UniformMISArb is the Theorem 1 uniform arboricity MIS (Corollaries 3/4).
-func UniformMISArb() local.Algorithm {
-	nu, seq := MISArbEngine()
-	return core.Uniform(nu, seq, core.MISPruner())
-}
+// The problems of the rows.
+const (
+	MIS          Problem = iota + 1 // bool per node
+	Coloring                        // int color per node
+	EdgeColoring                    // one color per port, agreed across each edge
+	Matching                        // problems.EdgeClaim per node
+	RulingSet                       // bool per node: a (2, k)-ruling set
+)
 
-// UniformMISArbTheorem3 derives the same uniform algorithm via Theorem 3,
-// with Λ = {n, m} and the arboricity weakly dominated by n (a <= n).
-func UniformMISArbTheorem3() (local.Algorithm, error) {
-	nu, _ := MISArbEngine()
-	seq := core.Product(
-		core.Additive(arbmis.BoundLayers),
-		core.Additive(
-			func(n int) int { return arbmis.BoundA(n) }, // a replaced by its dominator
-			arbmis.BoundM,
-		),
-	)
-	return core.UniformWeaklyDominated(nu,
-		[]core.Param{core.ParamN, core.ParamN, core.ParamMaxID},
-		[]core.Domination{{Param: core.ParamArboricity, ByIndex: 1, G: func(x int) int { return x }}},
-		seq, core.MISPruner())
-}
-
-// --- Corollary 1(i): min of the three MIS engines via Theorem 4 ---
-
-// BestMIS combines the three uniform MIS algorithms (Δ-engine, m-engine,
-// arboricity engine) with Theorem 4, running as fast as the fastest.
-func BestMIS() local.Algorithm {
-	return core.FastestOf("best-mis", core.MISPruner(),
-		UniformMISDelta(), UniformMISArb(), seqmis.New())
-}
-
-// --- Row "Rand. MIS, uniform O(log n)" ---
-
-// LubyMIS is the uniform randomized baseline.
-func LubyMIS() local.Algorithm { return luby.New() }
-
-// --- Theorem 2: Monte Carlo → Las Vegas ---
-
-// LasVegasMIS transforms truncated Luby (weak Monte Carlo) into a uniform
-// Las Vegas MIS.
-func LasVegasMIS() local.Algorithm {
-	nu := core.NonUniformFunc{
-		AlgoName: "luby-truncated",
-		Needs:    []core.Param{core.ParamN},
-		Build: func(p core.Params) local.Algorithm {
-			return luby.Truncated(p.N)
-		},
+// Check validates outputs on g; colors must lie in [1, palette] (palette 0:
+// any positive color).
+func (pr Problem) Check(g *graph.Graph, k, palette int, outputs []any) error {
+	switch pr {
+	case MIS, RulingSet:
+		in, err := problems.Bools(outputs)
+		if err != nil {
+			return err
+		}
+		if pr == MIS {
+			return problems.ValidMIS(g, in)
+		}
+		return problems.ValidRulingSet(g, in, 2, k)
+	case Coloring:
+		colors, err := problems.Ints(outputs)
+		if err != nil {
+			return err
+		}
+		return problems.ValidColoring(g, colors, palette)
+	case EdgeColoring:
+		colors, err := problems.EdgeColors(g, outputs)
+		if err != nil {
+			return err
+		}
+		return problems.ValidEdgeColoring(g, colors, palette)
+	case Matching:
+		return problems.ValidMaximalMatching(g, outputs)
 	}
-	return core.LasVegas(nu, core.Additive(luby.Rounds), core.MISPruner())
+	return fmt.Errorf("engines: unknown problem %d", pr)
 }
 
-// LasVegasRulingSet transforms the truncated power-graph Luby into a
-// uniform Las Vegas (2, beta)-ruling set (Corollary 1(vii) slot).
-func LasVegasRulingSet(beta int) local.Algorithm {
-	nu := core.NonUniformFunc{
-		AlgoName: "power-luby",
-		Needs:    []core.Param{core.ParamN},
-		Build: func(p core.Params) local.Algorithm {
-			return rulingset.TruncatedPowerLuby(beta, p.N)
-		},
-	}
-	seq := core.Additive(func(n int) int { return rulingset.PowerLubyRounds(beta, n) })
-	return core.LasVegas(nu, seq, core.RulingSetPruner(beta))
+var (
+	deltaM = []core.Param{core.ParamMaxDegree, core.ParamMaxID}
+	onlyN  = []core.Param{core.ParamN}
+)
+
+func misPruner(int) core.Pruner { return core.MISPruner() }
+
+// Rows lists every row in experiment order (DESIGN.md §3).
+var Rows = []Row{
+	RowMISDelta, RowMISID, RowMISArb, RowLambdaColoring, RowQuadColoring,
+	RowMatching, RowRulingSet, RowLuby, RowBestMIS,
+	RowDegColoring, RowLasVegasMIS,
 }
 
-// NonUniformRulingSet is the weak Monte Carlo baseline under the advertised
-// parameters.
-func NonUniformRulingSet(beta int) func(p core.Params) local.Algorithm {
-	return func(p core.Params) local.Algorithm {
-		return rulingset.TruncatedPowerLuby(beta, p.N)
-	}
+// RowMISDelta is the row "Det. MIS and (Δ+1)-coloring, O(Δ + log* n)"
+// (BE/Kuhn regime): the colormis stack as a Theorem 1 black box with
+// Γ = {Δ, m} and an additive bound (Corollary 2, first item).
+var RowMISDelta = Row{
+	UniformName: "uniform-mis-delta", UniformDoc: "Theorem 1 uniform MIS from the colormis stack (Γ = {Δ, m})",
+	BaselineName: "nonuniform-mis-delta", BaselineDoc: "colormis baseline with correct {Δ, m}",
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "colormis", Needs: deltaM,
+			Build: func(p core.Params) local.Algorithm { return colormis.New(p.Delta, p.M) }}
+	},
+	Seq:       func(int) core.SetSequence { return core.Additive(colormis.BoundDelta, colormis.BoundM) },
+	Pruner:    misPruner,
+	Transform: core.Uniform,
+	Rounds:    func(_ int, p core.Params) int { return colormis.Rounds(p.Delta, p.M) },
+	Problem:   MIS,
 }
 
-// --- Matching row (Corollary 1(vi)) ---
-
-// MatchingEngine is the line-graph matching with Γ = {Δ, m}.
-func MatchingEngine() (core.NonUniform, core.SetSequence) {
-	nu := core.NonUniformFunc{
-		AlgoName: "line-matching",
-		Needs:    []core.Param{core.ParamMaxDegree, core.ParamMaxID},
-		Build: func(p core.Params) local.Algorithm {
-			return matching.New(p.Delta, p.M)
-		},
-	}
-	return nu, core.Additive(matching.BoundDelta, matching.BoundM)
+// RowMISID is the row "Det. MIS, 2^O(√log n)" (Panconesi–Srinivasan slot;
+// see DESIGN.md §4 for the greedy-by-identity substitution): the truncated
+// sequential-greedy MIS with Γ = {m}.
+var RowMISID = Row{
+	UniformName: "uniform-mis-id", UniformDoc: "Theorem 1 uniform MIS whose time depends on m only (greedy substitution)",
+	BaselineName: "nonuniform-mis-id", BaselineDoc: "truncated greedy-by-identity baseline with correct m",
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "seqmis", Needs: []core.Param{core.ParamMaxID},
+			Build: func(p core.Params) local.Algorithm { return seqmis.Truncated(int(p.M)) }}
+	},
+	Seq:       func(int) core.SetSequence { return core.Additive(seqmis.Rounds) },
+	Pruner:    misPruner,
+	Transform: core.Uniform,
+	Rounds:    func(_ int, p core.Params) int { return seqmis.Rounds(int(p.M)) },
+	Problem:   MIS,
 }
 
-// NonUniformMatching is the baseline under the advertised parameters.
-func NonUniformMatching(p core.Params) local.Algorithm {
-	return matching.New(p.Delta, p.M)
+// RowMISArb is the arboricity row (Barenboim–Elkin [6] regime,
+// Corollaries 3/4): the H-partition MIS with Γ = {n, a, m} (arboricity
+// taken as its degeneracy upper bound) and the product-form bound
+// f(ñ)·(f(ã)+f(m̃)) of Observation 4.1.
+var RowMISArb = Row{
+	UniformName: "uniform-mis-arb", UniformDoc: "Theorem 1 uniform MIS for bounded arboricity (Obs 4.1 product bound)",
+	BaselineName: "nonuniform-mis-arb", BaselineDoc: "H-partition MIS baseline with correct {a, n, m}",
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "arbmis",
+			Needs: []core.Param{core.ParamN, core.ParamArboricity, core.ParamMaxID},
+			Build: func(p core.Params) local.Algorithm { return arbmis.New(p.Arb, p.N, p.M) }}
+	},
+	Seq: func(int) core.SetSequence {
+		return core.Product(core.Additive(arbmis.BoundLayers), core.Additive(arbmis.BoundA, arbmis.BoundM))
+	},
+	Pruner:    misPruner,
+	Transform: core.Uniform,
+	Rounds:    func(_ int, p core.Params) int { return arbmis.Rounds(p.Arb, p.N, p.M) },
+	Problem:   MIS,
 }
 
-// UniformMatching is the Theorem 1 uniform maximal matching.
-func UniformMatching() local.Algorithm {
-	nu, seq := MatchingEngine()
-	return core.Uniform(nu, seq, core.MatchingPruner())
+// RowBestMIS is Corollary 1(i): Theorem 4 combines the Δ-, m- and
+// arboricity-engines, running as fast as the fastest.
+var RowBestMIS = Row{
+	UniformName: "best-mis", UniformDoc: "Theorem 4 min of the Δ-, m- and arboricity-engines (Corollary 1(i))",
+	Build: func(int) (local.Algorithm, error) {
+		delta, _ := RowMISDelta.New(0)
+		arb, _ := RowMISArb.New(0)
+		return core.FastestOf("best-mis", core.MISPruner(), delta, arb, seqmis.New()), nil
+	},
+	Problem: MIS,
 }
 
-// --- Coloring rows (Theorem 5 and Section 5.1) ---
+// RowLuby is the row "Rand. MIS, uniform O(log n)": Luby's algorithm is
+// uniform as it stands.
+var RowLuby = Row{
+	UniformName: "luby-mis", UniformDoc: "uniform randomized O(log n) MIS (Luby)",
+	Build:   func(int) (local.Algorithm, error) { return luby.New(), nil },
+	Problem: MIS,
+}
+
+// RowLasVegasMIS is Theorem 2 on MIS: truncated Luby (weak Monte Carlo)
+// becomes a uniform Las Vegas MIS.
+var RowLasVegasMIS = Row{
+	UniformName: "lasvegas-mis", UniformDoc: "Theorem 2 Las Vegas MIS from truncated Luby",
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "luby-truncated", Needs: onlyN,
+			Build: func(p core.Params) local.Algorithm { return luby.Truncated(p.N) }}
+	},
+	Seq:       func(int) core.SetSequence { return core.Additive(luby.Rounds) },
+	Pruner:    misPruner,
+	Transform: core.LasVegas,
+	Rounds:    func(_ int, p core.Params) int { return luby.Rounds(p.N) },
+	Problem:   MIS,
+}
+
+// RowLambdaColoring is the λ(Δ+1)-coloring trade-off (Corollary 1(iii),
+// first item): Theorem 5 on the λ-coloring engine.
+var RowLambdaColoring = Row{
+	UniformName: "uniform-lambda-coloring", UniformDoc: "Theorem 5 uniform λ(Δ+1)-style coloring (Corollary 1(iii))",
+	BaselineName: "nonuniform-lambda-coloring", BaselineDoc: "λ-coloring baseline with correct {Δ, m}",
+	Arg: ArgLambda,
+	NonUniform: func(lambda int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "lambda-coloring", Needs: deltaM,
+			Build: func(p core.Params) local.Algorithm { return coloralgo.Lambda(lambda, p.Delta, p.M) }}
+	},
+	Build: func(lambda int) (local.Algorithm, error) {
+		return core.UniformColoring(LambdaColoringEngine{Lambda: lambda})
+	},
+	Problem: Coloring,
+	UniformPalette: func(g *graph.Graph, lambda int) int {
+		return core.UniformColoringPalette(LambdaColoringEngine{Lambda: lambda}, g.MaxDegree())
+	},
+	// λ(Δ̃+1) for the advertised Δ̃.
+	BaselinePalette: func(p core.Params, lambda int) int { return coloralgo.LambdaPalette(lambda, p.Delta) },
+}
+
+// RowQuadColoring is the uniform O(Δ²)-coloring in O(log* m) rounds
+// (Corollary 1(iii), second item): Theorem 5 on Linial's reduction.
+var RowQuadColoring = Row{
+	UniformName: "uniform-quad-coloring", UniformDoc: "Theorem 5 uniform O(Δ²)-coloring in O(log* m) rounds",
+	Build:   func(int) (local.Algorithm, error) { return core.UniformColoring(QuadEngine{}) },
+	Problem: Coloring,
+	UniformPalette: func(g *graph.Graph, _ int) int {
+		return core.UniformColoringPalette(QuadEngine{}, g.MaxDegree())
+	},
+}
+
+// RowDegColoring is the Section 5.1 uniform (deg+1)-coloring, built on a
+// uniform MIS through the clique product (Corollary 1(ii) route).
+var RowDegColoring = Row{
+	UniformName: "uniform-deg-coloring", UniformDoc: "Section 5.1 uniform (deg+1)-coloring from uniform MIS (clique product)",
+	PacksIDs:       true,
+	Build:          func(int) (local.Algorithm, error) { return core.ColoringFromMIS(luby.New()), nil },
+	Problem:        Coloring,
+	UniformPalette: func(g *graph.Graph, _ int) int { return g.MaxDegree() + 1 },
+}
+
+// RowEdgeColoring is the edge-coloring row (Corollary 1(v)): the
+// (2Δ−1)-edge-coloring baseline against the Theorem 5 uniform O(Δ²)
+// coloring run on the line graph.
+var RowEdgeColoring = Row{
+	UniformName: "uniform-edge-coloring", UniformDoc: "Theorem 5 uniform O(Δ²)-edge-coloring on the line graph (Corollary 1(v))",
+	BaselineName: "nonuniform-edge-coloring", BaselineDoc: "(2Δ−1)-edge-coloring baseline with correct {Δ, m}",
+	PacksIDs: true,
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "edgecolor", Needs: deltaM,
+			Build: func(p core.Params) local.Algorithm { return edgecolor.New(p.Delta, p.M) }}
+	},
+	Build: func(int) (local.Algorithm, error) {
+		inner, err := core.UniformColoring(QuadEngine{})
+		if err != nil {
+			return nil, err
+		}
+		return lift.LineGraph(inner, nil), nil
+	},
+	Problem: EdgeColoring,
+	// The quad palette of the line graph, whose maximum degree is the
+	// largest deg(u)+deg(v)-2 over the edges uv.
+	UniformPalette: func(g *graph.Graph, _ int) int {
+		dL := 0
+		for _, e := range g.Edges() {
+			dL = max(dL, g.Degree(int(e.U))+g.Degree(int(e.V))-2)
+		}
+		return core.UniformColoringPalette(QuadEngine{}, dL)
+	},
+	BaselinePalette: func(p core.Params, _ int) int { return edgecolor.Palette(p.Delta) },
+}
+
+// RowMatching is the maximal-matching row (Corollary 1(vi)): the
+// line-graph matching with Γ = {Δ, m} under Theorem 1 and P_MM.
+var RowMatching = Row{
+	UniformName: "uniform-matching", UniformDoc: "Theorem 1 uniform maximal matching (line-graph lift)",
+	BaselineName: "nonuniform-matching", BaselineDoc: "line-graph matching baseline with correct {Δ, m}",
+	PacksIDs: true,
+	NonUniform: func(int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "line-matching", Needs: deltaM,
+			Build: func(p core.Params) local.Algorithm { return matching.New(p.Delta, p.M) }}
+	},
+	Seq:       func(int) core.SetSequence { return core.Additive(matching.BoundDelta, matching.BoundM) },
+	Pruner:    func(int) core.Pruner { return core.MatchingPruner() },
+	Transform: core.Uniform,
+	Problem:   Matching,
+}
+
+// RowRulingSet is the randomized (2, β)-ruling set (Corollary 1(vii)
+// slot): Theorem 2 turns the truncated power-graph Luby into a uniform Las
+// Vegas algorithm.
+var RowRulingSet = Row{
+	UniformName: "lasvegas-rulingset", UniformDoc: "Theorem 2 Las Vegas (2,β)-ruling set from truncated power-graph Luby",
+	BaselineName: "nonuniform-rulingset", BaselineDoc: "truncated power-graph Luby baseline with correct n",
+	Arg: ArgBeta,
+	NonUniform: func(beta int) core.NonUniformFunc {
+		return core.NonUniformFunc{AlgoName: "power-luby", Needs: onlyN,
+			Build: func(p core.Params) local.Algorithm { return rulingset.TruncatedPowerLuby(beta, p.N) }}
+	},
+	Seq: func(beta int) core.SetSequence {
+		return core.Additive(func(n int) int { return rulingset.PowerLubyRounds(beta, n) })
+	},
+	Pruner:    core.RulingSetPruner,
+	Transform: core.LasVegas,
+	Rounds:    func(beta int, p core.Params) int { return rulingset.PowerLubyRounds(beta, p.N) },
+	Problem:   RulingSet,
+}
 
 // QuadEngine is the O(Δ̃²)-coloring engine (Linial) for Theorem 5.
 type QuadEngine struct{}
@@ -267,46 +431,3 @@ func (e LambdaColoringEngine) BoundDelta(d int) int { return coloralgo.LambdaBou
 
 // BoundM implements core.ColoringEngine.
 func (e LambdaColoringEngine) BoundM(m int) int { return coloralgo.BoundM(m) }
-
-// UniformQuadColoring is the Theorem 5 uniform O(Δ²)-coloring in O(log* m)
-// rounds (Corollary 1(iii), second item).
-func UniformQuadColoring() (local.Algorithm, error) {
-	return core.UniformColoring(QuadEngine{})
-}
-
-// UniformLambdaColoring is the Theorem 5 uniform λ(Δ+1)-style coloring
-// (Corollary 1(iii), first item).
-func UniformLambdaColoring(lambda int) (local.Algorithm, error) {
-	return core.UniformColoring(LambdaColoringEngine{Lambda: lambda})
-}
-
-// NonUniformLambdaColoring is the baseline under the advertised parameters.
-func NonUniformLambdaColoring(lambda int) func(p core.Params) local.Algorithm {
-	return func(p core.Params) local.Algorithm {
-		return coloralgo.Lambda(lambda, p.Delta, p.M)
-	}
-}
-
-// UniformDegPlusOneColoring is the Section 5.1 uniform (deg+1)-coloring
-// built on a uniform MIS (Corollary 1(ii) route).
-func UniformDegPlusOneColoring(mis local.Algorithm) local.Algorithm {
-	return core.ColoringFromMIS(mis)
-}
-
-// --- Edge-coloring rows (Corollary 1(v), via the line-graph lift) ---
-
-// NonUniformEdgeColoring is the (2Δ−1)-edge-coloring baseline.
-func NonUniformEdgeColoring(p core.Params) local.Algorithm {
-	return edgecolor.New(p.Delta, p.M)
-}
-
-// UniformEdgeColoring runs the Theorem 5 uniform coloring on the line
-// graph: a uniform O(Δ²)-edge-coloring (the λ engine gives the trade-off
-// variant).
-func UniformEdgeColoring() (local.Algorithm, error) {
-	inner, err := core.UniformColoring(QuadEngine{})
-	if err != nil {
-		return nil, err
-	}
-	return lift.LineGraph(inner, nil), nil
-}

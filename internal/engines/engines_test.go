@@ -1,8 +1,10 @@
 package engines
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/algorithms/arbmis"
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
@@ -39,20 +41,37 @@ func runBools(t *testing.T, g *graph.Graph, a local.Algorithm, seed int64) ([]bo
 	return bs, res.Rounds
 }
 
-func TestAllMISEnginesProduceValidMIS(t *testing.T) {
-	algos := map[string]local.Algorithm{
-		"uniform-delta": UniformMISDelta(),
-		"uniform-id":    UniformMISID(),
-		"uniform-arb":   UniformMISArb(),
-		"best":          BestMIS(),
-		"luby":          LubyMIS(),
-		"lasvegas":      LasVegasMIS(),
+// newUniform builds r's uniform algorithm at argument k.
+func newUniform(t *testing.T, r Row, k int) local.Algorithm {
+	t.Helper()
+	a, err := r.New(k)
+	if err != nil {
+		t.Fatalf("%s: %v", r.UniformName, err)
 	}
-	t3, err := UniformMISArbTheorem3()
+	return a
+}
+
+func TestAllMISEnginesProduceValidMIS(t *testing.T) {
+	algos := map[string]local.Algorithm{}
+	for _, r := range Rows {
+		if r.Problem == MIS {
+			algos[r.UniformName] = newUniform(t, r, 0)
+		}
+	}
+	// Theorem 3 derives the arboricity row's uniform algorithm with
+	// Λ = {n, m}, the arboricity weakly dominated by n (a <= n).
+	seq := core.Product(
+		core.Additive(arbmis.BoundLayers),
+		core.Additive(arbmis.BoundA, arbmis.BoundM), // a replaced by its dominator
+	)
+	t3, err := core.UniformWeaklyDominated(RowMISArb.NonUniform(0),
+		[]core.Param{core.ParamN, core.ParamN, core.ParamMaxID},
+		[]core.Domination{{Param: core.ParamArboricity, ByIndex: 1, G: func(x int) int { return x }}},
+		seq, core.MISPruner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	algos["uniform-arb-thm3"] = t3
+	algos["uniform-mis-arb-theorem3"] = t3
 	for gname, g := range suite(t) {
 		for aname, a := range algos {
 			in, _ := runBools(t, g, a, 13)
@@ -65,40 +84,41 @@ func TestAllMISEnginesProduceValidMIS(t *testing.T) {
 
 func TestNonUniformBaselines(t *testing.T) {
 	for gname, g := range suite(t) {
-		for aname, build := range map[string]func(core.Params) local.Algorithm{
-			"colormis": NonUniformMISDelta,
-			"seqmis":   NonUniformMISID,
-			"arbmis":   NonUniformMISArb,
-		} {
-			in, _ := runBools(t, g, build(GraphParams(g)), 3)
+		for _, r := range Rows {
+			if r.Problem != MIS || r.BaselineName == "" {
+				continue
+			}
+			in, _ := runBools(t, g, r.NewBaseline(0, GraphParams(g)), 3)
 			if err := problems.ValidMIS(g, in); err != nil {
-				t.Errorf("%s on %s: %v", aname, gname, err)
+				t.Errorf("%s on %s: %v", r.BaselineName, gname, err)
 			}
 		}
 	}
 }
 
+// runRow runs a on g and checks the outputs with check.
+func runRow(t *testing.T, name string, g *graph.Graph, a local.Algorithm, seed int64, check func([]any) error) {
+	t.Helper()
+	res, err := local.Run(g, a, local.Options{Seed: seed})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := check(res.Outputs); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+}
+
 func TestUniformMatchingRow(t *testing.T) {
+	uniform := newUniform(t, RowMatching, 0)
 	for gname, g := range suite(t) {
-		res, err := local.Run(g, UniformMatching(), local.Options{Seed: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", gname, err)
-		}
-		if err := problems.ValidMaximalMatching(g, res.Outputs); err != nil {
-			t.Errorf("%s: %v", gname, err)
-		}
+		runRow(t, gname, g, uniform, 5, func(out []any) error { return RowMatching.CheckUniform(g, 0, out) })
 	}
 }
 
 func TestNonUniformMatchingBaseline(t *testing.T) {
 	for gname, g := range suite(t) {
-		res, err := local.Run(g, NonUniformMatching(GraphParams(g)), local.Options{Seed: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", gname, err)
-		}
-		if err := problems.ValidMaximalMatching(g, res.Outputs); err != nil {
-			t.Errorf("%s: %v", gname, err)
-		}
+		p := GraphParams(g)
+		runRow(t, gname, g, RowMatching.NewBaseline(0, p), 5, func(out []any) error { return RowMatching.CheckBaseline(g, 0, p, out) })
 	}
 }
 
@@ -108,107 +128,74 @@ func TestLasVegasRulingSetRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, beta := range []int{1, 2} {
-		lv := LasVegasRulingSet(beta)
+		lv := newUniform(t, RowRulingSet, beta)
 		for seed := int64(0); seed < 2; seed++ {
-			in, _ := runBools(t, g, lv, seed)
-			if err := problems.ValidRulingSet(g, in, 2, beta); err != nil {
-				t.Errorf("β=%d seed %d: %v", beta, seed, err)
-			}
+			runRow(t, fmt.Sprintf("β=%d seed %d", beta, seed), g, lv, seed,
+				func(out []any) error { return RowRulingSet.CheckUniform(g, beta, out) })
 		}
 	}
 }
 
+// TestColoringRows runs the vertex-coloring rows' uniform algorithms (the
+// λ row at λ = 3) under their checkers, palette bounds included.
 func TestColoringRows(t *testing.T) {
-	quad, err := UniformQuadColoring()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lam, err := UniformLambdaColoring(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg1 := UniformDegPlusOneColoring(LubyMIS())
-	for gname, g := range suite(t) {
-		for aname, a := range map[string]local.Algorithm{"quad": quad, "lambda": lam, "deg+1": deg1} {
-			res, err := local.Run(g, a, local.Options{Seed: 7})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", aname, gname, err)
-			}
-			colors, err := problems.Ints(res.Outputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			palette := 0 // skip range check except deg+1
-			if aname == "deg+1" {
-				palette = g.MaxDegree() + 1
-			}
-			if err := problems.ValidColoring(g, colors, palette); err != nil {
-				t.Errorf("%s on %s: %v", aname, gname, err)
-			}
-		}
-	}
-}
-
-// edgeColors converts per-port outputs to the canonical edge-color slice.
-func edgeColors(g *graph.Graph, outputs []any) []int {
-	edges := g.Edges()
-	colors := make([]int, len(edges))
-	for i, e := range edges {
-		outs, ok := outputs[e.U].([]int)
-		if !ok {
+	for _, r := range Rows {
+		if r.Problem != Coloring {
 			continue
 		}
-		for p := 0; p < g.Degree(int(e.U)); p++ {
-			if g.Neighbor(int(e.U), p) == int(e.V) {
-				colors[i] = outs[p]
-				break
-			}
+		k := 0
+		if r.Arg == ArgLambda {
+			k = 3
+		}
+		a := newUniform(t, r, k)
+		for gname, g := range suite(t) {
+			runRow(t, r.UniformName+" on "+gname, g, a, 7, func(out []any) error { return r.CheckUniform(g, k, out) })
 		}
 	}
-	return colors
 }
 
 func TestEdgeColoringRows(t *testing.T) {
 	for gname, g := range suite(t) {
-		if g.NumEdges() == 0 {
-			continue
-		}
-		res, err := local.Run(g, NonUniformEdgeColoring(GraphParams(g)), local.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", gname, err)
-		}
-		colors := edgeColors(g, res.Outputs)
-		if err := problems.ValidEdgeColoring(g, colors, 2*g.MaxDegree()-1); err != nil {
-			t.Errorf("non-uniform %s: %v", gname, err)
-		}
-	}
-	uni, err := UniformEdgeColoring()
-	if err != nil {
-		t.Fatal(err)
+		p := GraphParams(g)
+		runRow(t, "non-uniform "+gname, g, RowEdgeColoring.NewBaseline(0, p), 0,
+			func(out []any) error { return RowEdgeColoring.CheckBaseline(g, 0, p, out) })
 	}
 	g, err := graph.GNP(60, 0.06, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := local.Run(g, uni, local.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The uniform Theorem-5 edge coloring emits per-port []any of ints.
-	edges := g.Edges()
-	colors := make([]int, len(edges))
-	for i, e := range edges {
-		outs := res.Outputs[e.U].([]any)
-		for p := 0; p < g.Degree(int(e.U)); p++ {
-			if g.Neighbor(int(e.U), p) == int(e.V) {
-				if c, ok := outs[p].(int); ok {
-					colors[i] = c
-				}
-				break
-			}
+	runRow(t, "uniform", g, newUniform(t, RowEdgeColoring, 0), 3,
+		func(out []any) error { return RowEdgeColoring.CheckUniform(g, 0, out) })
+}
+
+// TestRowBudgets checks the contract Theorem1Plan states for every row
+// that declares its exact running time: each guess vector v of
+// Seq().Sets(2^i) runs within C()·2^i rounds. The ruling-set row is checked
+// at β = 1, 2 and 3.
+func TestRowBudgets(t *testing.T) {
+	for _, r := range Rows {
+		if r.Rounds == nil {
+			t.Logf("%s: no exact Rounds declared, skipped", r.UniformName)
+			continue
 		}
-	}
-	if err := problems.ValidEdgeColoring(g, colors, 0); err != nil {
-		t.Error(err)
+		ks := []int{0}
+		if r.Arg == ArgBeta {
+			ks = []int{1, 2, 3}
+		}
+		for _, k := range ks {
+			nu, seq := r.NonUniform(k), r.Seq(k)
+			worst := 0.0
+			for i := 1; i <= 30; i++ {
+				budget := seq.C() << i
+				for _, v := range seq.Sets(1 << i) {
+					rounds := r.Rounds(k, core.ParamsFromVector(nu.Needs, v))
+					if rounds > budget {
+						t.Errorf("%s (k=%d): guesses %v run %d rounds, over the budget C·2^%d = %d", r.UniformName, k, v, rounds, i, budget)
+					}
+					worst = max(worst, float64(rounds)/float64(budget))
+				}
+			}
+			t.Logf("%s (k=%d): worst rounds/budget %.3f", r.UniformName, k, worst)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/graph"
-	"github.com/unilocal/unilocal/internal/local"
 )
 
 // TestGraphParamsDegenerateGraphs pins the measured parameter vector on the
@@ -33,23 +32,20 @@ func TestGraphParamsDegenerateGraphs(t *testing.T) {
 		t.Errorf("edgeless: %+v, want %+v", got, want)
 	}
 
-	// Every baseline constructor must accept the degenerate vectors without
-	// panicking — the explicit clamp is what makes that safe.
-	for name, build := range map[string]func(core.Params) local.Algorithm{
-		"colormis": NonUniformMISDelta,
-		"seqmis":   NonUniformMISID,
-		"arbmis":   NonUniformMISArb,
-		"matching": NonUniformMatching,
-		"edgecol":  NonUniformEdgeColoring,
-	} {
+	// Every row's non-uniform algorithm must accept the degenerate vectors
+	// without panicking — the explicit clamp is what makes that safe.
+	for _, r := range Rows {
+		if r.NonUniform == nil {
+			continue
+		}
 		for gname, g := range map[string]*graph.Graph{"single": single, "edgeless": edgeless} {
 			func() {
 				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%s on %s graph panicked: %v", name, gname, r)
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s graph panicked: %v", r.UniformName, gname, p)
 					}
 				}()
-				build(GraphParams(g))
+				r.NewBaseline(1, GraphParams(g))
 			}()
 		}
 	}

@@ -24,13 +24,11 @@ func sweepSizes(full, short []int) []int {
 var testCorpus = graph.NewCorpus()
 
 // TestRatioFlatAcrossSizes is the headline reproduction claim in test form:
-// the uniform/non-uniform round ratio of the Theorem 1 MIS must not grow
-// with n (measured over a 16x sweep on bounded-degree graphs). The whole
-// sweep runs as one scheduler batch, the same way cmd/localbench submits
-// it.
+// for every row with a baseline (at λ = β = 1), the uniform/non-uniform
+// round ratio must not grow with n (measured over a 16x sweep on
+// bounded-degree graphs). The whole sweep runs as one scheduler batch, the
+// same way cmd/localbench submits it.
 func TestRatioFlatAcrossSizes(t *testing.T) {
-	uniform := UniformMISDelta()
-	var jobs []sweeppkg.Job
 	var graphs []*graph.Graph
 	for _, n := range sweepSizes([]int{128, 512, 2048}, []int{64, 256, 1024}) {
 		g, err := testCorpus.RandomRegular(n, 4, int64(n))
@@ -38,41 +36,50 @@ func TestRatioFlatAcrossSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		graphs = append(graphs, g)
-		baseline := NonUniformMISDelta(GraphParams(g))
-		jobs = append(jobs,
-			sweeppkg.Job{Label: fmt.Sprintf("n=%d/uniform", n), Graph: g,
-				Algo: func() local.Algorithm { return uniform }, Seed: 1},
-			sweeppkg.Job{Label: fmt.Sprintf("n=%d/nonuniform", n), Graph: g,
-				Algo: func() local.Algorithm { return baseline }, Seed: 1},
-		)
+	}
+	var rows []Row
+	var jobs []sweeppkg.Job
+	for _, r := range Rows {
+		if r.BaselineName == "" {
+			continue
+		}
+		rows = append(rows, r)
+		uniform := newUniform(t, r, 1)
+		for _, g := range graphs {
+			baseline := r.NewBaseline(1, GraphParams(g))
+			jobs = append(jobs,
+				sweeppkg.Job{Label: fmt.Sprintf("%s/n=%d", r.UniformName, g.N()), Graph: g,
+					Algo: func() local.Algorithm { return uniform }, Seed: 1},
+				sweeppkg.Job{Label: fmt.Sprintf("%s/n=%d", r.BaselineName, g.N()), Graph: g,
+					Algo: func() local.Algorithm { return baseline }, Seed: 1},
+			)
+		}
 	}
 	results, _ := sweeppkg.Run(jobs, sweeppkg.Options{Parallel: 4})
 	if err := sweeppkg.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
-	ratios := make([]float64, 0, len(graphs))
-	for i, g := range graphs {
-		un, nu := results[2*i].Res, results[2*i+1].Res
-		in, err := problems.Bools(un.Outputs)
-		if err != nil {
-			t.Fatal(err)
+	for ri, r := range rows {
+		ratios := make([]float64, 0, len(graphs))
+		for gi, g := range graphs {
+			un, nu := results[2*(ri*len(graphs)+gi)].Res, results[2*(ri*len(graphs)+gi)+1].Res
+			if err := r.CheckUniform(g, 1, un.Outputs); err != nil {
+				t.Fatalf("%s on n=%d: %v", r.UniformName, g.N(), err)
+			}
+			ratios = append(ratios, float64(un.Rounds)/float64(nu.Rounds))
 		}
-		if err := problems.ValidMIS(g, in); err != nil {
-			t.Fatal(err)
-		}
-		ratios = append(ratios, float64(un.Rounds)/float64(nu.Rounds))
-	}
-	t.Logf("ratios across sweep: %v", ratios)
-	for i := 1; i < len(ratios); i++ {
-		if ratios[i] > 3*ratios[0] {
-			t.Errorf("ratio grew from %.2f to %.2f across the sweep — transformer overhead not flat", ratios[0], ratios[i])
+		t.Logf("%s: ratios across sweep: %v", r.UniformName, ratios)
+		for i := 1; i < len(ratios); i++ {
+			if ratios[i] > 3*ratios[0] {
+				t.Errorf("%s: ratio grew from %.2f to %.2f across the sweep — transformer overhead not flat", r.UniformName, ratios[0], ratios[i])
+			}
 		}
 	}
 }
 
 // TestBestMISSelectivity pins Theorem 4's selection on opposite extremes.
 func TestBestMISSelectivity(t *testing.T) {
-	combined := BestMIS()
+	combined := newUniform(t, RowBestMIS, 0)
 	star := testCorpus.Star(sweepSizes([]int{1500}, []int{600})[0])
 	res, err := local.Run(star, combined, local.Options{Seed: 2})
 	if err != nil {
@@ -101,7 +108,7 @@ func TestLambdaTradeoffShape(t *testing.T) {
 	}
 	prev := 1 << 30
 	for _, lambda := range []int{1, 2, 4, 8, 16} {
-		res, err := local.Run(g, NonUniformLambdaColoring(lambda)(GraphParams(g)), local.Options{})
+		res, err := local.Run(g, RowLambdaColoring.NewBaseline(lambda, GraphParams(g)), local.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,6 +131,7 @@ func TestLambdaTradeoffShape(t *testing.T) {
 // one scheduler batch.
 func TestLubyLogShape(t *testing.T) {
 	sizes := sweepSizes([]int{1024, 4096, 16384}, []int{512, 2048, 8192})
+	luby := newUniform(t, RowLuby, 0)
 	var jobs []sweeppkg.Job
 	for _, n := range sizes {
 		g, err := testCorpus.GNP(n, 8/float64(n-1), int64(n))
@@ -134,7 +142,7 @@ func TestLubyLogShape(t *testing.T) {
 			jobs = append(jobs, sweeppkg.Job{
 				Label: fmt.Sprintf("n=%d/seed=%d", n, seed),
 				Graph: g,
-				Algo:  func() local.Algorithm { return LubyMIS() },
+				Algo:  func() local.Algorithm { return luby },
 				Seed:  seed,
 			})
 		}

@@ -225,12 +225,16 @@ func TestComposeRunDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lambda2, err := engines.UniformLambdaColoring(2)
+	lambda2, err := engines.RowLambdaColoring.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniformMIS, err := engines.RowMISDelta.New(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	windows := map[string]local.Algorithm{
-		"uniform-colormis": engines.UniformMISDelta(),
+		"uniform-colormis": uniformMIS,
 		"theorem5-delta+1": deltaPlusOne,
 		"theorem5-lambda2": lambda2,
 	}

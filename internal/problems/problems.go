@@ -272,6 +272,44 @@ func ValidMaximalMatching(g *graph.Graph, y []any) error {
 	return nil
 }
 
+// EdgeColors converts per-port edge-coloring outputs — a []int or a []any
+// of ints at each node, one entry per port — into one color per canonical
+// edge, aligned with g.Edges(). Both endpoints of an edge must report the
+// same color; a non-int entry reads as color 0, which no palette admits.
+func EdgeColors(g *graph.Graph, outputs []any) ([]int, error) {
+	if len(outputs) != g.N() {
+		return nil, fmt.Errorf("problems: edge coloring output has %d entries for %d nodes", len(outputs), g.N())
+	}
+	ports := make([][]int, g.N())
+	for u, o := range outputs {
+		switch o := o.(type) {
+		case []int:
+			ports[u] = o
+		case []any:
+			ports[u] = make([]int, len(o))
+			for p, c := range o {
+				ports[u][p], _ = c.(int)
+			}
+		}
+		if len(ports[u]) != g.Degree(u) {
+			return nil, fmt.Errorf("problems: node %d output %T has no color per port (degree %d)", u, o, g.Degree(u))
+		}
+	}
+	colors := make([]int, 0, g.NumEdges())
+	for u, cs := range ports {
+		for p, v := range g.Neighbors(u) {
+			if v <= int32(u) {
+				continue
+			}
+			if cv := ports[v][g.BackPort(u, p)]; cv != cs[p] {
+				return nil, fmt.Errorf("problems: edge %d-%d colored %d at one end, %d at the other", u, v, cs[p], cv)
+			}
+			colors = append(colors, cs[p])
+		}
+	}
+	return colors, nil
+}
+
 // ValidEdgeColoring checks a proper edge coloring given as one color per
 // canonical edge (aligned with g.Edges()), with palette as for ValidColoring.
 func ValidEdgeColoring(g *graph.Graph, colors []int, palette int) error {

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,31 @@ func TestValidEdgeColoring(t *testing.T) {
 	}
 	if err := ValidEdgeColoring(g, []int{1, 2, 4}, 3); err == nil {
 		t.Error("out-of-palette edge color accepted")
+	}
+}
+
+// TestEdgeColors reads per-port colors of a path 0-1-2 in both output
+// forms, and rejects ends that disagree or carry no int color.
+func TestEdgeColors(t *testing.T) {
+	g := graph.Path(3)
+	for name, tc := range map[string]struct {
+		outputs []any
+		want    []int // nil: an error is expected
+	}{
+		"ints":     {[]any{[]int{5}, []int{5, 7}, []int{7}}, []int{5, 7}},
+		"anys":     {[]any{[]any{5}, []any{5, 7}, []any{7}}, []int{5, 7}},
+		"disagree": {[]any{[]int{5}, []int{6, 7}, []int{7}}, nil},
+		"missing":  {[]any{[]int{5}, []any{5, nil}, []int{7}}, nil},
+		"short":    {[]any{[]int{5}, []int{5}, []int{7}}, nil},
+	} {
+		got, err := EdgeColors(g, tc.outputs)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", name, got)
+			}
+		} else if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, %v; want %v", name, got, err, tc.want)
+		}
 	}
 }
 

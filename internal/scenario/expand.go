@@ -42,7 +42,7 @@ type JobMeta struct {
 	// RatioOf is the job index of the same (seed, rep)'s tightest baseline
 	// run, or -1.
 	RatioOf int
-	// check validates the run's outputs, or is nil.
+	// check validates the run's outputs; Expand sets it.
 	check func(outputs []any) error
 }
 
@@ -74,15 +74,12 @@ type Batch struct {
 	AlgoShares int
 }
 
-// Check validates job ji's outputs through its registry checker; jobs whose
-// algorithm has no checker accept anything. Shard executors call this on
-// exactly the slots they ran — outputs exist only on the process that ran
-// the simulation, so validation cannot be deferred to the coordinator.
+// Check validates job ji's outputs through its registry checker. Shard
+// executors call this on exactly the slots they ran — outputs exist only on
+// the process that ran the simulation, so validation cannot be deferred to
+// the coordinator.
 func (b *Batch) Check(ji int, outputs []any) error {
-	if c := b.Metas[ji].check; c != nil {
-		return c(outputs)
-	}
-	return nil
+	return b.Metas[ji].check(outputs)
 }
 
 // Expand validates the specs and turns them into sweep jobs. Uniform
@@ -143,10 +140,7 @@ func Expand(specs []*Spec, opts ExpandOptions) (*Batch, error) {
 			}
 			// The check sees the parameters the build does: a baseline's
 			// guarantee is stated in its advertised guesses.
-			var check func([]any) error
-			if entry.Check != nil {
-				check = func(outputs []any) error { return entry.Check(g, params, as, outputs) }
-			}
+			check := func(outputs []any) error { return entry.Check(g, params, as, outputs) }
 			if a, ok := shared[as]; ok {
 				b.AlgoShares++
 				return a, check, nil

@@ -252,16 +252,23 @@ func TestRegistryTables(t *testing.T) {
 	if got := len(Families()); got < 16 {
 		t.Errorf("family table has %d entries, want >= 16", got)
 	}
-	if got := len(Algorithms()); got < 15 {
-		t.Errorf("algorithm registry has %d entries, want >= 15", got)
+	// The registry is exactly the rows' names: every name resolves to an
+	// entry of its row and role, and no entry comes from elsewhere.
+	names := 0
+	for _, r := range engines.Rows {
+		for _, name := range []string{r.UniformName, r.BaselineName} {
+			if name == "" {
+				continue
+			}
+			names++
+			e, ok := LookupAlgorithm(name)
+			if !ok || e.Row.UniformName != r.UniformName || e.PerGraph != (name == r.BaselineName) {
+				t.Errorf("row %s: name %s resolves to entry %q (found %v)", r.UniformName, name, e.Name, ok)
+			}
+		}
 	}
-	for _, e := range Algorithms() {
-		if e.Build == nil {
-			t.Errorf("algorithm %s has no builder", e.Name)
-		}
-		if e.Check == nil {
-			t.Errorf("algorithm %s has no checker", e.Name)
-		}
+	if got := len(Algorithms()); got != names {
+		t.Errorf("algorithm registry has %d entries, the rows name %d", got, names)
 	}
 	for _, f := range Families() {
 		if f.Build == nil || f.Validate == nil {
@@ -282,29 +289,60 @@ func starColoring(g *graph.Graph, centre int) []any {
 	return out
 }
 
+// starEdgeColoring colors a star's edges 1, 2, … in the centre's port
+// order, the last one c, as per-port outputs.
+func starEdgeColoring(g *graph.Graph, c int) []any {
+	out := make([]any, g.N())
+	for u := range out {
+		if g.Degree(u) <= 1 {
+			continue
+		}
+		colors := make([]int, g.Degree(u))
+		for p := range colors {
+			colors[p] = p + 1
+			if p == len(colors)-1 {
+				colors[p] = c
+			}
+			out[g.Neighbor(u, p)] = []int{colors[p]}
+		}
+		out[u] = colors
+	}
+	return out
+}
+
 // TestUniformColoringCheckersEnforcePalette feeds the Theorem 5 coloring
-// entries a proper coloring that uses one color past the entry's palette
-// bound (core.UniformColoringPalette): the checker must reject it, and
-// accept the same coloring shifted back inside the bound.
+// entries and both edge-coloring entries a proper coloring that uses one
+// color past the entry's palette bound (core.UniformColoringPalette, or
+// edgecolor.Palette of the advertised Δ̃ for the edge-coloring baseline):
+// the checker must reject it, and accept the same coloring shifted back
+// inside the bound.
 func TestUniformColoringCheckersEnforcePalette(t *testing.T) {
 	g := graph.Star(12)
-	for _, as := range []AlgoSpec{
-		{Name: "uniform-lambda-coloring", Lambda: 1},
-		{Name: "uniform-lambda-coloring", Lambda: 4},
-		{Name: "uniform-quad-coloring"},
+	exact := engines.GraphParams(g)
+	quad := func(d int) int { return core.UniformColoringPalette(engines.QuadEngine{}, d) }
+	lambda := func(l int) int {
+		return core.UniformColoringPalette(engines.LambdaColoringEngine{Lambda: l}, g.MaxDegree())
+	}
+	for _, tc := range []struct {
+		as      AlgoSpec
+		palette int
+		color   func(*graph.Graph, int) []any
+	}{
+		{AlgoSpec{Name: "uniform-lambda-coloring", Lambda: 1}, lambda(1), starColoring},
+		{AlgoSpec{Name: "uniform-lambda-coloring", Lambda: 4}, lambda(4), starColoring},
+		{AlgoSpec{Name: "uniform-quad-coloring"}, quad(g.MaxDegree()), starColoring},
 	} {
-		t.Run(as.String(), func(t *testing.T) {
-			entry := algorithms[as.Name]
-			var engine core.ColoringEngine = engines.QuadEngine{}
-			if as.Lambda != 0 {
-				engine = engines.LambdaColoringEngine{Lambda: as.Lambda}
+		t.Run(tc.as.String(), func(t *testing.T) {
+			entry := algorithms[tc.as.Name]
+			var p core.Params
+			if entry.PerGraph {
+				p = exact
 			}
-			palette := core.UniformColoringPalette(engine, g.MaxDegree())
-			if err := entry.Check(g, core.Params{}, as, starColoring(g, palette)); err != nil {
-				t.Errorf("coloring within the palette bound %d rejected: %v", palette, err)
+			if err := entry.Check(g, p, tc.as, tc.color(g, tc.palette)); err != nil {
+				t.Errorf("coloring within the palette bound %d rejected: %v", tc.palette, err)
 			}
-			if err := entry.Check(g, core.Params{}, as, starColoring(g, palette+1)); err == nil {
-				t.Errorf("coloring with color %d accepted, palette bound %d", palette+1, palette)
+			if err := entry.Check(g, p, tc.as, tc.color(g, tc.palette+1)); err == nil {
+				t.Errorf("coloring with color %d accepted, palette bound %d", tc.palette+1, tc.palette)
 			}
 		})
 	}

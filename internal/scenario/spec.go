@@ -225,7 +225,7 @@ func (s *Spec) Validate() error {
 		// Pair-packing algorithms cannot carry identities beyond graph.MaxID;
 		// catch the conflict at validation time instead of mid-run.
 		entry, _ := LookupAlgorithm(as.Name)
-		if entry.PacksIDs && s.IDs.effectiveMaxID(1) > graph.MaxID {
+		if entry.Row.PacksIDs && s.IDs.effectiveMaxID(1) > graph.MaxID {
 			return fmt.Errorf("scenario %s: algorithm %s packs identity pairs and cannot run under ids regime %s (max_id %d > %d)",
 				s.Name, as.Name, s.IDs.Regime, s.IDs.effectiveMaxID(1), graph.MaxID)
 		}
