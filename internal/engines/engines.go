@@ -181,7 +181,7 @@ func misPruner(int) core.Pruner { return core.MISPruner() }
 // Rows lists every row in experiment order (DESIGN.md §3).
 var Rows = []Row{
 	RowMISDelta, RowMISID, RowMISArb, RowLambdaColoring, RowQuadColoring,
-	RowMatching, RowRulingSet, RowLuby, RowBestMIS,
+	RowEdgeColoring, RowMatching, RowRulingSet, RowLuby, RowBestMIS,
 	RowDegColoring, RowLasVegasMIS,
 }
 

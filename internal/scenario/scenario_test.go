@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
+	"github.com/unilocal/unilocal/internal/algorithms/edgecolor"
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
@@ -331,6 +332,9 @@ func TestUniformColoringCheckersEnforcePalette(t *testing.T) {
 		{AlgoSpec{Name: "uniform-lambda-coloring", Lambda: 1}, lambda(1), starColoring},
 		{AlgoSpec{Name: "uniform-lambda-coloring", Lambda: 4}, lambda(4), starColoring},
 		{AlgoSpec{Name: "uniform-quad-coloring"}, quad(g.MaxDegree()), starColoring},
+		// The line graph of a star is a clique on its Δ edges.
+		{AlgoSpec{Name: "uniform-edge-coloring"}, quad(g.MaxDegree() - 1), starEdgeColoring},
+		{AlgoSpec{Name: "nonuniform-edge-coloring"}, edgecolor.Palette(exact.Delta), starEdgeColoring},
 	} {
 		t.Run(tc.as.String(), func(t *testing.T) {
 			entry := algorithms[tc.as.Name]
