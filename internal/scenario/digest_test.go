@@ -6,7 +6,7 @@ package scenario
 // engine, and its Result is hashed (see internal/digest) and compared with
 // the committed tables in testdata/. Each job of the first two directories
 // runs at engine workers 1 and 4 and under an adversarial delivery
-// permutation, and all three must give the one digest; the 44 paper specs
+// permutation, and all three must give the one digest; the 46 paper specs
 // take seconds at workers 1 alone, so they run at that only. Regenerate the
 // tables only when a change is meant to alter these Results:
 //

@@ -12,15 +12,15 @@ import (
 // paperDir is the committed corpus of the paper's experiments E1–E13.
 var paperDir = filepath.Join("..", "..", "scenarios", "paper")
 
-// TestPaperCorpusShape pins the paper corpus: 44 specs, all loadable, named
+// TestPaperCorpusShape pins the paper corpus: 46 specs, all loadable, named
 // paper-eNN-… so that file-name order is experiment order.
 func TestPaperCorpusShape(t *testing.T) {
 	specs, err := LoadDir(paperDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 44 {
-		t.Fatalf("paper corpus has %d specs, want 44", len(specs))
+	if len(specs) != 46 {
+		t.Fatalf("paper corpus has %d specs, want 46", len(specs))
 	}
 	prev := ""
 	for _, s := range specs {
