@@ -189,7 +189,7 @@ func BenchmarkAblation_TransformerOverhead(b *testing.B) {
 	uniform := uniformOf(b, r)
 	for _, n := range []int{128, 512, 2048, 8192} {
 		g := benchRegular(b, n, 4)
-		baseline := r.NewBaseline(0, engines.GraphParams(g))
+		baseline := r.NonUniform(0).Build(engines.GraphParams(g))
 		b.Run(fmt.Sprintf("regular4/n=%d", n), func(b *testing.B) {
 			var nu, un *local.Result
 			for i := 0; i < b.N; i++ {

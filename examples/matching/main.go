@@ -54,7 +54,7 @@ func run() error {
 		return err
 	}
 
-	baseline := engines.RowMatching.NewBaseline(0, engines.GraphParams(g))
+	baseline := engines.RowMatching.NonUniform(0).Build(engines.GraphParams(g))
 	uniform, err := engines.RowMatching.New(0)
 	if err != nil {
 		return err

@@ -38,7 +38,7 @@ func run() error {
 
 	// The baseline needs to be told Δ and the identity bound m. The exact
 	// regime advertises the measured parameters verbatim.
-	baseline := engines.RowMISDelta.NewBaseline(0, engines.GraphParams(g))
+	baseline := engines.RowMISDelta.NonUniform(0).Build(engines.GraphParams(g))
 	resBase, err := local.Run(g, baseline, local.Options{Seed: 1})
 	if err != nil {
 		return err

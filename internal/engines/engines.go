@@ -102,12 +102,6 @@ func (r Row) New(k int) (local.Algorithm, error) {
 	return r.Transform(r.NonUniform(k), r.Seq(k), r.Pruner(k)), nil
 }
 
-// NewBaseline builds the row's non-uniform algorithm at argument k under
-// the advertised parameters p.
-func (r Row) NewBaseline(k int, p core.Params) local.Algorithm {
-	return r.NonUniform(k).Build(p)
-}
-
 // CheckUniform validates the outputs of the row's uniform algorithm on g.
 func (r Row) CheckUniform(g *graph.Graph, k int, outputs []any) error {
 	palette := 0
@@ -245,6 +239,7 @@ var RowMISArb = Row{
 var RowBestMIS = Row{
 	UniformName: "best-mis", UniformDoc: "Theorem 4 min of the Δ-, m- and arboricity-engines (Corollary 1(i))",
 	Build: func(int) (local.Algorithm, error) {
+		// Theorem 1 rows cannot fail to build.
 		delta, _ := RowMISDelta.New(0)
 		arb, _ := RowMISArb.New(0)
 		return core.FastestOf("best-mis", core.MISPruner(), delta, arb, seqmis.New()), nil

@@ -88,7 +88,7 @@ func TestNonUniformBaselines(t *testing.T) {
 			if r.Problem != MIS || r.BaselineName == "" {
 				continue
 			}
-			in, _ := runBools(t, g, r.NewBaseline(0, GraphParams(g)), 3)
+			in, _ := runBools(t, g, r.NonUniform(0).Build(GraphParams(g)), 3)
 			if err := problems.ValidMIS(g, in); err != nil {
 				t.Errorf("%s on %s: %v", r.BaselineName, gname, err)
 			}
@@ -118,7 +118,7 @@ func TestUniformMatchingRow(t *testing.T) {
 func TestNonUniformMatchingBaseline(t *testing.T) {
 	for gname, g := range suite(t) {
 		p := GraphParams(g)
-		runRow(t, gname, g, RowMatching.NewBaseline(0, p), 5, func(out []any) error { return RowMatching.CheckBaseline(g, 0, p, out) })
+		runRow(t, gname, g, RowMatching.NonUniform(0).Build(p), 5, func(out []any) error { return RowMatching.CheckBaseline(g, 0, p, out) })
 	}
 }
 
@@ -157,7 +157,7 @@ func TestColoringRows(t *testing.T) {
 func TestEdgeColoringRows(t *testing.T) {
 	for gname, g := range suite(t) {
 		p := GraphParams(g)
-		runRow(t, "non-uniform "+gname, g, RowEdgeColoring.NewBaseline(0, p), 0,
+		runRow(t, "non-uniform "+gname, g, RowEdgeColoring.NonUniform(0).Build(p), 0,
 			func(out []any) error { return RowEdgeColoring.CheckBaseline(g, 0, p, out) })
 	}
 	g, err := graph.GNP(60, 0.06, 99)

@@ -45,7 +45,7 @@ func TestGraphParamsDegenerateGraphs(t *testing.T) {
 						t.Errorf("%s on %s graph panicked: %v", r.UniformName, gname, p)
 					}
 				}()
-				r.NewBaseline(1, GraphParams(g))
+				r.NonUniform(1).Build(GraphParams(g))
 			}()
 		}
 	}

@@ -46,7 +46,7 @@ func TestRatioFlatAcrossSizes(t *testing.T) {
 		rows = append(rows, r)
 		uniform := newUniform(t, r, 1)
 		for _, g := range graphs {
-			baseline := r.NewBaseline(1, GraphParams(g))
+			baseline := r.NonUniform(1).Build(GraphParams(g))
 			jobs = append(jobs,
 				sweeppkg.Job{Label: fmt.Sprintf("%s/n=%d", r.UniformName, g.N()), Graph: g,
 					Algo: func() local.Algorithm { return uniform }, Seed: 1},
@@ -108,7 +108,7 @@ func TestLambdaTradeoffShape(t *testing.T) {
 	}
 	prev := 1 << 30
 	for _, lambda := range []int{1, 2, 4, 8, 16} {
-		res, err := local.Run(g, RowLambdaColoring.NewBaseline(lambda, GraphParams(g)), local.Options{})
+		res, err := local.Run(g, RowLambdaColoring.NonUniform(lambda).Build(GraphParams(g)), local.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

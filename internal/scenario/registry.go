@@ -64,7 +64,7 @@ type AlgoEntry struct {
 // ignore it (that is the point of the paper).
 func (e AlgoEntry) Build(p core.Params, as AlgoSpec) (local.Algorithm, error) {
 	if e.PerGraph {
-		return e.Row.NewBaseline(as.arg(), p), nil
+		return e.Row.NonUniform(as.arg()).Build(p), nil
 	}
 	return e.Row.New(as.arg())
 }
