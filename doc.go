@@ -21,7 +21,9 @@
 // implementation lives under internal/. The paper's evaluation is data: its
 // experiments are the declarative scenario specs under scenarios/paper,
 // which cmd/localbench -scenarios runs to regenerate EXPERIMENTS.md and
-// BENCH.json, beside the Go benchmarks in bench_test.go; the open corpus
+// BENCH.json and BenchmarkPaper in bench_test.go runs as one Go benchmark
+// per spec; each Table 1 row they exercise is declared once, as an
+// engines.Row, from which the algorithm registry is derived. The open corpus
 // under scenarios/ (DESIGN.md §2.7, cmd/scenarioctl) takes the same
 // pipeline to graphs and regimes the paper does not name. The same
 // scenario stack is served by the long-lived cmd/localserved service
