@@ -45,29 +45,26 @@ func run(b *testing.B, g *graph.Graph, a local.Algorithm, seed int64) *local.Res
 	return results[0].Res
 }
 
-// benchGraphs builds the standard sweep families.
-func benchCycle(b *testing.B, n int) *graph.Graph {
-	g, err := benchCorpus.Cycle(n)
+// benchGraph fetches gs's graph from benchCorpus; benchCycle, benchRegular
+// and benchGNP name the standard sweep families.
+func benchGraph(b *testing.B, gs scenario.GraphSpec) *graph.Graph {
+	g, err := gs.Build(benchCorpus)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
+}
+
+func benchCycle(b *testing.B, n int) *graph.Graph {
+	return benchGraph(b, scenario.GraphSpec{Family: "cycle", N: n})
 }
 
 func benchRegular(b *testing.B, n, d int) *graph.Graph {
-	g, err := benchCorpus.RandomRegular(n, d, int64(n+d))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
+	return benchGraph(b, scenario.GraphSpec{Family: "regular", N: n, D: d, Seed: int64(n + d)})
 }
 
 func benchGNP(b *testing.B, n int, avgDeg float64) *graph.Graph {
-	g, err := benchCorpus.GNP(n, avgDeg/float64(n-1), int64(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
+	return benchGraph(b, scenario.GraphSpec{Family: "gnp", N: n, P: avgDeg / float64(n-1), Seed: int64(n)})
 }
 
 // BenchmarkPaper runs every experiment spec of scenarios/paper, one

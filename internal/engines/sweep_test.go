@@ -1,12 +1,14 @@
-package engines
+package engines_test
 
 import (
 	"fmt"
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/engines"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
+	"github.com/unilocal/unilocal/internal/scenario"
 	sweeppkg "github.com/unilocal/unilocal/internal/sweep"
 )
 
@@ -20,8 +22,28 @@ func sweepSizes(full, short []int) []int {
 	return full
 }
 
-// testCorpus caches the sweep topologies across this package's tests.
+// testCorpus caches the sweep topologies across this file's tests.
 var testCorpus = graph.NewCorpus()
+
+// build fetches gs's graph from testCorpus.
+func build(t *testing.T, gs scenario.GraphSpec) *graph.Graph {
+	t.Helper()
+	g, err := gs.Build(testCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// newUniform builds r's uniform algorithm at argument k.
+func newUniform(t *testing.T, r engines.Row, k int) local.Algorithm {
+	t.Helper()
+	a, err := r.New(k)
+	if err != nil {
+		t.Fatalf("%s: %v", r.UniformName, err)
+	}
+	return a
+}
 
 // TestRatioFlatAcrossSizes is the headline reproduction claim in test form:
 // for every row with a baseline (at λ = β = 1), the uniform/non-uniform
@@ -31,22 +53,18 @@ var testCorpus = graph.NewCorpus()
 func TestRatioFlatAcrossSizes(t *testing.T) {
 	var graphs []*graph.Graph
 	for _, n := range sweepSizes([]int{128, 512, 2048}, []int{64, 256, 1024}) {
-		g, err := testCorpus.RandomRegular(n, 4, int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs = append(graphs, g)
+		graphs = append(graphs, build(t, scenario.GraphSpec{Family: "regular", N: n, D: 4, Seed: int64(n)}))
 	}
-	var rows []Row
+	var rows []engines.Row
 	var jobs []sweeppkg.Job
-	for _, r := range Rows {
+	for _, r := range engines.Rows {
 		if r.BaselineName == "" {
 			continue
 		}
 		rows = append(rows, r)
 		uniform := newUniform(t, r, 1)
 		for _, g := range graphs {
-			baseline := r.NonUniform(1).Build(GraphParams(g))
+			baseline := r.NonUniform(1).Build(engines.GraphParams(g))
 			jobs = append(jobs,
 				sweeppkg.Job{Label: fmt.Sprintf("%s/n=%d", r.UniformName, g.N()), Graph: g,
 					Algo: func() local.Algorithm { return uniform }, Seed: 1},
@@ -79,8 +97,8 @@ func TestRatioFlatAcrossSizes(t *testing.T) {
 
 // TestBestMISSelectivity pins Theorem 4's selection on opposite extremes.
 func TestBestMISSelectivity(t *testing.T) {
-	combined := newUniform(t, RowBestMIS, 0)
-	star := testCorpus.Star(sweepSizes([]int{1500}, []int{600})[0])
+	combined := newUniform(t, engines.RowBestMIS, 0)
+	star := build(t, scenario.GraphSpec{Family: "star", N: sweepSizes([]int{1500}, []int{600})[0]})
 	res, err := local.Run(star, combined, local.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +126,7 @@ func TestLambdaTradeoffShape(t *testing.T) {
 	}
 	prev := 1 << 30
 	for _, lambda := range []int{1, 2, 4, 8, 16} {
-		res, err := local.Run(g, RowLambdaColoring.NonUniform(lambda).Build(GraphParams(g)), local.Options{})
+		res, err := local.Run(g, engines.RowLambdaColoring.NonUniform(lambda).Build(engines.GraphParams(g)), local.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +149,10 @@ func TestLambdaTradeoffShape(t *testing.T) {
 // one scheduler batch.
 func TestLubyLogShape(t *testing.T) {
 	sizes := sweepSizes([]int{1024, 4096, 16384}, []int{512, 2048, 8192})
-	luby := newUniform(t, RowLuby, 0)
+	luby := newUniform(t, engines.RowLuby, 0)
 	var jobs []sweeppkg.Job
 	for _, n := range sizes {
-		g, err := testCorpus.GNP(n, 8/float64(n-1), int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := build(t, scenario.GraphSpec{Family: "gnp", N: n, P: 8 / float64(n-1), Seed: int64(n)})
 		for seed := int64(0); seed < 3; seed++ {
 			jobs = append(jobs, sweeppkg.Job{
 				Label: fmt.Sprintf("n=%d/seed=%d", n, seed),

@@ -2,21 +2,21 @@ package graph
 
 import (
 	"container/list"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// Corpus memoizes generated graph families and derived constructions. The
+// Corpus memoizes generated graphs and their ID perturbations. The
 // benchmark harness runs hundreds of simulations that keep asking for the
 // same topologies — the same GNP(n, p, seed) appears in several experiments —
 // and regenerating them per experiment wastes the time the sweep scheduler
 // saves. A built Graph is immutable and safe for concurrent use, so one
 // cached instance can back any number of concurrent runs.
 //
-// Generated families are keyed by (family, params, seed) via CorpusKey;
-// derived constructions (LineGraphOf, PowerOf, ProductOf) are keyed by the
+// Generated graphs are keyed by (family, params, seed) via CorpusKey and
+// built by the generator the caller hands Get; the scenario layer's family
+// table declares each family's key and generator. The ID perturbations
+// (ShuffledIDsOf, ClusteredIDsOf) are derived entries, keyed by the
 // identity of their (cached, canonical) source graph. All methods are safe
 // for concurrent use; concurrent requests for a missing entry build it
 // exactly once (other callers block until it is ready without holding the
@@ -26,7 +26,7 @@ import (
 // fatal for a long-lived server that would otherwise retain every graph
 // family any client ever requested. NewBoundedCorpus caps the entry count
 // with LRU eviction: entries fall out least-recently-used first, and
-// evicting a generated graph also drops the derived constructions keyed by
+// evicting a generated graph also drops the derived entries keyed by
 // its identity (their canonical source pointer can never be requested
 // again, so they would otherwise be unreachable dead weight). An evicted
 // graph that is requested again is simply rebuilt — generators are
@@ -36,24 +36,25 @@ import (
 // heap footprint, the bound that matters once individual graphs dwarf any
 // entry count.
 //
-// AttachStore adds the disk tier (DESIGN.md §2.11): generated-family misses
+// AttachStore adds the disk tier (DESIGN.md §2.11): generated-graph misses
 // first try Store.Load (an mmap'ed image is near-free in both time and
 // heap), and fresh builds are persisted best-effort with Store.Save. The
 // memory LRU is unchanged by the store — an evicted entry that is requested
 // again reloads from disk instead of regenerating, and a corrupt or missing
-// image silently falls back to the generator. Derived constructions are not
+// image silently falls back to the generator. Derived entries are not
 // stored: they are keyed by source-graph pointer, cheap relative to
 // generation, and reconstructible from a stored source.
 type Corpus struct {
-	mu      sync.Mutex
-	gen     map[CorpusKey]*corpusEntry
-	derived map[derivedKey]*corpusEntry
-	// limit caps len(gen)+len(derived); 0 means unbounded. lru orders all
-	// entries most recently used first (values are *corpusEntry).
+	mu sync.Mutex
+	// entries holds generated graphs under their CorpusKey and derived
+	// entries under their derivedKey.
+	entries map[any]*corpusEntry
+	// limit caps len(entries); 0 means unbounded. lru orders all entries
+	// most recently used first (values are *corpusEntry).
 	limit int
 	lru   *list.List
 	// memLimit bounds memBytes, the summed HeapBytes of built entries;
-	// 0 means unbounded. Guarded by mu like the maps.
+	// 0 means unbounded. Guarded by mu like entries.
 	memLimit  int64
 	memBytes  int64
 	hits      uint64
@@ -95,8 +96,8 @@ type CorpusKey struct {
 	Seed   int64
 }
 
-// derivedKey identifies a derived construction by its source graph's
-// identity plus the construction's own parameters. Pointer keying is sound
+// derivedKey identifies an ID perturbation by its source graph's identity
+// plus the perturbation's own parameters. Pointer keying is sound
 // because graphs are immutable and the corpus hands out one canonical
 // instance per generated key.
 type derivedKey struct {
@@ -106,15 +107,13 @@ type derivedKey struct {
 	a, b int64
 }
 
-// corpusEntry carries one built graph plus the side artifacts some
-// constructions return. The per-entry once lets concurrent first requests
-// build without serializing unrelated builds behind the corpus lock.
+// corpusEntry carries one built graph. The per-entry once lets concurrent
+// first requests build without serializing unrelated builds behind the
+// corpus lock.
 type corpusEntry struct {
-	once   sync.Once
-	g      *Graph
-	err    error
-	edges  []Edge
-	copies []CliqueCopy
+	once sync.Once
+	g    *Graph
+	err  error
 	// built flips to true after once completes; eviction skips entries still
 	// building (their graph pointer is not out yet, and removing them would
 	// duplicate an in-flight build for no memory gain).
@@ -123,12 +122,10 @@ type corpusEntry struct {
 	// Corpus.memBytes when the build completes and out again on drop.
 	// Guarded by Corpus.mu.
 	bytes int64
-	// LRU bookkeeping, guarded by Corpus.mu. key/dkey identify the map slot
-	// to delete on eviction; isDerived selects which map.
-	elem      *list.Element
-	key       CorpusKey
-	dkey      derivedKey
-	isDerived bool
+	// LRU bookkeeping, guarded by Corpus.mu. key is the entry's slot in
+	// Corpus.entries, a CorpusKey or a derivedKey.
+	elem *list.Element
+	key  any
 }
 
 // NewCorpus returns an empty, unbounded corpus.
@@ -144,8 +141,7 @@ func NewBoundedCorpus(limit int) *Corpus {
 		limit = 0
 	}
 	return &Corpus{
-		gen:     make(map[CorpusKey]*corpusEntry),
-		derived: make(map[derivedKey]*corpusEntry),
+		entries: make(map[any]*corpusEntry),
 		limit:   limit,
 		lru:     list.New(),
 	}
@@ -186,7 +182,7 @@ func (c *Corpus) Metrics() CorpusStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Entries:   len(c.gen) + len(c.derived),
+		Entries:   len(c.entries),
 		Limit:     c.limit,
 		MemBytes:  c.memBytes,
 		MemLimit:  c.memLimit,
@@ -214,11 +210,7 @@ func (c *Corpus) touch(e *corpusEntry) {
 func (c *Corpus) drop(e *corpusEntry) {
 	c.lru.Remove(e.elem)
 	e.elem = nil
-	if e.isDerived {
-		delete(c.derived, e.dkey)
-	} else {
-		delete(c.gen, e.key)
-	}
+	delete(c.entries, e.key)
 	c.memBytes -= e.bytes
 	c.evictions++
 }
@@ -226,7 +218,7 @@ func (c *Corpus) drop(e *corpusEntry) {
 // overLimit reports whether either bound — entry count or estimated heap
 // bytes — is exceeded. Caller holds c.mu.
 func (c *Corpus) overLimit() bool {
-	if c.limit > 0 && len(c.gen)+len(c.derived) > c.limit {
+	if c.limit > 0 && len(c.entries) > c.limit {
 		return true
 	}
 	return c.memLimit > 0 && c.memBytes > c.memLimit
@@ -250,13 +242,13 @@ func (c *Corpus) evict(keep *corpusEntry) {
 			continue
 		}
 		c.drop(e)
-		if !e.isDerived && e.g != nil {
-			for dk, de := range c.derived {
+		if _, generated := e.key.(CorpusKey); generated && e.g != nil {
+			for k, de := range c.entries {
 				// The cascade honours the same guards as the walk: never the
 				// entry being inserted (it would vanish before ever serving a
 				// hit) and never one still building. A spared derived entry
 				// keeps its dead source key and simply ages out by LRU.
-				if dk.src == e.g && de != keep && de.built.Load() {
+				if dk, ok := k.(derivedKey); ok && dk.src == e.g && de != keep && de.built.Load() {
 					c.drop(de)
 				}
 			}
@@ -268,32 +260,15 @@ func (c *Corpus) evict(keep *corpusEntry) {
 	}
 }
 
-// entry returns the memo slot for key, creating it on miss.
-func (c *Corpus) entry(key CorpusKey) *corpusEntry {
+// entry returns the memo slot for key (a CorpusKey or a derivedKey),
+// creating it on miss.
+func (c *Corpus) entry(key any) *corpusEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.gen[key]
+	e, ok := c.entries[key]
 	if !ok {
 		e = &corpusEntry{key: key}
-		c.gen[key] = e
-		c.misses++
-		c.touch(e)
-		c.evict(e)
-	} else {
-		c.hits++
-		c.touch(e)
-	}
-	return e
-}
-
-// derivedEntry returns the memo slot for a derived construction.
-func (c *Corpus) derivedEntry(key derivedKey) *corpusEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.derived[key]
-	if !ok {
-		e = &corpusEntry{dkey: key, isDerived: true}
-		c.derived[key] = e
+		c.entries[key] = e
 		c.misses++
 		c.touch(e)
 		c.evict(e)
@@ -317,8 +292,7 @@ func (c *Corpus) runBuild(e *corpusEntry, fn func()) {
 	c.mu.Lock()
 	if !e.built.Load() {
 		if e.g != nil {
-			e.bytes = e.g.HeapBytes() +
-				8*int64(len(e.edges)) + 16*int64(len(e.copies))
+			e.bytes = e.g.HeapBytes()
 			c.memBytes += e.bytes
 		}
 		e.built.Store(true)
@@ -327,10 +301,9 @@ func (c *Corpus) runBuild(e *corpusEntry, fn func()) {
 	c.mu.Unlock()
 }
 
-// Get memoizes an arbitrary generated graph under key, building it with
-// build on first request. The named helpers below cover the standard
-// families; Get is the extension point for callers with their own
-// generators.
+// Get memoizes a generated graph under key, building it with build on
+// first request. The key must determine the graph: the store
+// content-addresses images by it (ImageName).
 //
 // With a store attached, a miss consults the disk tier before generating
 // (the image was checksum-verified, so a load is as good as a build), and a
@@ -355,130 +328,19 @@ func (c *Corpus) Get(key CorpusKey, build func() (*Graph, error)) (*Graph, error
 	return e.g, e.err
 }
 
-// Path returns the cached path on n nodes.
-func (c *Corpus) Path(n int) *Graph {
-	return mustCorpus(c.Get(CorpusKey{Family: "path", A: int64(n)}, func() (*Graph, error) {
-		return Path(n), nil
-	}))
-}
-
-// Cycle returns the cached cycle on n nodes.
-func (c *Corpus) Cycle(n int) (*Graph, error) {
-	return c.Get(CorpusKey{Family: "cycle", A: int64(n)}, func() (*Graph, error) {
-		return Cycle(n)
-	})
-}
-
-// Star returns the cached star on n nodes.
-func (c *Corpus) Star(n int) *Graph {
-	return mustCorpus(c.Get(CorpusKey{Family: "star", A: int64(n)}, func() (*Graph, error) {
-		return Star(n), nil
-	}))
-}
-
-// Complete returns the cached clique K_n.
-func (c *Corpus) Complete(n int) *Graph {
-	return mustCorpus(c.Get(CorpusKey{Family: "complete", A: int64(n)}, func() (*Graph, error) {
-		return Complete(n), nil
-	}))
-}
-
-// Grid returns the cached r x c grid.
-func (c *Corpus) Grid(r, cols int) *Graph {
-	return mustCorpus(c.Get(CorpusKey{Family: "grid", A: int64(r), B: int64(cols)}, func() (*Graph, error) {
-		return Grid(r, cols), nil
-	}))
-}
-
-// GNP returns the cached Erdős–Rényi graph G(n, p) for the given seed.
-func (c *Corpus) GNP(n int, p float64, seed int64) (*Graph, error) {
-	key := CorpusKey{Family: "gnp", A: int64(n), F: math.Float64bits(p), Seed: seed}
-	return c.Get(key, func() (*Graph, error) { return GNP(n, p, seed) })
-}
-
-// RandomRegular returns the cached random d-regular graph for the given seed.
-func (c *Corpus) RandomRegular(n, d int, seed int64) (*Graph, error) {
-	key := CorpusKey{Family: "regular", A: int64(n), B: int64(d), Seed: seed}
-	return c.Get(key, func() (*Graph, error) { return RandomRegular(n, d, seed) })
-}
-
-// ForestUnion returns the cached union of k random recursive forests.
-func (c *Corpus) ForestUnion(n, k int, seed int64) *Graph {
-	key := CorpusKey{Family: "forest-union", A: int64(n), B: int64(k), Seed: seed}
-	return mustCorpus(c.Get(key, func() (*Graph, error) { return ForestUnion(n, k, seed), nil }))
-}
-
-// RandomTree returns the cached random recursive tree for the given seed.
-func (c *Corpus) RandomTree(n int, seed int64) *Graph {
-	key := CorpusKey{Family: "random-tree", A: int64(n), Seed: seed}
-	return mustCorpus(c.Get(key, func() (*Graph, error) { return RandomTree(n, seed), nil }))
-}
-
-// PreferentialAttachment returns the cached Barabási–Albert graph for the
-// given seed.
-func (c *Corpus) PreferentialAttachment(n, m int, seed int64) (*Graph, error) {
-	key := CorpusKey{Family: "ba", A: int64(n), B: int64(m), Seed: seed}
-	return c.Get(key, func() (*Graph, error) { return PreferentialAttachment(n, m, seed) })
-}
-
-// RandomGeometric returns the cached random geometric (unit-disk) graph for
-// the given seed.
-func (c *Corpus) RandomGeometric(n int, r float64, seed int64) (*Graph, error) {
-	key := CorpusKey{Family: "geometric", A: int64(n), F: math.Float64bits(r), Seed: seed}
-	return c.Get(key, func() (*Graph, error) { return RandomGeometric(n, r, seed) })
-}
-
-// WattsStrogatz returns the cached Watts–Strogatz small-world graph for the
-// given seed.
-func (c *Corpus) WattsStrogatz(n, k int, beta float64, seed int64) (*Graph, error) {
-	key := CorpusKey{Family: "smallworld", A: int64(n), B: int64(k), F: math.Float64bits(beta), Seed: seed}
-	return c.Get(key, func() (*Graph, error) { return WattsStrogatz(n, k, beta, seed) })
-}
-
 // ShuffledIDsOf returns the cached WithShuffledIDs perturbation of g. Like
-// the other derived constructions it is keyed by the identity of the source
-// graph, so the scenario layer's ID regimes reuse one perturbed instance per
-// (graph, maxID, seed).
+// ClusteredIDsOf it is keyed by the identity of the source graph, so the
+// scenario layer's ID regimes reuse one perturbed instance per (graph,
+// maxID, seed).
 func (c *Corpus) ShuffledIDsOf(g *Graph, maxID, seed int64) (*Graph, error) {
-	e := c.derivedEntry(derivedKey{src: g, op: "shuffled-ids", a: maxID, b: seed})
+	e := c.entry(derivedKey{src: g, op: "shuffled-ids", a: maxID, b: seed})
 	c.runBuild(e, func() { e.g, e.err = WithShuffledIDs(g, maxID, seed) })
 	return e.g, e.err
 }
 
 // ClusteredIDsOf returns the cached WithClusteredIDs perturbation of g.
 func (c *Corpus) ClusteredIDsOf(g *Graph, clusters int, maxID, seed int64) (*Graph, error) {
-	e := c.derivedEntry(derivedKey{src: g, op: "clustered-ids", k: clusters, a: maxID, b: seed})
+	e := c.entry(derivedKey{src: g, op: "clustered-ids", k: clusters, a: maxID, b: seed})
 	c.runBuild(e, func() { e.g, e.err = WithClusteredIDs(g, clusters, maxID, seed) })
 	return e.g, e.err
-}
-
-// LineGraphOf returns the cached line graph of g with its canonical edge
-// list (see LineGraph).
-func (c *Corpus) LineGraphOf(g *Graph) (*Graph, []Edge, error) {
-	e := c.derivedEntry(derivedKey{src: g, op: "line"})
-	c.runBuild(e, func() { e.g, e.edges, e.err = LineGraph(g) })
-	return e.g, e.edges, e.err
-}
-
-// PowerOf returns the cached k-th power of g.
-func (c *Corpus) PowerOf(g *Graph, k int) (*Graph, error) {
-	e := c.derivedEntry(derivedKey{src: g, op: "power", k: k})
-	c.runBuild(e, func() { e.g, e.err = Power(g, k) })
-	return e.g, e.err
-}
-
-// ProductOf returns the cached clique product of g with its copy table (see
-// ProductDegPlusOne).
-func (c *Corpus) ProductOf(g *Graph) (*Graph, []CliqueCopy, error) {
-	e := c.derivedEntry(derivedKey{src: g, op: "product"})
-	c.runBuild(e, func() { e.g, e.copies, e.err = ProductDegPlusOne(g) })
-	return e.g, e.copies, e.err
-}
-
-// mustCorpus unwraps helpers whose underlying generators cannot fail.
-func mustCorpus(g *Graph, err error) *Graph {
-	if err != nil {
-		panic(fmt.Sprintf("graph: corpus: infallible generator failed: %v", err))
-	}
-	return g
 }

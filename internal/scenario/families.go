@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/unilocal/unilocal/internal/graph"
@@ -13,6 +13,7 @@ import (
 // subset of parameters that family consumes. It is the JSON-facing half of
 // the graph layer — every family listed by Families builds through a
 // graph.Corpus, so identical specs across scenarios share one instance.
+// The parameters below are listed once more, by name, in the params table.
 type GraphSpec struct {
 	Family string `json:"family"`
 	// N is the node count (the spine length for caterpillar, the clique size
@@ -37,6 +38,43 @@ type GraphSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// param is one GraphSpec parameter: its name, which is also its JSON key,
+// its value (nil when unset, i.e. zero) and a way to zero it.
+type param struct {
+	name  string
+	value func(gs *GraphSpec) any
+	clear func(gs *GraphSpec)
+}
+
+// field declares the parameter name, held in the GraphSpec field ptr
+// points at.
+func field[T int | int64 | float64](name string, ptr func(gs *GraphSpec) *T) param {
+	return param{
+		name: name,
+		value: func(gs *GraphSpec) any {
+			if v := *ptr(gs); v != 0 {
+				return v
+			}
+			return nil
+		},
+		clear: func(gs *GraphSpec) { *ptr(gs) = 0 },
+	}
+}
+
+// params declares the nine GraphSpec parameters once, in String's order.
+// String, Validate, Normalize and every family's Params read it.
+var params = [...]param{
+	field("n", func(gs *GraphSpec) *int { return &gs.N }),
+	field("rows", func(gs *GraphSpec) *int { return &gs.Rows }),
+	field("cols", func(gs *GraphSpec) *int { return &gs.Cols }),
+	field("d", func(gs *GraphSpec) *int { return &gs.D }),
+	field("k", func(gs *GraphSpec) *int { return &gs.K }),
+	field("p", func(gs *GraphSpec) *float64 { return &gs.P }),
+	field("radius", func(gs *GraphSpec) *float64 { return &gs.Radius }),
+	field("beta", func(gs *GraphSpec) *float64 { return &gs.Beta }),
+	field("seed", func(gs *GraphSpec) *int64 { return &gs.Seed }),
+}
+
 // String renders the spec compactly and deterministically, e.g.
 // "smallworld(n=1024, k=6, beta=0.1, seed=2)". Only set fields appear, in a
 // fixed order, so the string is stable across runs and processes.
@@ -44,74 +82,47 @@ func (gs GraphSpec) String() string {
 	var b strings.Builder
 	b.WriteString(gs.Family)
 	b.WriteByte('(')
-	first := true
-	add := func(name, val string) {
-		if !first {
-			b.WriteString(", ")
+	sep := ""
+	for _, p := range params {
+		if v := p.value(&gs); v != nil {
+			fmt.Fprintf(&b, "%s%s=%v", sep, p.name, v)
+			sep = ", "
 		}
-		first = false
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	if gs.N != 0 {
-		add("n", fmt.Sprint(gs.N))
-	}
-	if gs.Rows != 0 {
-		add("rows", fmt.Sprint(gs.Rows))
-	}
-	if gs.Cols != 0 {
-		add("cols", fmt.Sprint(gs.Cols))
-	}
-	if gs.D != 0 {
-		add("d", fmt.Sprint(gs.D))
-	}
-	if gs.K != 0 {
-		add("k", fmt.Sprint(gs.K))
-	}
-	if gs.P != 0 {
-		add("p", fmt.Sprintf("%g", gs.P))
-	}
-	if gs.Radius != 0 {
-		add("radius", fmt.Sprintf("%g", gs.Radius))
-	}
-	if gs.Beta != 0 {
-		add("beta", fmt.Sprintf("%g", gs.Beta))
-	}
-	if gs.Seed != 0 {
-		add("seed", fmt.Sprint(gs.Seed))
 	}
 	b.WriteByte(')')
 	return b.String()
 }
 
-// fieldSet declares which GraphSpec parameters a family consumes; Validate
-// rejects any set parameter outside the set, so a mis-parameterized spec
-// (e.g. "n" on hypercube, which takes "d") fails loudly instead of silently
-// measuring a different graph than its author intended.
-type fieldSet struct {
-	N, Rows, Cols, D, K, P, Radius, Beta, Seed bool
-}
-
-// Family describes one graph family: its spec parameters (for help text and
-// validation) and its corpus-backed builder. The table below is the single
-// source of truth for every consumer — the scenario loader, cmd/scenarioctl
-// and cmd/graphgen all enumerate it, so a family added here appears
-// everywhere at once.
+// Family declares one graph family, once: its parameters, validation,
+// corpus key, generator and size estimates. The families table is the
+// single source of truth for every consumer — GraphSpec, the scenario
+// loader, the serving layer's admission bounds, cmd/scenarioctl and
+// cmd/graphgen all read it, so a family added here appears everywhere at
+// once.
 type Family struct {
 	// Name is the spec's family string.
 	Name string
-	// Params names the GraphSpec fields the family consumes, for help text.
+	// Params lists the GraphSpec parameters the family consumes, each
+	// optionally glossed in parentheses ("n (spine), k (legs)"). It is the
+	// help text and the used-parameter set: Validate rejects any other set
+	// parameter and Normalize zeroes the others.
 	Params string
 	// Doc is a one-line description.
 	Doc string
 	// Validate rejects out-of-range parameters without building.
 	Validate func(gs GraphSpec) error
-	// Build constructs (or fetches) the graph through the corpus.
-	Build func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error)
-	// uses declares the consumed parameters (enforced by GraphSpec.Validate,
-	// applied by Normalize).
-	uses fieldSet
+	// key names the graph in the corpus and, through graph.ImageName, its
+	// store image, so an existing family's key never changes.
+	key func(gs GraphSpec) graph.CorpusKey
+	// gen generates the graph on a corpus miss.
+	gen func(gs GraphSpec) (*graph.Graph, error)
+	// nodes and edges estimate the built size for admission control,
+	// saturating at math.MaxInt; edges is handed the node estimate. Nil
+	// nodes reports n, nil edges reports the node estimate.
+	nodes func(gs GraphSpec) int
+	edges func(gs GraphSpec, nodes int) int
+	// uses is Params as a set of params indices.
+	uses uint16
 }
 
 func needN(gs GraphSpec) error {
@@ -121,159 +132,54 @@ func needN(gs GraphSpec) error {
 	return nil
 }
 
-var families = map[string]Family{
-	"path": {
-		Name: "path", Params: "n", Doc: "the path on n nodes",
-		uses:     fieldSet{N: true},
-		Validate: needN,
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.Path(gs.N), nil
-		},
-	},
-	"cycle": {
-		Name: "cycle", Params: "n", Doc: "the cycle on n >= 3 nodes",
-		uses: fieldSet{N: true},
+// families is the family table, one entry per family, sorted by name.
+var families = []Family{
+	{
+		Name: "ba", Params: "n, k (attachments), seed",
+		Doc: "Barabási–Albert preferential attachment (power-law tail, degeneracy <= k)",
 		Validate: func(gs GraphSpec) error {
-			if gs.N < 3 {
-				return fmt.Errorf("family cycle needs n >= 3, got %d", gs.N)
+			if gs.K < 1 || gs.K >= gs.N {
+				return fmt.Errorf("family ba needs 1 <= k < n, got n=%d k=%d", gs.N, gs.K)
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.Cycle(gs.N)
-		},
+		key: baKey, gen: baGen, edges: kPerNode,
 	},
-	"star": {
-		Name: "star", Params: "n", Doc: "the star with one centre and n-1 leaves",
-		uses:     fieldSet{N: true},
-		Validate: needN,
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.Star(gs.N), nil
-		},
-	},
-	"clique": {
-		Name: "clique", Params: "n", Doc: "the complete graph K_n",
-		uses:     fieldSet{N: true},
-		Validate: needN,
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.Complete(gs.N), nil
-		},
-	},
-	"grid": {
-		Name: "grid", Params: "rows, cols", Doc: "the rows x cols grid",
-		uses: fieldSet{Rows: true, Cols: true},
-		Validate: func(gs GraphSpec) error {
-			if gs.Rows < 1 || gs.Cols < 1 {
-				return fmt.Errorf("family grid needs rows, cols >= 1, got %dx%d", gs.Rows, gs.Cols)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.Grid(gs.Rows, gs.Cols), nil
-		},
-	},
-	"torus": {
-		Name: "torus", Params: "rows, cols", Doc: "the rows x cols torus (grid with wraparound)",
-		uses: fieldSet{Rows: true, Cols: true},
-		Validate: func(gs GraphSpec) error {
-			if gs.Rows < 3 || gs.Cols < 3 {
-				return fmt.Errorf("family torus needs rows, cols >= 3, got %dx%d", gs.Rows, gs.Cols)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			key := graph.CorpusKey{Family: "torus", A: int64(gs.Rows), B: int64(gs.Cols)}
-			return c.Get(key, func() (*graph.Graph, error) { return graph.Torus(gs.Rows, gs.Cols) })
-		},
-	},
-	"hypercube": {
-		Name: "hypercube", Params: "d", Doc: "the d-dimensional hypercube on 2^d nodes",
-		uses: fieldSet{D: true},
-		Validate: func(gs GraphSpec) error {
-			if gs.D < 0 || gs.D > 20 {
-				return fmt.Errorf("family hypercube needs d in [0, 20], got %d", gs.D)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			key := graph.CorpusKey{Family: "hypercube", A: int64(gs.D)}
-			return c.Get(key, func() (*graph.Graph, error) { return graph.Hypercube(gs.D) })
-		},
-	},
-	"tree": {
-		Name: "tree", Params: "n, seed", Doc: "a uniformly random recursive tree",
-		uses:     fieldSet{N: true, Seed: true},
-		Validate: needN,
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.RandomTree(gs.N, gs.Seed), nil
-		},
-	},
-	"caterpillar": {
+	{
 		Name: "caterpillar", Params: "n (spine), k (legs)",
-		uses: fieldSet{N: true, K: true},
-		Doc:  "a spine path with k pendant leaves per spine node",
+		Doc: "a spine path with k pendant leaves per spine node",
 		Validate: func(gs GraphSpec) error {
 			if gs.N < 1 || gs.K < 0 {
 				return fmt.Errorf("family caterpillar needs n >= 1 and k >= 0, got n=%d k=%d", gs.N, gs.K)
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			key := graph.CorpusKey{Family: "caterpillar", A: int64(gs.N), B: int64(gs.K)}
-			return c.Get(key, func() (*graph.Graph, error) { return graph.Caterpillar(gs.N, gs.K), nil })
-		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("caterpillar", gs.N, gs.K, 0, 0) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.Caterpillar(gs.N, gs.K), nil },
+		nodes: func(gs GraphSpec) int { return satMulInt(gs.N, satAddInt(gs.K, 1)) },
+		edges: kPerNode,
 	},
-	"lollipop": {
-		Name: "lollipop", Params: "n (clique), k (tail)",
-		uses: fieldSet{N: true, K: true},
-		Doc:  "a clique of size n with a pendant path of k nodes",
+	{
+		Name: "clique", Params: "n", Doc: "the complete graph K_n",
+		Validate: needN,
+		key:      func(gs GraphSpec) graph.CorpusKey { return corpusKey("complete", gs.N, 0, 0, 0) },
+		gen:      func(gs GraphSpec) (*graph.Graph, error) { return graph.Complete(gs.N), nil },
+		edges:    func(gs GraphSpec, _ int) int { return pairs(gs.N) },
+	},
+	{
+		Name: "cycle", Params: "n", Doc: "the cycle on n >= 3 nodes",
 		Validate: func(gs GraphSpec) error {
-			if gs.N < 1 || gs.K < 0 {
-				return fmt.Errorf("family lollipop needs n >= 1 and k >= 0, got n=%d k=%d", gs.N, gs.K)
+			if gs.N < 3 {
+				return fmt.Errorf("family cycle needs n >= 3, got %d", gs.N)
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			key := graph.CorpusKey{Family: "lollipop", A: int64(gs.N), B: int64(gs.K)}
-			return c.Get(key, func() (*graph.Graph, error) { return graph.Lollipop(gs.N, gs.K), nil })
-		},
+		key: func(gs GraphSpec) graph.CorpusKey { return corpusKey("cycle", gs.N, 0, 0, 0) },
+		gen: func(gs GraphSpec) (*graph.Graph, error) { return graph.Cycle(gs.N) },
 	},
-	"gnp": {
-		Name: "gnp", Params: "n, p, seed", Doc: "the Erdős–Rényi random graph G(n, p)",
-		uses: fieldSet{N: true, P: true, Seed: true},
-		Validate: func(gs GraphSpec) error {
-			if err := needN(gs); err != nil {
-				return err
-			}
-			if gs.P < 0 || gs.P > 1 || math.IsNaN(gs.P) {
-				return fmt.Errorf("family gnp needs p in [0, 1], got %v", gs.P)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.GNP(gs.N, gs.P, gs.Seed)
-		},
-	},
-	"regular": {
-		Name: "regular", Params: "n, d, seed", Doc: "a random d-regular simple graph",
-		uses: fieldSet{N: true, D: true, Seed: true},
-		Validate: func(gs GraphSpec) error {
-			if err := needN(gs); err != nil {
-				return err
-			}
-			if gs.D < 0 || gs.D >= gs.N || gs.N*gs.D%2 != 0 {
-				return fmt.Errorf("family regular needs 0 <= d < n with n*d even, got n=%d d=%d", gs.N, gs.D)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.RandomRegular(gs.N, gs.D, gs.Seed)
-		},
-	},
-	"forest": {
+	{
 		Name: "forest", Params: "n, k, seed",
-		uses: fieldSet{N: true, K: true, Seed: true},
-		Doc:  "the union of k random recursive forests (arboricity <= k)",
+		Doc: "the union of k random recursive forests (arboricity <= k)",
 		Validate: func(gs GraphSpec) error {
 			if err := needN(gs); err != nil {
 				return err
@@ -283,28 +189,13 @@ var families = map[string]Family{
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.ForestUnion(gs.N, gs.K, gs.Seed), nil
-		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("forest-union", gs.N, gs.K, 0, gs.Seed) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.ForestUnion(gs.N, gs.K, gs.Seed), nil },
+		edges: kPerNode,
 	},
-	"ba": {
-		Name: "ba", Params: "n, k (attachments), seed",
-		uses: fieldSet{N: true, K: true, Seed: true},
-		Doc:  "Barabási–Albert preferential attachment (power-law tail, degeneracy <= k)",
-		Validate: func(gs GraphSpec) error {
-			if gs.K < 1 || gs.K >= gs.N {
-				return fmt.Errorf("family ba needs 1 <= k < n, got n=%d k=%d", gs.N, gs.K)
-			}
-			return nil
-		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.PreferentialAttachment(gs.N, gs.K, gs.Seed)
-		},
-	},
-	"geometric": {
+	{
 		Name: "geometric", Params: "n, radius, seed",
-		uses: fieldSet{N: true, Radius: true, Seed: true},
-		Doc:  "random geometric (unit-disk) graph on the unit square",
+		Doc: "random geometric (unit-disk) graph on the unit square",
 		Validate: func(gs GraphSpec) error {
 			if err := needN(gs); err != nil {
 				return err
@@ -314,34 +205,41 @@ var families = map[string]Family{
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.RandomGeometric(gs.N, gs.Radius, gs.Seed)
-		},
+		key: func(gs GraphSpec) graph.CorpusKey { return corpusKey("geometric", gs.N, 0, gs.Radius, gs.Seed) },
+		gen: func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomGeometric(gs.N, gs.Radius, gs.Seed) },
+		// Expected pairs within radius r on the unit square: ~ n²·πr²/2.
+		edges: func(gs GraphSpec, _ int) int { return expectedPairs(math.Pi*gs.Radius*gs.Radius, gs.N) },
 	},
-	"huge-geometric": {
-		Name: "huge-geometric", Params: "n, d (target average degree), seed",
-		uses: fieldSet{N: true, D: true, Seed: true},
-		Doc:  "big-graph geometric: unit-disk graph with radius derived from a target average degree",
+	{
+		Name: "gnp", Params: "n, p, seed", Doc: "the Erdős–Rényi random graph G(n, p)",
 		Validate: func(gs GraphSpec) error {
 			if err := needN(gs); err != nil {
 				return err
 			}
-			if int64(gs.N) > graph.MaxID {
-				return fmt.Errorf("family huge-geometric needs n <= %d, got %d", graph.MaxID, gs.N)
-			}
-			if gs.D < 1 || gs.D >= gs.N {
-				return fmt.Errorf("family huge-geometric needs 1 <= d < n, got n=%d d=%d", gs.N, gs.D)
+			if gs.P < 0 || gs.P > 1 || math.IsNaN(gs.P) {
+				return fmt.Errorf("family gnp needs p in [0, 1], got %v", gs.P)
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.RandomGeometric(gs.N, hugeGeomRadius(gs.N, gs.D), gs.Seed)
-		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("gnp", gs.N, 0, gs.P, gs.Seed) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.GNP(gs.N, gs.P, gs.Seed) },
+		edges: func(gs GraphSpec, _ int) int { return expectedPairs(gs.P, gs.N) },
 	},
-	"huge-ba": {
+	{
+		Name: "grid", Params: "rows, cols", Doc: "the rows x cols grid",
+		Validate: func(gs GraphSpec) error {
+			if gs.Rows < 1 || gs.Cols < 1 {
+				return fmt.Errorf("family grid needs rows, cols >= 1, got %dx%d", gs.Rows, gs.Cols)
+			}
+			return nil
+		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("grid", gs.Rows, gs.Cols, 0, 0) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.Grid(gs.Rows, gs.Cols), nil },
+		nodes: gridNodes, edges: gridEdges,
+	},
+	{
 		Name: "huge-ba", Params: "n, k (attachments), seed",
-		uses: fieldSet{N: true, K: true, Seed: true},
-		Doc:  "big-graph preferential attachment: ba at 10^7–10^8 nodes via streaming CSR generation",
+		Doc: "big-graph preferential attachment: ba at 10^7–10^8 nodes via streaming CSR generation",
 		Validate: func(gs GraphSpec) error {
 			if err := needN(gs); err != nil {
 				return err
@@ -354,14 +252,92 @@ var families = map[string]Family{
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.PreferentialAttachment(gs.N, gs.K, gs.Seed)
-		},
+		key: baKey, gen: baGen, edges: kPerNode,
 	},
-	"smallworld": {
+	{
+		Name: "huge-geometric", Params: "n, d (target average degree), seed",
+		Doc: "big-graph geometric: unit-disk graph with radius derived from a target average degree",
+		Validate: func(gs GraphSpec) error {
+			if err := needN(gs); err != nil {
+				return err
+			}
+			if int64(gs.N) > graph.MaxID {
+				return fmt.Errorf("family huge-geometric needs n <= %d, got %d", graph.MaxID, gs.N)
+			}
+			if gs.D < 1 || gs.D >= gs.N {
+				return fmt.Errorf("family huge-geometric needs 1 <= d < n, got n=%d d=%d", gs.N, gs.D)
+			}
+			return nil
+		},
+		key: func(gs GraphSpec) graph.CorpusKey {
+			return corpusKey("geometric", gs.N, 0, hugeGeomRadius(gs.N, gs.D), gs.Seed)
+		},
+		gen: func(gs GraphSpec) (*graph.Graph, error) {
+			return graph.RandomGeometric(gs.N, hugeGeomRadius(gs.N, gs.D), gs.Seed)
+		},
+		// The radius is derived from the target average degree d, so the
+		// expected edge count is simply n·d/2.
+		edges: halfNDEdges,
+	},
+	{
+		Name: "hypercube", Params: "d", Doc: "the d-dimensional hypercube on 2^d nodes",
+		Validate: func(gs GraphSpec) error {
+			if gs.D < 0 || gs.D > 20 {
+				return fmt.Errorf("family hypercube needs d in [0, 20], got %d", gs.D)
+			}
+			return nil
+		},
+		key: func(gs GraphSpec) graph.CorpusKey { return corpusKey("hypercube", gs.D, 0, 0, 0) },
+		gen: func(gs GraphSpec) (*graph.Graph, error) { return graph.Hypercube(gs.D) },
+		nodes: func(gs GraphSpec) int {
+			if gs.D < 0 {
+				return 0
+			}
+			if gs.D >= 62 { // Validate caps d at 20; stay total regardless
+				return math.MaxInt
+			}
+			return 1 << gs.D
+		},
+		edges: func(gs GraphSpec, nodes int) int { return satMulInt(gs.D, nodes) / 2 },
+	},
+	{
+		Name: "lollipop", Params: "n (clique), k (tail)",
+		Doc: "a clique of size n with a pendant path of k nodes",
+		Validate: func(gs GraphSpec) error {
+			if gs.N < 1 || gs.K < 0 {
+				return fmt.Errorf("family lollipop needs n >= 1 and k >= 0, got n=%d k=%d", gs.N, gs.K)
+			}
+			return nil
+		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("lollipop", gs.N, gs.K, 0, 0) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.Lollipop(gs.N, gs.K), nil },
+		nodes: func(gs GraphSpec) int { return satAddInt(gs.N, gs.K) },
+		edges: func(gs GraphSpec, _ int) int { return satAddInt(pairs(gs.N), gs.K) },
+	},
+	{
+		Name: "path", Params: "n", Doc: "the path on n nodes",
+		Validate: needN,
+		key:      func(gs GraphSpec) graph.CorpusKey { return corpusKey("path", gs.N, 0, 0, 0) },
+		gen:      func(gs GraphSpec) (*graph.Graph, error) { return graph.Path(gs.N), nil },
+	},
+	{
+		Name: "regular", Params: "n, d, seed", Doc: "a random d-regular simple graph",
+		Validate: func(gs GraphSpec) error {
+			if err := needN(gs); err != nil {
+				return err
+			}
+			if gs.D < 0 || gs.D >= gs.N || gs.N*gs.D%2 != 0 {
+				return fmt.Errorf("family regular needs 0 <= d < n with n*d even, got n=%d d=%d", gs.N, gs.D)
+			}
+			return nil
+		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("regular", gs.N, gs.D, 0, gs.Seed) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomRegular(gs.N, gs.D, gs.Seed) },
+		edges: halfNDEdges,
+	},
+	{
 		Name: "smallworld", Params: "n, k (lattice degree), beta, seed",
-		uses: fieldSet{N: true, K: true, Beta: true, Seed: true},
-		Doc:  "Watts–Strogatz small world: ring lattice with beta-rewired edges",
+		Doc: "Watts–Strogatz small world: ring lattice with beta-rewired edges",
 		Validate: func(gs GraphSpec) error {
 			if gs.K < 2 || gs.K%2 != 0 || gs.K >= gs.N {
 				return fmt.Errorf("family smallworld needs even k in [2, n), got n=%d k=%d", gs.N, gs.K)
@@ -371,10 +347,69 @@ var families = map[string]Family{
 			}
 			return nil
 		},
-		Build: func(c *graph.Corpus, gs GraphSpec) (*graph.Graph, error) {
-			return c.WattsStrogatz(gs.N, gs.K, gs.Beta, gs.Seed)
-		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("smallworld", gs.N, gs.K, gs.Beta, gs.Seed) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.WattsStrogatz(gs.N, gs.K, gs.Beta, gs.Seed) },
+		edges: kPerNode,
 	},
+	{
+		Name: "star", Params: "n", Doc: "the star with one centre and n-1 leaves",
+		Validate: needN,
+		key:      func(gs GraphSpec) graph.CorpusKey { return corpusKey("star", gs.N, 0, 0, 0) },
+		gen:      func(gs GraphSpec) (*graph.Graph, error) { return graph.Star(gs.N), nil },
+	},
+	{
+		Name: "torus", Params: "rows, cols", Doc: "the rows x cols torus (grid with wraparound)",
+		Validate: func(gs GraphSpec) error {
+			if gs.Rows < 3 || gs.Cols < 3 {
+				return fmt.Errorf("family torus needs rows, cols >= 3, got %dx%d", gs.Rows, gs.Cols)
+			}
+			return nil
+		},
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("torus", gs.Rows, gs.Cols, 0, 0) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.Torus(gs.Rows, gs.Cols) },
+		nodes: gridNodes, edges: gridEdges,
+	},
+	{
+		Name: "tree", Params: "n, seed", Doc: "a uniformly random recursive tree",
+		Validate: needN,
+		key:      func(gs GraphSpec) graph.CorpusKey { return corpusKey("random-tree", gs.N, 0, 0, gs.Seed) },
+		gen:      func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomTree(gs.N, gs.Seed), nil },
+	},
+}
+
+// familyIndex maps each family name to its entry, after filling in the
+// entry's used-parameter set from its Params.
+var familyIndex = indexFamilies()
+
+func indexFamilies() map[string]*Family {
+	index := make(map[string]*Family, len(families))
+	for i := range families {
+		f := &families[i]
+		for _, item := range strings.Split(f.Params, ", ") {
+			name, _, _ := strings.Cut(item, " ")
+			j := slices.IndexFunc(params[:], func(p param) bool { return p.name == name })
+			if j < 0 {
+				panic(fmt.Sprintf("scenario: family %s consumes unknown parameter %q", f.Name, name))
+			}
+			f.uses |= 1 << j
+		}
+		index[f.Name] = f
+	}
+	return index
+}
+
+func baKey(gs GraphSpec) graph.CorpusKey {
+	return corpusKey("ba", gs.N, gs.K, 0, gs.Seed)
+}
+
+func baGen(gs GraphSpec) (*graph.Graph, error) {
+	return graph.PreferentialAttachment(gs.N, gs.K, gs.Seed)
+}
+
+// corpusKey builds the corpus key of a family's graph from its integer
+// parameters a and b, its float parameter f and its seed (0 when unused).
+func corpusKey(family string, a, b int, f float64, seed int64) graph.CorpusKey {
+	return graph.CorpusKey{Family: family, A: int64(a), B: int64(b), F: math.Float64bits(f), Seed: seed}
 }
 
 // hugeGeomRadius derives the unit-disk radius that gives a target average
@@ -419,6 +454,30 @@ func satAddInt(a, b int) int {
 	return a + b
 }
 
+// pairs is the number of unordered node pairs among n, n(n-1)/2.
+func pairs(n int) int { return satMulInt(n, n-1) / 2 }
+
+// expectedPairs estimates the edges of a graph joining each of n's pairs
+// with probability prob.
+func expectedPairs(prob float64, n int) int {
+	return int(math.Min(prob*float64(pairs(n)), math.MaxInt/2))
+}
+
+func gridNodes(gs GraphSpec) int { return satMulInt(gs.Rows, gs.Cols) }
+
+func gridEdges(_ GraphSpec, nodes int) int { return satMulInt(2, nodes) }
+
+func halfNDEdges(gs GraphSpec, _ int) int { return satMulInt(gs.N, gs.D) / 2 }
+
+// kPerNode estimates k edges per node, counting k = 0 as 1.
+func kPerNode(gs GraphSpec, nodes int) int {
+	k := gs.K
+	if k == 0 {
+		k = 1
+	}
+	return satMulInt(nodes, k)
+}
+
 // ApproxNodes estimates the node count the (validated) spec will build —
 // an upper bound good enough for admission control in serving contexts,
 // where an arbitrary client must not be able to commission an arbitrarily
@@ -426,24 +485,10 @@ func satAddInt(a, b int) int {
 // report absurd (never negative) estimates. Unknown families report their
 // raw n.
 func (gs GraphSpec) ApproxNodes() int {
-	switch gs.Family {
-	case "grid", "torus":
-		return satMulInt(gs.Rows, gs.Cols)
-	case "hypercube":
-		if gs.D < 0 {
-			return 0
-		}
-		if gs.D >= 62 { // Validate caps d at 20; stay total regardless
-			return math.MaxInt
-		}
-		return 1 << gs.D
-	case "caterpillar":
-		return satMulInt(gs.N, satAddInt(gs.K, 1))
-	case "lollipop":
-		return satAddInt(gs.N, gs.K)
-	default:
-		return max(gs.N, 0)
+	if f, ok := familyIndex[gs.Family]; ok && f.nodes != nil {
+		return f.nodes(gs)
 	}
+	return max(gs.N, 0)
 }
 
 // ApproxEdges estimates the edge count the (validated) spec will build, for
@@ -451,46 +496,16 @@ func (gs GraphSpec) ApproxNodes() int {
 // (clique, lollipop, dense gnp/geometric) must be bounded by the memory
 // they actually allocate, not their node count.
 func (gs GraphSpec) ApproxEdges() int {
-	half := func(n int) int { return satMulInt(n, n-1) / 2 }
-	switch gs.Family {
-	case "clique":
-		return half(gs.N)
-	case "lollipop":
-		return satAddInt(half(gs.N), gs.K)
-	case "grid", "torus":
-		return satMulInt(2, satMulInt(gs.Rows, gs.Cols))
-	case "hypercube":
-		return satMulInt(gs.D, gs.ApproxNodes()) / 2
-	case "regular":
-		return satMulInt(gs.N, gs.D) / 2
-	case "gnp":
-		return int(math.Min(gs.P*float64(half(gs.N)), math.MaxInt/2))
-	case "geometric":
-		// Expected pairs within radius r on the unit square: ~ n²·πr²/2.
-		return int(math.Min(math.Pi*gs.Radius*gs.Radius*float64(half(gs.N)), math.MaxInt/2))
-	case "huge-geometric":
-		// The radius is derived from the target average degree d, so the
-		// expected edge count is simply n·d/2.
-		return satMulInt(gs.N, gs.D) / 2
-	case "ba", "huge-ba", "smallworld", "forest", "caterpillar":
-		k := gs.K
-		if k == 0 {
-			k = 1
-		}
-		return satMulInt(gs.ApproxNodes(), k)
-	default:
-		return gs.ApproxNodes()
+	nodes := gs.ApproxNodes()
+	if f, ok := familyIndex[gs.Family]; ok && f.edges != nil {
+		return f.edges(gs, nodes)
 	}
+	return nodes
 }
 
 // Families returns the family table sorted by name.
 func Families() []Family {
-	out := make([]Family, 0, len(families))
-	for _, f := range families {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(families)
 }
 
 // FamilyTable renders the family table as aligned help text, one line per
@@ -498,7 +513,7 @@ func Families() []Family {
 // -families both print.
 func FamilyTable() string {
 	var b strings.Builder
-	for _, f := range Families() {
+	for _, f := range families {
 		fmt.Fprintf(&b, "%-14s (%s) — %s\n", f.Name, f.Params, f.Doc)
 	}
 	return b.String()
@@ -507,7 +522,7 @@ func FamilyTable() string {
 // FamilyNames returns the comma-separated sorted family names, for help text.
 func FamilyNames() string {
 	var names []string
-	for _, f := range Families() {
+	for _, f := range families {
 		names = append(names, f.Name)
 	}
 	return strings.Join(names, ", ")
@@ -519,27 +534,12 @@ func FamilyNames() string {
 // that silently measures something other than what its author wrote is the
 // drift a declarative corpus exists to surface.
 func (gs GraphSpec) Validate() error {
-	f, ok := families[gs.Family]
+	f, ok := familyIndex[gs.Family]
 	if !ok {
 		return fmt.Errorf("unknown graph family %q (have: %s)", gs.Family, FamilyNames())
 	}
-	type param struct {
-		name string
-		set  bool
-		used bool
-	}
-	for _, p := range []param{
-		{"n", gs.N != 0, f.uses.N},
-		{"rows", gs.Rows != 0, f.uses.Rows},
-		{"cols", gs.Cols != 0, f.uses.Cols},
-		{"d", gs.D != 0, f.uses.D},
-		{"k", gs.K != 0, f.uses.K},
-		{"p", gs.P != 0, f.uses.P},
-		{"radius", gs.Radius != 0, f.uses.Radius},
-		{"beta", gs.Beta != 0, f.uses.Beta},
-		{"seed", gs.Seed != 0, f.uses.Seed},
-	} {
-		if p.set && !p.used {
+	for i, p := range params {
+		if f.uses&(1<<i) == 0 && p.value(&gs) != nil {
 			return fmt.Errorf("family %s takes no %s parameter (takes: %s)", gs.Family, p.name, f.Params)
 		}
 	}
@@ -552,44 +552,22 @@ func (gs GraphSpec) Validate() error {
 // file would declare. Unknown families pass through untouched for Validate
 // to reject.
 func Normalize(gs GraphSpec) GraphSpec {
-	f, ok := families[gs.Family]
-	if !ok {
-		return gs
-	}
-	if !f.uses.N {
-		gs.N = 0
-	}
-	if !f.uses.Rows {
-		gs.Rows = 0
-	}
-	if !f.uses.Cols {
-		gs.Cols = 0
-	}
-	if !f.uses.D {
-		gs.D = 0
-	}
-	if !f.uses.K {
-		gs.K = 0
-	}
-	if !f.uses.P {
-		gs.P = 0
-	}
-	if !f.uses.Radius {
-		gs.Radius = 0
-	}
-	if !f.uses.Beta {
-		gs.Beta = 0
-	}
-	if !f.uses.Seed {
-		gs.Seed = 0
+	if f, ok := familyIndex[gs.Family]; ok {
+		for i, p := range params {
+			if f.uses&(1<<i) == 0 {
+				p.clear(&gs)
+			}
+		}
 	}
 	return gs
 }
 
-// Build constructs the graph through the corpus.
+// Build constructs the graph through the corpus: one lookup under the
+// family's key, generating on a miss.
 func (gs GraphSpec) Build(c *graph.Corpus) (*graph.Graph, error) {
 	if err := gs.Validate(); err != nil {
 		return nil, err
 	}
-	return families[gs.Family].Build(c, gs)
+	f := familyIndex[gs.Family]
+	return c.Get(f.key(gs), func() (*graph.Graph, error) { return f.gen(gs) })
 }

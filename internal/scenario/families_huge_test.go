@@ -67,7 +67,7 @@ func TestHugeGeometricSharesImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := c.RandomGeometric(2000, hugeGeomRadius(2000, 6), 4)
+	g2, err := GraphSpec{Family: "geometric", N: 2000, Radius: hugeGeomRadius(2000, 6), Seed: 4}.Build(c)
 	if err != nil {
 		t.Fatal(err)
 	}

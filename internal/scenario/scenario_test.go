@@ -271,9 +271,13 @@ func TestRegistryTables(t *testing.T) {
 	if got := len(Algorithms()); got != names {
 		t.Errorf("algorithm registry has %d entries, the rows name %d", got, names)
 	}
-	for _, f := range Families() {
-		if f.Build == nil || f.Validate == nil {
-			t.Errorf("family %s is missing a builder or validator", f.Name)
+	fams := Families()
+	for i, f := range fams {
+		if f.key == nil || f.gen == nil || f.Validate == nil {
+			t.Errorf("family %s is missing a key, generator or validator", f.Name)
+		}
+		if i > 0 && fams[i-1].Name >= f.Name {
+			t.Errorf("family table is not sorted by name at %s", f.Name)
 		}
 	}
 }
