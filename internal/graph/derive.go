@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // PackIDs packs two identities (each in [1, MaxID]) into a single identity
@@ -261,12 +260,4 @@ func BFSDistances(g *Graph, src int) []int {
 		}
 	}
 	return dist
-}
-
-// SortedIDs returns the identities of g in increasing order (a convenience
-// for tests).
-func SortedIDs(g *Graph) []int64 {
-	ids := append([]int64(nil), g.ids...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

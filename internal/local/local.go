@@ -44,17 +44,6 @@ type Info struct {
 	Rand      *rand.Rand
 }
 
-// NeighborPort returns the port of the neighbour with the given identity, or
-// -1 if no such neighbour exists.
-func (in *Info) NeighborPort(id int64) int {
-	for p, x := range in.Neighbors {
-		if x == id {
-			return p
-		}
-	}
-	return -1
-}
-
 // Node is the per-node state machine of a distributed algorithm.
 //
 // Round is called once per synchronous round, starting at r = 0. recv[p]

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/sweep"
 )
@@ -56,79 +55,5 @@ func TestFirstErrPrefersFailureOverCancellation(t *testing.T) {
 	// The free function keeps working on plain slices.
 	if err := sweep.FirstErr(rs); !errors.Is(err, errBoom) {
 		t.Fatalf("free FirstErr = %v, want errBoom", err)
-	}
-}
-
-func TestMergeSlots(t *testing.T) {
-	ok := &local.Result{Rounds: 2}
-	dst := make(sweep.Results, 6)
-	if err := sweep.MergeSlots(dst, []int{0, 2, 4}, sweep.Results{{Res: ok}, {Res: ok}, {Err: errBoom}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sweep.MergeSlots(dst, []int{1, 3, 5}, sweep.Results{{Res: ok}, {Res: ok}, {Res: ok}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := dst.FirstIncomplete(); got != 4 {
-		t.Fatalf("FirstIncomplete after merge = %d, want 4 (the failed slot)", got)
-	}
-
-	// Shape mismatch, out-of-range slots and double fills are refused.
-	if err := sweep.MergeSlots(dst, []int{0}, sweep.Results{}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if err := sweep.MergeSlots(make(sweep.Results, 2), []int{2}, sweep.Results{{Res: ok}}); err == nil {
-		t.Fatal("out-of-range slot accepted")
-	}
-	if err := sweep.MergeSlots(dst, []int{0}, sweep.Results{{Res: ok}}); err == nil {
-		t.Fatal("double fill accepted")
-	}
-	// An error-carrying slot counts as filled: a retry must clear it first.
-	if err := sweep.MergeSlots(dst, []int{4}, sweep.Results{{Res: ok}}); err == nil {
-		t.Fatal("overwrite of failed slot accepted")
-	}
-}
-
-// TestMergeSlotsReproducesFullRun is the determinism half of the shard
-// contract at the sweep layer: running a grid's shards separately and
-// merging by slot index reproduces the single-batch results exactly.
-func TestMergeSlotsReproducesFullRun(t *testing.T) {
-	g, err := graph.GNP(48, 0.12, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spreadAlgo(9)
-	jobs := make([]sweep.Job, 8)
-	for i := range jobs {
-		jobs[i] = sweep.Job{
-			Label: fmt.Sprintf("job-%d", i),
-			Graph: g,
-			Algo:  func() local.Algorithm { return a },
-			Seed:  int64(i + 1),
-		}
-	}
-	full, _ := sweep.Run(jobs, sweep.Options{Parallel: 1})
-
-	const shards = 3
-	merged := make(sweep.Results, len(jobs))
-	for s := 0; s < shards; s++ {
-		var slots []int
-		var sub []sweep.Job
-		for i := s; i < len(jobs); i += shards {
-			slots = append(slots, i)
-			sub = append(sub, jobs[i])
-		}
-		res, _ := sweep.Run(sub, sweep.Options{Parallel: 2})
-		if err := sweep.MergeSlots(merged, slots, res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := merged.FirstIncomplete(); got != -1 {
-		t.Fatalf("merged grid incomplete at %d", got)
-	}
-	for i := range full {
-		if full[i].Res.Rounds != merged[i].Res.Rounds || full[i].Res.Messages != merged[i].Res.Messages {
-			t.Fatalf("slot %d diverges: full (%d rounds, %d msgs), merged (%d rounds, %d msgs)",
-				i, full[i].Res.Rounds, full[i].Res.Messages, merged[i].Res.Rounds, merged[i].Res.Messages)
-		}
 	}
 }

@@ -184,29 +184,6 @@ func (rs Results) FirstErr() error {
 	return canceled
 }
 
-// MergeSlots scatters a shard's sub-results into the full-width result
-// slice: sub[k] lands at dst[slots[k]]. It refuses shape mismatches, slot
-// indices outside dst and slots already holding a completed result, so two
-// shards that were (incorrectly) assigned overlapping slots fail loudly
-// instead of silently overwriting each other. Because results are pure
-// functions of (graph, algorithm, seed), a merge of disjoint shard results
-// is byte-identical to running the whole grid in one process.
-func MergeSlots(dst Results, slots []int, sub Results) error {
-	if len(slots) != len(sub) {
-		return fmt.Errorf("sweep: merging %d results into %d slots", len(sub), len(slots))
-	}
-	for k, slot := range slots {
-		if slot < 0 || slot >= len(dst) {
-			return fmt.Errorf("sweep: slot %d outside grid of %d", slot, len(dst))
-		}
-		if dst[slot].Res != nil || dst[slot].Err != nil {
-			return fmt.Errorf("sweep: slot %d already filled", slot)
-		}
-		dst[slot] = sub[k]
-	}
-	return nil
-}
-
 // Run executes the jobs and returns their results in job order plus the
 // batch statistics. Deterministic fields of the results are identical for
 // every Parallel and EngineWorkers setting. When Options.Context fires
