@@ -398,9 +398,9 @@ func indexFamilies() map[string]*Family {
 	return index
 }
 
-func baKey(gs GraphSpec) graph.CorpusKey {
-	return corpusKey("ba", gs.N, gs.K, 0, gs.Seed)
-}
+// baKey and baGen serve ba and huge-ba: huge-ba is ba at scale, so both
+// name the same corpus entry and store image.
+func baKey(gs GraphSpec) graph.CorpusKey { return corpusKey("ba", gs.N, gs.K, 0, gs.Seed) }
 
 func baGen(gs GraphSpec) (*graph.Graph, error) {
 	return graph.PreferentialAttachment(gs.N, gs.K, gs.Seed)
