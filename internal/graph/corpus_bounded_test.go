@@ -49,9 +49,9 @@ func TestBoundedCorpusCascadesDerived(t *testing.T) {
 	if got := c.Metrics(); got.Entries != 2 {
 		t.Fatalf("after gen+derived: %+v", got)
 	}
-	// Two fresh inserts push src (and with it its shuffled-ids entry) out. The walk
-	// starts at the LRU tail, which is src; its derived entry cascades even
-	// though it was used more recently.
+	// Two fresh inserts push src (and with it its shuffled-ids entry) out.
+	// The walk starts at the LRU tail, which is src; its derived entry
+	// cascades even though it was used more recently.
 	cachedPath(c, 13)
 	cachedPath(c, 14)
 	m := c.Metrics()
@@ -84,9 +84,9 @@ func TestBoundedCorpusCascadesDerived(t *testing.T) {
 func TestBoundedCorpusCascadeSparesKeep(t *testing.T) {
 	c := NewBoundedCorpus(1)
 	src := cachedPath(c, 10)
-	// Inserting the shuffled-ids entry pushes the corpus over the limit; the only
-	// evictable entry is src itself, whose cascade targets exactly the entry
-	// being inserted.
+	// Inserting the shuffled-ids entry pushes the corpus over the limit; the
+	// only evictable entry is src itself, whose cascade targets exactly the
+	// entry being inserted.
 	p1, err := c.ShuffledIDsOf(src, 64, 1)
 	if err != nil {
 		t.Fatal(err)
