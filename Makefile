@@ -1,13 +1,13 @@
-# Build/test/bench entry points, including the PGO workflow from ISSUE 10:
-# `make pgo` regenerates the committed default.pgo profile from the
-# representative localbench sweep over scenarios/paper and distributes it
-# into every cmd/* main package (the Go toolchain auto-applies a default.pgo
-# only when it sits in the main package's own directory), and `make verify-pgo` proves the
-# committed profile is loadable and actually applied by a plain `go build`
-# (the CI pgo-gate job runs it on every commit).
+# Build/test/bench entry points, including the PGO workflow. The three
+# binaries that simulate (localbench, localserved, localsweepd) build
+# profile-guided from a committed default.pgo next to each main package (the
+# Go toolchain applies a default.pgo only from the main package's own
+# directory); cmd/localbench/default.pgo is the canonical file and the other
+# two are byte-identical copies. `make pgo` regenerates it from
+# BenchmarkPaper and `make verify-pgo` proves a plain `go build` applies it
+# to all three (the CI pgo-gate job runs it on every commit).
 
 GO ?= go
-PGO_ITERS ?= 3
 
 .PHONY: build test race bench pgo verify-pgo
 
@@ -74,25 +74,29 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkLineLift|BenchmarkPowerLift|BenchmarkProductLift' -benchmem -benchtime=1x ./internal/algorithms/lift
 	$(GO) test -run xxx -bench 'BenchmarkArbMISLoose|BenchmarkArbMISUniform' -benchmem -benchtime=1x ./internal/algorithms/arbmis
 
-# Regenerate default.pgo: run the paper corpus (scenarios/paper) $(PGO_ITERS)
-# times under one CPU profile, then copy the profile next to each main
-# package.
-# The root default.pgo is the canonical artifact; the cmd/*/default.pgo
-# copies are what `go build ./...` picks up per binary.
+# Regenerate the profile: BenchmarkPaper runs every spec of scenarios/paper
+# through the sweep scheduler, three iterations each, under one CPU profile
+# written to the canonical cmd/localbench/default.pgo, which is then copied
+# next to localserved and localsweepd. The test binary goes to a temporary
+# directory, so only the three profiles change.
 pgo:
-	$(GO) run ./cmd/localbench -scenarios scenarios/paper -pgo default.pgo -pgo-iters $(PGO_ITERS)
-	for d in cmd/*/; do cp default.pgo $$d; done
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench BenchmarkPaper -benchtime 3x -cpuprofile cmd/localbench/default.pgo -o "$$tmp/unilocal.test" .
+	cp cmd/localbench/default.pgo cmd/localserved/default.pgo
+	cp cmd/localbench/default.pgo cmd/localsweepd/default.pgo
 
-# Assert the committed profile is loadable and applied: a default build of a
-# main package must record a `-pgo=<path>/default.pgo` build setting in
-# `go version -m`, and a `-pgo=off` build of the same package must not
-# record any -pgo setting. A corrupt or missing profile fails the first
-# build or the first grep.
+# Assert the committed profiles are loadable and applied: a default build of
+# each profiled binary must record a `-pgo=<path>/cmd/<name>/default.pgo`
+# build setting in `go version -m`, and a `-pgo=off` build must record none
+# (so the grep can fail). A corrupt profile fails its build; a missing one
+# fails its grep.
 verify-pgo:
-	@test -f cmd/localbench/default.pgo || { echo "verify-pgo: cmd/localbench/default.pgo missing (run make pgo)"; exit 1; }
-	@tmp=$$(mktemp -d) && \
-	$(GO) build -o $$tmp/with-pgo ./cmd/localbench && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for c in localbench localserved localsweepd; do \
+		$(GO) build -o $$tmp/$$c ./cmd/$$c && \
+		$(GO) version -m $$tmp/$$c | grep -E "build[[:space:]]+-pgo=.*cmd/$$c/default\.pgo" || \
+		{ echo "verify-pgo: cmd/$$c is not built with its default.pgo (run make pgo)" >&2; exit 1; }; \
+	done && \
 	$(GO) build -pgo=off -o $$tmp/no-pgo ./cmd/localbench && \
-	$(GO) version -m $$tmp/with-pgo | grep -E 'build[[:space:]]+-pgo=.*default\.pgo' && \
 	! $(GO) version -m $$tmp/no-pgo | grep -E 'build[[:space:]]+-pgo=' && \
-	rm -rf $$tmp && echo "verify-pgo: profile applied by default build, absent under -pgo=off"
+	echo "verify-pgo: profile applied by default builds of localbench, localserved and localsweepd, absent under -pgo=off"

@@ -9,7 +9,6 @@
 //	localbench -scenarios dir [-exp name] [-seed N] [-parallel N]
 //	           [-workers N] [-json path] [-corpus-dir dir]
 //	           [-cpuprofile path] [-memprofile path]
-//	localbench -scenarios dir -pgo default.pgo [-pgo-iters N] [...]
 //
 // Every *.json spec in the directory is validated, expanded into sweep jobs
 // and run through the internal/sweep scheduler (N whole simulations in
@@ -34,14 +33,6 @@
 // scenarios/paper and is guarded by cmd/benchguard in CI. The profile flags
 // capture standard pprof profiles of the whole run, so hot-path regressions
 // can be diagnosed without editing code.
-//
-// With -pgo, the loaded scenario batch is executed repeatedly under a CPU
-// profile written to the given path — the representative workload profile
-// committed as default.pgo next to each main package, which makes every
-// plain `go build` profile-guided (see DESIGN.md §2.13 and `make pgo`).
-// The mode exists to produce one artifact, the profile: tables and -json
-// output are suppressed, and -cpuprofile is rejected (both flags would
-// start the same profiler).
 package main
 
 import (
@@ -57,7 +48,6 @@ import (
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/scenario"
 	"github.com/unilocal/unilocal/internal/serve"
-	"github.com/unilocal/unilocal/internal/sweep"
 )
 
 func main() {
@@ -77,17 +67,12 @@ var (
 	flagCorpus   = flag.String("corpus-dir", "", "content-addressed CSR image store directory backing the graph corpus (shared with graphgen -store and localserved -corpus-dir)")
 	flagCPU      = flag.String("cpuprofile", "", "write a CPU profile to this path")
 	flagMem      = flag.String("memprofile", "", "write a heap profile to this path")
-	flagPGO      = flag.String("pgo", "", "run the scenario batch repeatedly under a CPU profile and write it to this path (the default.pgo workflow); suppresses all other output")
-	flagPGOIters = flag.Int("pgo-iters", 3, "batch repetitions under -pgo (more = smoother profile)")
 )
 
 func run() error {
 	flag.Parse()
 	if *flagScen == "" {
 		return fmt.Errorf("-scenarios dir is required (scenarios/paper holds the paper's experiments)")
-	}
-	if *flagPGO != "" && *flagCPU != "" {
-		return fmt.Errorf("-pgo and -cpuprofile both start the CPU profiler; use one")
 	}
 	specs, err := loadSpecs()
 	if err != nil {
@@ -100,9 +85,6 @@ func run() error {
 			return err
 		}
 		corpus.AttachStore(store)
-	}
-	if *flagPGO != "" {
-		return runPGO(specs, corpus)
 	}
 	if *flagCPU != "" {
 		f, err := os.Create(*flagCPU)
@@ -172,38 +154,6 @@ func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
 		return err
 	}
 	return os.WriteFile(*flagJSON, append(data, '\n'), 0o644)
-}
-
-// runPGO expands the specs once and runs the batch -pgo-iters times under
-// one CPU profile written to the -pgo path. Over scenarios/paper this is the
-// job set BENCH.json measures — the engine's word scans, the lane traffic
-// and the transformer wrappers in their real mix — so the profile steers PGO
-// at the loops that matter. The first iteration warms the run-state pools;
-// later iterations profile the steady state a long-lived server runs in.
-func runPGO(specs []*scenario.Spec, corpus *graph.Corpus) error {
-	batch, err := scenario.Expand(specs, scenario.ExpandOptions{Corpus: corpus, SeedOffset: *flagSeed - 1})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*flagPGO)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pprof.StartCPUProfile(f); err != nil {
-		return err
-	}
-	defer pprof.StopCPUProfile()
-	for i := 0; i < max(*flagPGOIters, 1); i++ {
-		results, _ := sweep.Run(batch.Jobs, sweep.Options{
-			Parallel:      *flagParallel,
-			EngineWorkers: *flagWorkers,
-		})
-		if err := sweep.FirstErr(results); err != nil {
-			return fmt.Errorf("pgo sweep iteration %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // writeMemProfile honours -memprofile after a run (no-op when unset).

@@ -1,98 +1,17 @@
-// Package rulingset provides the ruling-set engines of Table 1's
+// Package rulingset provides the ruling-set engine of Table 1's
 // "(2, 2(c+1))-ruling set" row (Schneider–Wattenhofer regime; see DESIGN.md
-// §4 for the substitution note):
-//
-//   - BitSplit: a deterministic (2, b)-ruling set in b rounds, where b is
-//     the bit length of the identity-space guess m̃. Level k merges the
-//     candidate sets of identity prefixes: a candidate whose bit k is 1
-//     drops out iff a neighbouring candidate agrees on all higher bits and
-//     has bit k equal to 0. Survivors are independent, and every dropped
-//     node hangs off a chain of at most b candidate hops.
-//
-//   - TruncatedPowerLuby: Luby's MIS on the power graph G^β restricted to a
-//     budget derived from the guess ñ — a weak Monte Carlo (2, β)-ruling
-//     set algorithm (in fact (β+1, β)), the engine fed to Theorem 2 to
-//     produce a uniform Las Vegas ruling-set algorithm.
+// §4 for the substitution note): TruncatedPowerLuby, Luby's MIS on the power
+// graph G^β restricted to a budget derived from the guess ñ — a weak Monte
+// Carlo (2, β)-ruling set algorithm (in fact (β+1, β)), the engine fed to
+// Theorem 2 to produce a uniform Las Vegas ruling-set algorithm.
 package rulingset
 
 import (
-	"fmt"
-
 	"github.com/unilocal/unilocal/internal/algorithms/lift"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
 )
-
-// Bits returns the number of levels (and rounds) BitSplit uses for the
-// identity guess m̃.
-func Bits(mHat int) int {
-	if mHat < 1 {
-		mHat = 1
-	}
-	return mathutil.CeilLog2(mHat + 1)
-}
-
-// BitSplitRounds bounds the running time of BitSplit(m̃).
-func BitSplitRounds(mHat int) int { return Bits(mHat) + 2 }
-
-// BitSplit returns the deterministic bit-splitting ruling-set algorithm for
-// the identity guess m̃. With a good guess the output is a (2, Bits(m̃))-
-// ruling set; the node output is a bool (set membership).
-func BitSplit(mHat int) local.Algorithm {
-	b := Bits(mHat)
-	return local.AlgorithmFunc{
-		AlgoName: fmt.Sprintf("bitruling(m̃=%d)", mHat),
-		NewNode: func(info local.Info) local.Node {
-			return &bitNode{info: info, bits: b, candidate: true}
-		},
-	}
-}
-
-// bitMsg announces that the sender is still a candidate at the current
-// level.
-type bitMsg struct {
-	id int64
-}
-
-type bitNode struct {
-	info      local.Info
-	bits      int
-	candidate bool
-}
-
-// Round k processes bit level k (least significant first): a candidate with
-// bit k = 1 drops iff some neighbouring candidate shares bits above k and
-// has bit k = 0. Candidate status is (re-)broadcast every level.
-func (n *bitNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
-	if r > 0 && n.candidate {
-		k := uint(r - 1)
-		if n.info.ID>>k&1 == 1 {
-			for _, m := range recv {
-				bm, ok := m.(bitMsg)
-				if !ok {
-					continue
-				}
-				sameHigh := bm.id>>(k+1) == n.info.ID>>(k+1)
-				if sameHigh && bm.id>>k&1 == 0 {
-					n.candidate = false
-					break
-				}
-			}
-		}
-	}
-	if r >= n.bits {
-		return nil, true
-	}
-	if n.candidate {
-		return local.Broadcast(bitMsg{id: n.info.ID}, n.info.Degree), false
-	}
-	return nil, false
-}
-
-func (n *bitNode) Output() any { return n.candidate }
-
-var _ local.Node = (*bitNode)(nil)
 
 // TruncatedPowerLuby returns Luby's MIS on G^β restricted to a budget
 // derived from the node-count guess ñ: a weak Monte Carlo (2, β)-ruling-set

@@ -2,87 +2,11 @@ package rulingset
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
-
-func TestBitSplitOnSuites(t *testing.T) {
-	cyc, _ := graph.Cycle(33)
-	gnp, err := graph.GNP(200, 0.04, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shuffled, err := graph.WithShuffledIDs(graph.Grid(10, 10), 1<<20, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := map[string]*graph.Graph{
-		"path":     graph.Path(64),
-		"cycle":    cyc,
-		"clique":   graph.Complete(20),
-		"star":     graph.Star(40),
-		"gnp":      gnp,
-		"shuffled": shuffled,
-	}
-	for name, g := range graphs {
-		t.Run(name, func(t *testing.T) {
-			m := int(g.MaxIDValue())
-			res, err := local.Run(g, BitSplit(m), local.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			in, err := problems.Bools(res.Outputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := problems.ValidRulingSet(g, in, 2, Bits(m)); err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds > BitSplitRounds(m) {
-				t.Errorf("rounds %d exceed bound %d", res.Rounds, BitSplitRounds(m))
-			}
-		})
-	}
-}
-
-func TestBitSplitProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g, err := graph.WithShuffledIDs(graph.ForestUnion(60, 2, seed), 1<<16, seed)
-		if err != nil {
-			return false
-		}
-		m := int(g.MaxIDValue())
-		res, err := local.Run(g, BitSplit(m), local.Options{})
-		if err != nil {
-			return false
-		}
-		in, err := problems.Bools(res.Outputs)
-		if err != nil {
-			return false
-		}
-		return problems.ValidRulingSet(g, in, 2, Bits(m)) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBitSplitBadGuessTerminates(t *testing.T) {
-	g, err := graph.WithShuffledIDs(graph.Path(50), 1<<18, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := local.Run(g, BitSplit(3), local.Options{}) // far too few bits
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds > BitSplitRounds(3) {
-		t.Errorf("rounds %d exceed bound %d", res.Rounds, BitSplitRounds(3))
-	}
-}
 
 func TestTruncatedPowerLuby(t *testing.T) {
 	g, err := graph.GNP(150, 0.04, 9)

@@ -136,9 +136,6 @@ func Broadcast(msg Message, deg int) []Message {
 	return send
 }
 
-// Silence is the empty send slice.
-func Silence() []Message { return nil }
-
 // DeriveRand returns a deterministic child RNG for stream i of the given
 // parent-less identity; Run uses it to seed per-node randomness and nested
 // simulations (lifts, transformer iterations) use it for per-incarnation

@@ -205,10 +205,9 @@ var families = []Family{
 			}
 			return nil
 		},
-		key: func(gs GraphSpec) graph.CorpusKey { return corpusKey("geometric", gs.N, 0, gs.Radius, gs.Seed) },
-		gen: func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomGeometric(gs.N, gs.Radius, gs.Seed) },
-		// Expected pairs within radius r on the unit square: ~ n²·πr²/2.
-		edges: func(gs GraphSpec, _ int) int { return expectedPairs(math.Pi*gs.Radius*gs.Radius, gs.N) },
+		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("geometric", gs.N, 0, gs.Radius, gs.Seed) },
+		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomGeometric(gs.N, gs.Radius, gs.Seed) },
+		edges: func(gs GraphSpec, _ int) int { return unitDiskEdges(gs.N, gs.Radius) },
 	},
 	{
 		Name: "gnp", Params: "n, p, seed", Doc: "the Erdős–Rényi random graph G(n, p)",
@@ -223,7 +222,7 @@ var families = []Family{
 		},
 		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("gnp", gs.N, 0, gs.P, gs.Seed) },
 		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.GNP(gs.N, gs.P, gs.Seed) },
-		edges: func(gs GraphSpec, _ int) int { return expectedPairs(gs.P, gs.N) },
+		edges: func(gs GraphSpec, _ int) int { return pairsBound(gs.N, gs.P, gnpTail) },
 	},
 	{
 		Name: "grid", Params: "rows, cols", Doc: "the rows x cols grid",
@@ -276,8 +275,8 @@ var families = []Family{
 			return graph.RandomGeometric(gs.N, hugeGeomRadius(gs.N, gs.D), gs.Seed)
 		},
 		// The radius is derived from the target average degree d, so the
-		// expected edge count is simply n·d/2.
-		edges: halfNDEdges,
+		// expected edge count is n·d/2; the bound adds geometric's margin.
+		edges: func(gs GraphSpec, _ int) int { return unitDiskEdges(gs.N, hugeGeomRadius(gs.N, gs.D)) },
 	},
 	{
 		Name: "hypercube", Params: "d", Doc: "the d-dimensional hypercube on 2^d nodes",
@@ -333,7 +332,7 @@ var families = []Family{
 		},
 		key:   func(gs GraphSpec) graph.CorpusKey { return corpusKey("regular", gs.N, gs.D, 0, gs.Seed) },
 		gen:   func(gs GraphSpec) (*graph.Graph, error) { return graph.RandomRegular(gs.N, gs.D, gs.Seed) },
-		edges: halfNDEdges,
+		edges: func(gs GraphSpec, _ int) int { return satMulInt(gs.N, gs.D) / 2 },
 	},
 	{
 		Name: "smallworld", Params: "n, k (lattice degree), beta, seed",
@@ -457,17 +456,45 @@ func satAddInt(a, b int) int {
 // pairs is the number of unordered node pairs among n, n(n-1)/2.
 func pairs(n int) int { return satMulInt(n, n-1) / 2 }
 
-// expectedPairs estimates the edges of a graph joining each of n's pairs
-// with probability prob.
-func expectedPairs(prob float64, n int) int {
-	return int(math.Min(prob*float64(pairs(n)), math.MaxInt/2))
+// Tail exponents of the random families' edge bounds: a built graph exceeds
+// its bound with probability about e^-tail. gnp joins its pairs
+// independently, so Bernstein's inequality guarantees e^-gnpTail. A
+// unit-disk graph's pairs are dependent (two pairs sharing a node near the
+// square's edge are both less likely to join), so its margin is wider; the
+// seed sweep in TestRandomFamilyEdgeBounds checks it.
+const (
+	gnpTail      = 20
+	unitDiskTail = 80
+)
+
+// pairsBound bounds the edges of a graph joining each of n's pairs with
+// probability prob: the mean m·prob plus Bernstein's deviation margin
+// tail/3 + sqrt(tail²/9 + 2·tail·m·prob·(1-prob)), rounded up and capped at
+// pairs(n). A probability outside [0, 1] (NaN included) reports pairs(n).
+func pairsBound(n int, prob, tail float64) int {
+	m := pairs(n)
+	if !(prob >= 0 && prob <= 1) {
+		return m
+	}
+	mean := float64(m) * prob
+	bound := math.Ceil(mean + tail/3 + math.Sqrt(tail*tail/9+2*tail*mean*(1-prob)))
+	if bound < float64(m) {
+		return int(bound)
+	}
+	return m
+}
+
+// unitDiskEdges bounds the edges of the unit-disk graph on n uniform points
+// of the unit square with radius r. Two points lie within r of each other
+// with probability at most πr² (the square's edges only lower it), so the
+// bound is pairsBound at that probability, capped at 1, with the wider tail.
+func unitDiskEdges(n int, r float64) int {
+	return pairsBound(n, math.Min(math.Pi*r*r, 1), unitDiskTail)
 }
 
 func gridNodes(gs GraphSpec) int { return satMulInt(gs.Rows, gs.Cols) }
 
 func gridEdges(_ GraphSpec, nodes int) int { return satMulInt(2, nodes) }
-
-func halfNDEdges(gs GraphSpec, _ int) int { return satMulInt(gs.N, gs.D) / 2 }
 
 // kPerNode estimates k edges per node, counting k = 0 as 1.
 func kPerNode(gs GraphSpec, nodes int) int {
@@ -491,10 +518,13 @@ func (gs GraphSpec) ApproxNodes() int {
 	return max(gs.N, 0)
 }
 
-// ApproxEdges estimates the edge count the (validated) spec will build, for
-// the same admission purpose: families whose edge count is superlinear in n
-// (clique, lollipop, dense gnp/geometric) must be bounded by the memory
-// they actually allocate, not their node count.
+// ApproxEdges estimates the edge count the (validated) spec will build —
+// an upper bound, for the same admission purpose: families whose edge count
+// is superlinear in n (clique, lollipop, dense gnp/geometric) must be
+// bounded by the memory they actually allocate, not their node count. For
+// the random families (gnp, geometric, huge-geometric) it is the expected
+// count plus a deviation margin (see pairsBound), so a built graph exceeds
+// it only with negligible probability.
 func (gs GraphSpec) ApproxEdges() int {
 	nodes := gs.ApproxNodes()
 	if f, ok := familyIndex[gs.Family]; ok && f.edges != nil {

@@ -8,6 +8,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"github.com/unilocal/unilocal/internal/graph"
 )
 
 func TestApproxSizesSaneOnCommittedShapes(t *testing.T) {
@@ -31,10 +33,45 @@ func TestApproxSizesSaneOnCommittedShapes(t *testing.T) {
 			t.Errorf("%s: ApproxEdges = %d, want %d", tc.gs, got, tc.edges)
 		}
 	}
-	// gnp's estimate is an expectation, not exact: just pin the magnitude.
+	// gnp's estimate is the expected 4995 edges plus a deviation margin:
+	// pin only the magnitude.
 	gnp := GraphSpec{Family: "gnp", N: 1000, P: 0.01}
 	if e := gnp.ApproxEdges(); e < 4000 || e > 6000 {
 		t.Errorf("gnp estimate %d implausible for n=1000 p=0.01", e)
+	}
+}
+
+// TestRandomFamilyEdgeBounds builds the random families over a sweep of
+// seeds and requires every built graph to stay within ApproxEdges: the
+// estimate is an admission bound, so a seed that exceeds it lets a request
+// allocate more than the server admitted.
+func TestRandomFamilyEdgeBounds(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	for _, shape := range []GraphSpec{
+		{Family: "gnp", N: 64, P: 0.05},
+		{Family: "gnp", N: 1000, P: 0.01},
+		{Family: "geometric", N: 64, Radius: 0.1},
+		{Family: "geometric", N: 1000, Radius: 0.05},
+		{Family: "huge-geometric", N: 64, D: 4},
+		{Family: "huge-geometric", N: 1000, D: 8},
+	} {
+		bound, most := shape.ApproxEdges(), 0
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			gs := shape
+			gs.Seed = seed
+			g, err := gs.Build(graph.NewCorpus())
+			if err != nil {
+				t.Fatalf("%s: %v", gs, err)
+			}
+			if g.NumEdges() > bound {
+				t.Errorf("%s: built %d edges, above the estimate %d", gs, g.NumEdges(), bound)
+			}
+			most = max(most, g.NumEdges())
+		}
+		t.Logf("%s: estimate %d, most edges over %d seeds %d", shape, bound, seeds, most)
 	}
 }
 
