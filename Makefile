@@ -53,8 +53,10 @@ race:
 
 # One-shot run of every paper experiment (BenchmarkPaper: each spec of
 # scenarios/paper, outputs checked by the registry checkers), the engine
-# microbenchmarks, the transformer hot-path benchmarks, the line lift on the
-# matching-geometric-dense host, the Power and Product lifts on the
+# microbenchmarks, the transformer hot-path benchmarks (among them the
+# radius-2 and radius-3 gathers, BenchmarkAlternatingGather/mis-radius2 and
+# /rulingset-radius3, the latter on the rulingset-smallworld host), the
+# line lift on the matching-geometric-dense host, the Power and Product lifts on the
 # rulingset-smallworld and deg-coloring-hypercube-dense shapes, the composed
 # colorings under lockstep, staggered and loose-guess workloads, the
 # arboricity MIS under loose guesses and its uniform transform (the

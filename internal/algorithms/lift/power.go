@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/unilocal/unilocal/internal/idindex"
 	"github.com/unilocal/unilocal/internal/local"
 )
 
@@ -67,8 +68,10 @@ type powerNode struct {
 
 	// ball holds the identities within distance k, sorted (virtual ports).
 	// During discovery it is the sorted set of identities found so far,
-	// this node's own included.
+	// this node's own included. pos maps each member to its ball position
+	// once discovery ends.
 	ball    []int64
+	pos     idindex.Index
 	sim     local.Node
 	t       int // virtual round counter
 	simDone bool
@@ -158,6 +161,10 @@ func (n *powerNode) finishDiscovery(recv []local.Message) {
 	self, _ := slices.BinarySearch(n.ball, n.info.ID)
 	n.ball = slices.Delete(n.ball, self, self+1)
 	b := len(n.ball)
+	n.pos.Reset(b)
+	for q, id := range n.ball {
+		n.pos.Add(id, int32(q))
+	}
 	n.seen = make([]int32, b)
 	n.done = make([]bool, b)
 	n.live = b
@@ -232,8 +239,8 @@ func (n *powerNode) forward(r int, recv []local.Message) []local.Message {
 // the same payload and flag, so later copies change nothing. This node's
 // own records are never extracted.
 func (n *powerNode) extract(rec powerRecord) bool {
-	q := indexOf(n.ball, rec.src)
-	if q < 0 || n.seen[q] == n.wave {
+	q, ok := n.pos.Get(rec.src)
+	if !ok || n.seen[q] == n.wave {
 		return false
 	}
 	n.seen[q] = n.wave
@@ -295,6 +302,7 @@ func (n *powerNode) broadcast(msg local.Message) []local.Message {
 // intact for the receivers still reading them.
 func (n *powerNode) release() {
 	n.ball, n.sim, n.seen, n.inbox, n.done, n.send = nil, nil, nil, nil, nil, nil
+	n.pos = idindex.Index{}
 	n.payloads, n.floods = [2]*powerPayload{}, [2]*powerFlood{}
 }
 

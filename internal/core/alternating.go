@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"github.com/unilocal/unilocal/internal/idindex"
 	"github.com/unilocal/unilocal/internal/local"
 )
 
@@ -63,18 +64,20 @@ func NewAlternating(name string, plan Plan, pruner Pruner) local.Algorithm {
 	}
 }
 
-// gatherMsg floods ball records during the pruning phase. The records slice
-// is a sub-slice of the sender's arena holding only the records the sender
+// gatherMsg floods ball entries during the pruning phase. The refs slice is
+// a sub-slice of the sender's arena holding only the entries the sender
 // first learned in the previous round (the BFS frontier of its ball): the
 // standard flooding argument gives every record one shortest-path journey,
-// so per-window traffic is O(|ball|) records per node instead of the
-// O(radius·|ball|) of whole-set re-flooding. Receivers copy records out
-// within one round; the sender only ever appends past the sub-slice, so the
-// shared backing array is race-free. Messages are sent as pointers into a
-// per-node parity-double-buffered pair, rewritten two rounds after they were
-// sent, as the message-reuse rule of local.Node allows.
+// so per-window traffic is O(|ball|) entries per node instead of the
+// O(radius·|ball|) of whole-set re-flooding. An entry points at its
+// originator's own record, which is never copied; receivers copy the
+// 16-byte entries out within one round, adding one to the distance, and the
+// sender only ever appends past the sub-slice, so the shared backing array
+// is race-free. Messages are sent as pointers into a per-node
+// parity-double-buffered pair, rewritten two rounds after they were sent,
+// as the message-reuse rule of local.Node allows.
 type gatherMsg struct {
-	records []BallRecord
+	refs []ballRef
 }
 
 // announceMsg reports whether the sender survives into the next window.
@@ -98,12 +101,19 @@ type altNode struct {
 	decision    Decision
 	exhausted   bool
 
+	// self is this node's record for the current window. Other nodes'
+	// balls point at it from the window's first gather round to its
+	// announce round, so it is rewritten only at the first gather round of
+	// the next window, never earlier: lockstep puts the announce round of
+	// every node in between.
+	self BallRecord
+
 	// Pooled pruning state, reset (not reallocated) every window. arena
-	// holds the gathered ball in BFS discovery order with the own record
+	// holds the gathered ball in BFS discovery order with the own entry
 	// first; index maps identities to arena positions; deltaLo marks the
-	// start of the newest BFS frontier (the records to forward next round).
-	arena   []BallRecord
-	index   map[int64]int32
+	// start of the newest BFS frontier (the entries to forward next round).
+	arena   []ballRef
+	index   idindex.Index
 	ball    Ball
 	deltaLo int
 
@@ -150,7 +160,7 @@ func (n *altNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 		send = n.gather(offset == budget, r&1, recv)
 	case offset == budget+radius: // announce phase
 		n.mergeRecords(recv)
-		n.ball.reset(n.info.ID, n.arena, n.index)
+		n.ball.reset(n.info.ID, n.arena, &n.index)
 		n.decision = n.pruner.Decide(&n.ball)
 		send = n.broadcastActive(announceMsg{surviving: !n.decision.Prune})
 		if n.decision.Prune {
@@ -246,24 +256,21 @@ func (n *altNode) stepInner(offset int, recv []local.Message) []local.Message {
 func (n *altNode) gather(first bool, parity int, recv []local.Message) []local.Message {
 	if first {
 		if n.arena == nil {
-			// Pre-size for the common small-radius case: a radius-2 ball
-			// holds at most 1 + deg + deg·(deg-1) records, and the arena
-			// grows (once, keeping capacity forever) if the ball is larger.
-			hint := 2 + 4*len(n.activePorts)
-			n.arena = make([]BallRecord, 0, hint)
-			n.index = make(map[int64]int32, hint)
+			hint := ballHint(len(n.activePorts), n.pruner.Radius())
+			n.arena = make([]ballRef, 0, hint)
+			n.index.Reset(hint)
 		} else {
 			n.arena = n.arena[:0]
-			clear(n.index)
+			n.index.Reset(0)
 		}
-		n.arena = append(n.arena, BallRecord{
+		n.self = BallRecord{
 			ID:        n.info.ID,
-			Dist:      0,
 			Input:     n.input,
 			Tentative: n.tentative,
 			Neighbors: n.ids,
-		})
-		n.index[n.info.ID] = 0
+		}
+		n.arena = append(n.arena, ballRef{rec: &n.self})
+		n.index.Add(n.info.ID, 0)
 		n.deltaLo = 0
 	} else {
 		n.deltaLo = len(n.arena)
@@ -272,32 +279,44 @@ func (n *altNode) gather(first bool, parity int, recv []local.Message) []local.M
 	// An empty delta is still broadcast: the fixed message pattern keeps the
 	// phase structure (and Result.Messages) independent of ball shape.
 	gm := &n.gmBuf[parity]
-	gm.records = n.arena[n.deltaLo:len(n.arena):len(n.arena)]
+	gm.refs = n.arena[n.deltaLo:len(n.arena):len(n.arena)]
 	return n.broadcastActive(gm)
 }
 
-// mergeRecords ingests flooded deltas, appending first-seen records to the
-// arena. First arrival is along a shortest path, so the recorded distance
-// is minimal; later copies of the same record are duplicates and dropped.
+// ballHint is the initial arena and index size of a node with deg active
+// neighbours gathering a radius-r ball: the ball of a locally tree-like
+// graph of degree deg, 1 + deg + deg(deg−1) + …, capped at 256 entries.
+// On the rulingset-smallworld host (mean degree 8, radius 3, balls of 158
+// entries on average and 256 at most) 3 of 512 nodes grow the index, each
+// once. Growth keeps its capacity for every later window, whose balls lie
+// in the surviving subgraph and so are no larger.
+func ballHint(deg, r int) int {
+	const capHint = 256
+	hint, layer := 1, deg
+	for range r {
+		hint += layer
+		if hint >= capHint {
+			return capHint
+		}
+		layer *= max(deg-1, 1)
+	}
+	return hint
+}
+
+// mergeRecords ingests flooded deltas, appending first-seen entries to the
+// arena one hop further out than the sender saw them. First arrival is
+// along a shortest path, so the recorded distance is minimal; later copies
+// of the same record are duplicates and dropped.
 func (n *altNode) mergeRecords(recv []local.Message) {
 	for _, p := range n.activePorts {
 		gm, ok := recv[p].(*gatherMsg)
 		if !ok {
 			continue
 		}
-		for i := range gm.records {
-			rec := &gm.records[i]
-			if _, seen := n.index[rec.ID]; seen {
-				continue
+		for _, ref := range gm.refs {
+			if n.index.Add(ref.rec.ID, int32(len(n.arena))) {
+				n.arena = append(n.arena, ballRef{rec: ref.rec, dist: ref.dist + 1})
 			}
-			n.index[rec.ID] = int32(len(n.arena))
-			n.arena = append(n.arena, BallRecord{
-				ID:        rec.ID,
-				Dist:      rec.Dist + 1,
-				Input:     rec.Input,
-				Tentative: rec.Tentative,
-				Neighbors: rec.Neighbors,
-			})
 		}
 	}
 }
@@ -336,9 +355,11 @@ func (n *altNode) broadcastActive(msg local.Message) []local.Message {
 
 // release drops the pooled state of a node that will never run another
 // window (pruned or exhausted), so the engine's states table does not pin
-// every terminated node's last ball for the rest of the run.
+// every terminated node's last ball for the rest of the run. It leaves the
+// own record alone: other nodes may still read it in this round.
 func (n *altNode) release() {
-	n.arena, n.index, n.ids, n.sendBuf, n.sub = nil, nil, nil, nil, nil
+	n.arena, n.ids, n.sendBuf, n.sub = nil, nil, nil, nil
+	n.index = idindex.Index{}
 	n.ball = Ball{}
 }
 

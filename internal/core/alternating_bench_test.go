@@ -5,7 +5,8 @@ package core_test
 // alternating cascade (Theorem 2 Las Vegas MIS, many windows, shrinking
 // survivor set) and the E14 transformer-overhead sweep (Theorem 1 uniform
 // MIS on a sparse regular graph). BenchmarkAlternatingGather isolates the
-// pruning machinery itself with idle run phases, and BenchmarkPlanStep
+// pruning machinery itself with idle run phases at radius 2, and times it
+// at radius 3 inside the Theorem 2 ruling set, and BenchmarkPlanStep
 // isolates the plan schedule arithmetic. Run with -benchmem.
 
 import (
@@ -63,28 +64,46 @@ func BenchmarkAlternatingOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAlternatingGather isolates the pruning machinery: idle run
-// phases (nobody is ever selected, nobody pruned) for several windows, then
-// one correct window. Virtually every round measured is a gather, announce
-// or absorb round over the full node set.
+// BenchmarkAlternatingGather measures the pruning machinery at both radii
+// the paper's pruners use.
+//
+//   - mis-radius2: idle run phases (nobody is ever selected, nobody pruned)
+//     for several windows, then one correct window, under P(2,1) on
+//     G(512, 10/511). Virtually every round measured is a gather, announce
+//     or absorb round over the full node set.
+//   - rulingset-radius3: the lasvegas-rulingset(β=2) stack on the
+//     rulingset-smallworld host, a Watts–Strogatz small world (n=512, k=8,
+//     β=0.2, seed 7): the Theorem 2 plan over Power(2, Luby) windows,
+//     pruned by P(2,2), whose radius-3 balls hold 158 records on average.
 func BenchmarkAlternatingGather(b *testing.B) {
-	n := 512
-	g, err := graph.GNP(n, 10/float64(n-1), int64(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	idle := local.AlgorithmFunc{
-		AlgoName: "always-false",
-		NewNode:  func(local.Info) local.Node { return benchFalseNode{} },
-	}
-	correct := colormis.New(g.MaxDegree(), g.MaxIDValue())
-	budget := colormis.BoundDelta(g.MaxDegree()) + colormis.BoundM(int(g.MaxIDValue()))
-	steps := make([]core.Step, 0, 9)
-	for i := 0; i < 8; i++ {
-		steps = append(steps, core.Step{Algo: idle, Budget: 2})
-	}
-	steps = append(steps, core.Step{Algo: correct, Budget: budget})
-	benchAlt(b, g, core.NewAlternating("gather-probe", benchListPlan{steps: steps}, core.MISPruner()))
+	b.Run("mis-radius2", func(b *testing.B) {
+		n := 512
+		g, err := graph.GNP(n, 10/float64(n-1), int64(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		idle := local.AlgorithmFunc{
+			AlgoName: "always-false",
+			NewNode:  func(local.Info) local.Node { return benchFalseNode{} },
+		}
+		correct := colormis.New(g.MaxDegree(), g.MaxIDValue())
+		budget := colormis.BoundDelta(g.MaxDegree()) + colormis.BoundM(int(g.MaxIDValue()))
+		steps := make([]core.Step, 0, 9)
+		for i := 0; i < 8; i++ {
+			steps = append(steps, core.Step{Algo: idle, Budget: 2})
+		}
+		steps = append(steps, core.Step{Algo: correct, Budget: budget})
+		benchAlt(b, g, core.NewAlternating("gather-probe", benchListPlan{steps: steps}, core.MISPruner()))
+	})
+	b.Run("rulingset-radius3", func(b *testing.B) {
+		g, err := graph.WattsStrogatz(512, 8, 0.2, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const beta = 2
+		r := engines.RowRulingSet
+		benchAlt(b, g, core.LasVegas(r.NonUniform(beta), r.Seq(beta), core.RulingSetPruner(beta)))
+	})
 }
 
 type benchFalseNode struct{}

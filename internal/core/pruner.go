@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/unilocal/unilocal/internal/idindex"
+)
 
 // This file defines the pruning-algorithm abstraction of Section 3. A
 // pruning algorithm P takes a triplet (G, x, ŷ) — graph, input vector,
@@ -18,14 +22,13 @@ import "sort"
 // evaluates Decide on it. This matches the paper's convention that a
 // pruning algorithm is a uniform constant-time local algorithm.
 
-// BallRecord is one record of a gathered ball view. Records are plain
-// values: the gather phase floods them as flat slices and stores them in a
-// per-node arena, so a ball never owns per-record heap objects.
+// BallRecord is one record of a gathered ball view: what a node publishes
+// about itself for one pruning phase. Each node owns its record and the
+// gather phase floods pointers to it (see ballRef), so a record is built
+// once per node and window, however many balls it joins.
 type BallRecord struct {
 	// ID is the node's identity.
 	ID int64
-	// Dist is its distance from the ball's centre in the induced graph.
-	Dist int
 	// Input is its current problem input x(v).
 	Input any
 	// Tentative is its tentative output ŷ(v). It may be nil or of an
@@ -47,76 +50,94 @@ func (b *BallRecord) HasNeighbor(id int64) bool {
 	return false
 }
 
-// Ball is the radius-r view around a node. Its records live in one flat
-// slice ordered by non-decreasing Dist (BFS discovery order), with the
-// centre first; the order is deterministic, so pruners that scan Records()
-// are replay-stable and may stop early once Dist exceeds their horizon.
+// ballRef is one entry of a ball: a shared record and its distance from
+// the viewer, which is the viewer's own and so lives outside the record.
+type ballRef struct {
+	rec  *BallRecord
+	dist int32
+}
+
+// Ball is the radius-r view around a node. Its entries live in one flat
+// slice ordered by non-decreasing distance (BFS discovery order), with the
+// centre first; the order is deterministic, so pruners that scan entries
+// 0…Len()-1 are replay-stable and may stop early once Dist(i) exceeds
+// their horizon.
 type Ball struct {
 	// CenterID is the identity of the node deciding.
 	CenterID int64
 
-	records []BallRecord
-	index   map[int64]int32
+	refs  []ballRef
+	index *idindex.Index
 }
 
-// NewBall assembles a ball from loose records (one of which must carry
-// CenterID = centerID). It is the constructor used by tests and by central
+// NewBall assembles a ball from loose records and their distances from the
+// centre (dist[i] belongs to records[i]; one record must carry ID =
+// centerID). It is the constructor used by tests and by central
 // (non-distributed) gathers; the transformer hot path builds balls in place
-// from its pooled arena instead. Records are re-ordered to the canonical
-// (Dist, ID) order with the centre first.
-func NewBall(centerID int64, records []BallRecord) *Ball {
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].ID == centerID {
-			return records[j].ID != centerID
+// from its pooled arena instead. Entries are ordered canonically: the
+// centre first, then by (distance, ID).
+func NewBall(centerID int64, records []BallRecord, dist []int) *Ball {
+	refs := make([]ballRef, len(records))
+	for i := range records {
+		refs[i] = ballRef{rec: &records[i], dist: int32(dist[i])}
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		if refs[i].rec.ID == centerID {
+			return refs[j].rec.ID != centerID
 		}
-		if records[j].ID == centerID {
+		if refs[j].rec.ID == centerID {
 			return false
 		}
-		if records[i].Dist != records[j].Dist {
-			return records[i].Dist < records[j].Dist
+		if refs[i].dist != refs[j].dist {
+			return refs[i].dist < refs[j].dist
 		}
-		return records[i].ID < records[j].ID
+		return refs[i].rec.ID < refs[j].rec.ID
 	})
-	b := &Ball{CenterID: centerID, records: records, index: make(map[int64]int32, len(records))}
-	for i := range records {
-		b.index[records[i].ID] = int32(i)
+	b := &Ball{CenterID: centerID, refs: refs, index: new(idindex.Index)}
+	b.index.Reset(len(refs))
+	for i := range refs {
+		b.index.Add(refs[i].rec.ID, int32(i))
 	}
 	return b
 }
 
 // reset points the ball at an externally pooled arena and index. The arena
-// must hold the centre record first and be in BFS discovery order.
-func (b *Ball) reset(centerID int64, records []BallRecord, index map[int64]int32) {
+// must hold the centre first and be in BFS discovery order.
+func (b *Ball) reset(centerID int64, refs []ballRef, index *idindex.Index) {
 	b.CenterID = centerID
-	b.records = records
+	b.refs = refs
 	b.index = index
 }
 
 // Center returns the centre record.
 func (b *Ball) Center() *BallRecord {
-	if len(b.records) > 0 && b.records[0].ID == b.CenterID {
-		return &b.records[0]
+	if len(b.refs) > 0 && b.refs[0].rec.ID == b.CenterID {
+		return b.refs[0].rec
 	}
 	return b.Get(b.CenterID)
 }
 
-// Get returns the record with the given identity, or nil. The pointer is
-// into the ball's backing array and is only valid for the duration of the
-// Decide call that received the ball.
+// Get returns the record with the given identity, or nil. The record is
+// shared with every ball that holds it and is only valid for the duration
+// of the Decide call that received the ball.
 func (b *Ball) Get(id int64) *BallRecord {
-	if i, ok := b.index[id]; ok {
-		return &b.records[i]
+	if i, ok := b.index.Get(id); ok {
+		return b.refs[i].rec
 	}
 	return nil
 }
 
-// Records returns the full record slice in non-decreasing Dist order with
-// the centre first. Callers must treat it as read-only and must not retain
-// it past the Decide call.
-func (b *Ball) Records() []BallRecord { return b.records }
+// Record returns entry i, 0 <= i < Len(): the centre at 0, then the other
+// members in non-decreasing distance. Callers must treat it as read-only
+// and must not retain it past the Decide call.
+func (b *Ball) Record(i int) *BallRecord { return b.refs[i].rec }
+
+// Dist returns the distance of entry i from the centre in the induced
+// graph.
+func (b *Ball) Dist(i int) int { return int(b.refs[i].dist) }
 
 // Len returns the number of records in the ball.
-func (b *Ball) Len() int { return len(b.records) }
+func (b *Ball) Len() int { return len(b.refs) }
 
 // Decision is a pruner's verdict for one node.
 type Decision struct {

@@ -55,14 +55,13 @@ func (p rulingPruner) Decide(b *Ball) Decision {
 	if selected(c) {
 		return Decision{Prune: isolatedMember(c)}
 	}
-	// Records are in non-decreasing Dist order, so the scan for a dominating
-	// member stops at the first record beyond distance beta.
-	recs := b.Records()
-	for i := range recs {
-		if recs[i].Dist > p.beta {
+	// Entries are in non-decreasing distance order, so the scan for a
+	// dominating member stops at the first entry beyond distance beta.
+	for i := range b.Len() {
+		if b.Dist(i) > p.beta {
 			break
 		}
-		if isolatedMember(&recs[i]) {
+		if isolatedMember(b.Record(i)) {
 			return Decision{Prune: true}
 		}
 	}

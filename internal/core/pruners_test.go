@@ -36,6 +36,7 @@ func buildBall(g *graph.Graph, radius, u int, inputs, outputs []any) *Ball {
 		}
 	}
 	records := make([]BallRecord, 0, len(queue))
+	dists := make([]int, 0, len(queue))
 	for _, x := range queue {
 		var in, out any
 		if inputs != nil {
@@ -46,13 +47,13 @@ func buildBall(g *graph.Graph, radius, u int, inputs, outputs []any) *Ball {
 		}
 		records = append(records, BallRecord{
 			ID:        g.ID(x),
-			Dist:      dist[x],
 			Input:     in,
 			Tentative: out,
 			Neighbors: g.NeighborIDs(nil, x),
 		})
+		dists = append(dists, dist[x])
 	}
-	return NewBall(g.ID(u), records)
+	return NewBall(g.ID(u), records, dists)
 }
 
 func boolsToAny(bs []bool) []any {
