@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -77,6 +78,35 @@ func TestUsageErrors(t *testing.T) {
 				t.Fatalf("failed run wrote to stdout:\n%s", stdout)
 			}
 		})
+	}
+}
+
+// TestRunFailureText runs a spec whose only job cannot finish within its
+// max_rounds: the command exits 1, writes nothing to stdout and names the
+// scenario and the job before the engine's own error.
+func TestRunFailureText(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{
+  "name": "fail-maxrounds",
+  "graph": {"family": "cycle", "n": 64},
+  "algorithm": {"name": "uniform-mis-delta"},
+  "max_rounds": 3
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "fail.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := localbench(t, "-scenarios", dir)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit error %v, want status 1; stderr: %s", err, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("failed run wrote to stdout:\n%s", stdout)
+	}
+	const want = "localbench: scenario fail-maxrounds: fail-maxrounds/uniform-mis-delta/seed=1/rep=0: local: max rounds exceeded before termination: "
+	if !strings.HasPrefix(stderr, want) {
+		t.Fatalf("stderr %q, want prefix %q", stderr, want)
 	}
 }
 
