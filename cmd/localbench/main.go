@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,6 +45,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"github.com/unilocal/unilocal/internal/benchfmt"
 	"github.com/unilocal/unilocal/internal/cliutil"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/scenario"
@@ -124,13 +126,15 @@ func loadSpecs() ([]*scenario.Spec, error) {
 	return nil, fmt.Errorf("no scenario named %q in %s", want, *flagScen)
 }
 
-// runScenarios runs the specs through serve.Execute — the same
-// request→document path cmd/localserved serves — and prints the
-// deterministic markdown (plus the JSON document under -json). Sharing the
-// path is what makes a served response byte-identical to this command's
-// output for the same spec.
+// runScenarios runs every spec as shard 0/1 through serve.ExecuteShard —
+// the executor of every localserved front, here with all specs' jobs in one
+// sweep under one -parallel budget — and prints the markdown table that
+// scenario.Table.Add assembles. Under -json it also writes the benchfmt
+// document: scenario.SlotsDoc's records with each slot's measurements, and
+// the sweep and instruction blocks. Sharing the path is what makes a served
+// response byte-identical to this command's output for the same spec.
 func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
-	out, err := serve.Execute(specs, serve.ExecOptions{
+	docs, stats, err := serve.ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, serve.ExecOptions{
 		Corpus:        corpus,
 		SeedOffset:    *flagSeed - 1,
 		Parallel:      *flagParallel,
@@ -139,15 +143,58 @@ func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stdout.Write(out.Markdown); err != nil {
+	var tab scenario.Table
+	var records []benchfmt.Record
+	for si, d := range docs {
+		p, err := scenario.PlanOf(specs[si], *flagSeed-1)
+		if err != nil {
+			return err
+		}
+		if err := tab.Add(p, d.Graph, d.Slots); err != nil {
+			return err
+		}
+		doc, err := scenario.SlotsDoc(p, d.Graph, d.Slots, *flagSeed)
+		if err != nil {
+			return err
+		}
+		for i, rec := range doc.Results {
+			sl := d.Slots[i]
+			rec.WallNs, rec.Allocs, rec.Steps = sl.Wall.Nanoseconds(), sl.Allocs, sl.Steps
+			records = append(records, rec)
+		}
+	}
+	var md bytes.Buffer
+	if err := tab.Write(&md); err != nil {
+		return err
+	}
+	if _, err := os.Stdout.Write(md.Bytes()); err != nil {
 		return err
 	}
 	if *flagJSON == "" {
 		return nil
 	}
-	doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, *flagSeed, *flagParallel, *flagWorkers)
-	if err != nil {
-		return err
+	doc := &benchfmt.Doc{
+		SchemaVersion: benchfmt.SchemaVersion,
+		GeneratedBy:   "cmd/localbench -scenarios",
+		Seed:          *flagSeed,
+		Parallel:      *flagParallel,
+		Workers:       *flagWorkers,
+		Sweep: benchfmt.SweepStats{
+			Jobs:         stats.Jobs,
+			Workers:      stats.Workers,
+			WallNs:       stats.Wall.Nanoseconds(),
+			JobsPerSec:   stats.JobsPerSec,
+			EngineAllocs: stats.EngineAllocs,
+		},
+		Results: records,
+	}
+	if stats.NodeSteps > 0 {
+		doc.Instr = &benchfmt.InstrStats{
+			NodeSteps:         stats.NodeSteps,
+			StepsPerJob:       float64(stats.NodeSteps) / float64(stats.Jobs),
+			NsPerStep:         float64(stats.Wall.Nanoseconds()) / float64(stats.NodeSteps),
+			FrontierOccupancy: stats.FrontierOccupancy,
+		}
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 
 	"github.com/unilocal/unilocal/internal/benchfmt"
 	"github.com/unilocal/unilocal/internal/scenario"
+	"github.com/unilocal/unilocal/internal/serve"
 )
 
 // TestMain runs main instead of the tests when the environment asks for it,
@@ -40,8 +41,8 @@ func localbench(t *testing.T, args ...string) (stdout, stderr string, err error)
 	return out.String(), errOut.String(), err
 }
 
-// specDir copies one committed spec into a fresh directory, so the run sees
-// exactly one scenario.
+// specDir copies one committed spec (a path under scenarios/) into a fresh
+// directory, so the run sees exactly one scenario.
 func specDir(t *testing.T, spec string) string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", spec))
@@ -49,7 +50,7 @@ func specDir(t *testing.T, spec string) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, spec), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(spec)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -159,5 +160,70 @@ func TestJSONOneRecordPerJob(t *testing.T) {
 	}
 	if !strings.Contains(first, "### "+specs[0].Name) {
 		t.Fatalf("stdout lacks the scenario section:\n%s", first)
+	}
+}
+
+// TestJSONDocIsComplete pins the schema-4 document -json writes, at
+// -parallel 2 and -seed 2: the header and sweep blocks perfbench's corpus
+// workload reads are filled, every record carries its run's node-steps and
+// wall time, the instruction block sums the steps, and every deterministic
+// record field equals what scenario.Documents, the served builder, writes
+// for the same spec and seed.
+func TestJSONDocIsComplete(t *testing.T) {
+	dir := specDir(t, "paper/paper-e02-gnp6-0064.json")
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if _, stderr, err := localbench(t, "-scenarios", dir, "-seed", "2", "-parallel", "2", "-json", path); err != nil {
+		t.Fatalf("%v\nstderr: %s", err, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchfmt.Doc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.GeneratedBy != "cmd/localbench -scenarios" || doc.Seed != 2 || doc.Parallel != 2 {
+		t.Errorf("header generated_by %q, seed %d, parallel %d", doc.GeneratedBy, doc.Seed, doc.Parallel)
+	}
+	if doc.Sweep.Jobs != len(doc.Results) || doc.Sweep.Workers == 0 || doc.Sweep.WallNs == 0 {
+		t.Errorf("sweep block %+v for %d records", doc.Sweep, len(doc.Results))
+	}
+
+	specs, err := scenario.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 2
+	shards, _, err := serve.ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, serve.ExecOptions{SeedOffset: seed - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := shards[0].Slots
+	_, js, err := scenario.Documents(specs[0], seed, shards[0].Graph, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served benchfmt.Doc
+	if err := json.Unmarshal(js, &served); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != len(served.Results) {
+		t.Fatalf("%d records, the served document has %d", len(doc.Results), len(served.Results))
+	}
+	var steps int64
+	for i, rec := range doc.Results {
+		if rec.Steps <= 0 || rec.Steps != slots[i].Steps || rec.WallNs <= 0 {
+			t.Errorf("record %d steps %d, wall_ns %d; want steps %d and a measured wall time", i, rec.Steps, rec.WallNs, slots[i].Steps)
+		}
+		steps += rec.Steps
+		det := rec
+		det.WallNs, det.Allocs, det.Steps = 0, 0, 0
+		if det != served.Results[i] {
+			t.Errorf("record %d is %+v, the served record %+v", i, det, served.Results[i])
+		}
+	}
+	if doc.Instr == nil || doc.Instr.NodeSteps != steps || doc.Instr.StepsPerJob != float64(steps)/float64(len(doc.Results)) {
+		t.Errorf("instr block %+v, want %d node-steps over %d jobs", doc.Instr, steps, len(doc.Results))
 	}
 }

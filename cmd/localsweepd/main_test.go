@@ -2,7 +2,8 @@ package main
 
 // End-to-end tests of the localsweepd entry point against in-process
 // replicas: the merged document on stdout must be byte-identical to the
-// single-process serve.Execute markdown for the same corpus and seed — the
+// single-process markdown (one shard 0/1 through serve.ExecuteShard, as
+// cmd/localbench runs it) for the same corpus and seed — the
 // same identity CI's fabric-chaos job checks against real processes.
 
 import (
@@ -64,11 +65,27 @@ func wantMarkdown(t *testing.T, dir string, seed int64, filter string) []byte {
 		}
 		specs = keep
 	}
-	out, err := serve.Execute(specs, serve.ExecOptions{SeedOffset: seed - 1})
+	// One single-process shard 0/1 over all specs, assembled through
+	// Table.Add as cmd/localbench does.
+	docs, _, err := serve.ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, serve.ExecOptions{SeedOffset: seed - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Markdown
+	var tab scenario.Table
+	for si, d := range docs {
+		p, err := scenario.PlanOf(specs[si], seed-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Add(p, d.Graph, d.Slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tab.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestSweepMatchesLocalbenchOutput(t *testing.T) {

@@ -1,9 +1,8 @@
 // Package benchfmt declares the BENCH.json schema shared by its writer
-// (cmd/localbench -scenarios, through scenario.Doc) and its guard
-// (cmd/benchguard), so the two cannot drift
-// apart silently: a field added or renamed here is marshalled and compared
-// by both sides, and the schema tables in EXPERIMENTS.md document exactly
-// these types.
+// (cmd/localbench -scenarios -json, whose records scenario.SlotsDoc builds)
+// and its guard (cmd/benchguard), so the two cannot drift apart silently: a
+// field added or renamed here is marshalled and compared by both sides, and
+// the schema tables in EXPERIMENTS.md document exactly these types.
 package benchfmt
 
 // SchemaVersion is the current BENCH.json schema version. Version 4 added

@@ -1,8 +1,9 @@
 // Package fabric is the fault-tolerant distributed sweep coordinator: it
 // fans one scenario corpus out over a set of localserved replicas as shard
 // requests, supervises the replicas through failures, and merges the shard
-// documents into the exact byte sequence the single-process render path
-// (cmd/localbench -scenarios, scenario.Render) produces.
+// documents into the exact byte sequence a single-process run
+// (cmd/localbench -scenarios) prints: both assemble the slot outcomes
+// through scenario.Table.Add.
 //
 // The determinism contract does the heavy lifting. Every shard document
 // field is a pure function of (spec, seed) — the serve layer ships no
@@ -192,9 +193,9 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Sweep shards the specs across the replicas, rides out failures, and
-// returns the merged markdown document — byte-identical to
-// scenario.Render over a single-process run of the same specs and seed —
-// plus the supervision statistics. A terminal replica error, a shard out of
+// returns the merged markdown document — byte-identical to what
+// cmd/localbench -scenarios prints for the same specs and seed — plus the
+// supervision statistics. A terminal replica error, a shard out of
 // attempts without fallback, or context cancellation abort the sweep.
 func (c *Coordinator) Sweep(ctx context.Context, specs []*scenario.Spec) ([]byte, Stats, error) {
 	run, err := c.newRun(specs)
@@ -204,14 +205,11 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []*scenario.Spec) ([]byte
 	if err := run.loop(ctx); err != nil {
 		return nil, run.stats, err
 	}
-	tab := &scenario.Table{Sections: make([]scenario.Section, 0, len(run.states))}
+	var tab scenario.Table
 	for _, st := range run.states {
-		tab.Jobs += st.plan.Jobs()
-		sec, err := scenario.SectionFrom(st.plan, st.info, st.slots)
-		if err != nil {
+		if err := tab.Add(st.plan, st.info, st.slots); err != nil {
 			return nil, run.stats, err
 		}
-		tab.Sections = append(tab.Sections, sec)
 	}
 	var buf bytes.Buffer
 	if err := tab.Write(&buf); err != nil {

@@ -23,7 +23,6 @@ import (
 	"github.com/unilocal/unilocal/internal/fabric/faultinject"
 	"github.com/unilocal/unilocal/internal/scenario"
 	"github.com/unilocal/unilocal/internal/serve"
-	"github.com/unilocal/unilocal/internal/sweep"
 )
 
 func testSpecs() []*scenario.Spec {
@@ -47,17 +46,27 @@ func testSpecs() []*scenario.Spec {
 	}
 }
 
-// wantDocument renders the specs the single-process way — the byte sequence
+// wantDocument renders the specs the single-process way, as one shard 0/1
+// assembled through Table.Add like cmd/localbench does — the byte sequence
 // every distributed sweep must reproduce exactly.
 func wantDocument(t *testing.T, specs []*scenario.Spec, seed int64) []byte {
 	t.Helper()
-	batch, err := scenario.Expand(specs, scenario.ExpandOptions{SeedOffset: seed - 1})
+	docs, _, err := serve.ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, serve.ExecOptions{SeedOffset: seed - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := sweep.Run(batch.Jobs, sweep.Options{})
+	var tab scenario.Table
+	for si, d := range docs {
+		p, err := scenario.PlanOf(specs[si], seed-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Add(p, d.Graph, d.Slots); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
-	if err := scenario.Render(&buf, batch, results); err != nil {
+	if err := tab.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

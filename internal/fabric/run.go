@@ -224,14 +224,17 @@ func (r *sweepRun) launchFallback(ctx context.Context, t *task) {
 	r.stats.Fallbacks++
 	r.c.logf("fabric: executing %s in-process (no replica available)", t.key())
 	go func() {
-		doc, _, err := serve.ExecuteShard(st.spec, t.shard, serve.ExecOptions{
+		docs, _, err := serve.ExecuteShard([]*scenario.Spec{st.spec}, t.shard, serve.ExecOptions{
 			Corpus:     r.c.corpus,
 			SeedOffset: r.c.cfg.Seed - 1,
 			Parallel:   r.c.cfg.FallbackParallel,
 			Context:    ctx,
 		})
+		var doc *serve.ShardDoc
 		kind := outcomeOK
-		if err != nil {
+		if err == nil {
+			doc = docs[0]
+		} else {
 			// Local execution failures are deterministic (the same spec
 			// would fail anywhere) — except a cancellation racing the drain.
 			kind = outcomeTerminal

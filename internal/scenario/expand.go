@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/unilocal/unilocal/internal/benchfmt"
 	"github.com/unilocal/unilocal/internal/core"
@@ -44,17 +43,6 @@ type JobMeta struct {
 	RatioOf int
 	// check validates the run's outputs; Expand sets it.
 	check func(outputs []any) error
-}
-
-// label renders the benchfmt record label of one job: role/seed/rep, with a
-// λ suffix under non-exact knowledge. Doc and SlotsDoc both write exactly
-// this.
-func (m *JobMeta) label() string {
-	l := fmt.Sprintf("%s/seed=%d/rep=%d", m.Role, m.Seed, m.Rep)
-	if !m.Know.IsExact() {
-		l += fmt.Sprintf("/lam=%g", m.Know.Looseness)
-	}
-	return l
 }
 
 // Batch is an expanded corpus: the jobs in deterministic order (spec order,
@@ -190,45 +178,6 @@ func Expand(specs []*Spec, opts ExpandOptions) (*Batch, error) {
 	return b, nil
 }
 
-// Render writes the corpus results as markdown, one section per scenario, in
-// batch order. Every rendered field is deterministic (rounds, messages,
-// ratios — never wall time), so sequential and parallel sweeps of the same
-// batch produce byte-identical output; CI's scenario gate diffs exactly
-// this. Each job's outputs are re-validated through its registry checker,
-// and a failed check (or failed job) aborts rendering with an error naming
-// the job. The results reduce to a Table and Table.Write writes it — the
-// same model and writer the distributed fabric merges shard documents into,
-// which is what makes a multi-replica sweep byte-identical to this
-// single-process path.
-func Render(w io.Writer, b *Batch, results []sweep.Result) error {
-	if len(results) != len(b.Jobs) {
-		return fmt.Errorf("scenario: %d results for %d jobs", len(results), len(b.Jobs))
-	}
-	t := &Table{Jobs: len(b.Jobs), Sections: make([]Section, 0, len(b.Plans))}
-	base := 0
-	for si, p := range b.Plans {
-		slots := make([]SlotOutcome, len(p.Metas))
-		for k := range p.Metas {
-			ji := base + k
-			r := results[ji]
-			if r.Err != nil {
-				return fmt.Errorf("scenario %s: %s: %w", b.Specs[si].Name, b.Jobs[ji].Label, r.Err)
-			}
-			if err := b.Check(ji, r.Res.Outputs); err != nil {
-				return fmt.Errorf("scenario %s: %s: invalid output: %w", b.Specs[si].Name, b.Jobs[ji].Label, err)
-			}
-			slots[k] = SlotOutcome{Slot: k, Rounds: r.Res.Rounds, Messages: r.Res.Messages}
-		}
-		sec, err := SectionFrom(p, InfoOf(b.Graphs[si]), slots)
-		if err != nil {
-			return err
-		}
-		t.Sections = append(t.Sections, sec)
-		base += len(p.Metas)
-	}
-	return t.Write(w)
-}
-
 // Documents renders the two documents the serving layer answers for one
 // spec: the markdown table and the indented JSON benchfmt document with its
 // trailing newline, built from the graph header and the full slot-indexed
@@ -241,12 +190,11 @@ func Documents(s *Spec, seed int64, info GraphInfo, slots []SlotOutcome) (md, js
 	if err != nil {
 		return nil, nil, err
 	}
-	sec, err := SectionFrom(p, info, slots)
-	if err != nil {
+	var t Table
+	if err := t.Add(p, info, slots); err != nil {
 		return nil, nil, err
 	}
 	var buf bytes.Buffer
-	t := Table{Jobs: p.Jobs(), Sections: []Section{sec}}
 	if err := t.Write(&buf); err != nil {
 		return nil, nil, err
 	}
@@ -260,11 +208,12 @@ func Documents(s *Spec, seed int64, info GraphInfo, slots []SlotOutcome) (md, js
 	return buf.Bytes(), append(js, '\n'), nil
 }
 
-// SlotsDoc builds the serving layer's scrubbed benchfmt document for one
-// plan from slot outcomes alone — no batch, no results, no graph. Every
-// field it writes is a pure function of (plan, graph header, outcomes);
-// wall times, allocation counters, node-steps and parallelism are left zero,
-// since a shard reports only rounds and messages per slot.
+// SlotsDoc builds the scrubbed benchfmt document for one plan from slot
+// outcomes alone — no batch, no results, no graph. It is the one record
+// builder: every served document comes from it, and cmd/localbench -json
+// takes its records and adds each slot's measurements. Every field it
+// writes is a pure function of (plan, graph header, outcomes); wall times,
+// allocation counters, node-steps and parallelism are left zero.
 func SlotsDoc(p *Plan, info GraphInfo, slots []SlotOutcome, seed int64) (*benchfmt.Doc, error) {
 	if len(slots) != len(p.Metas) {
 		return nil, fmt.Errorf("scenario %s: %d slot outcomes for %d jobs", p.Spec.Name, len(slots), len(p.Metas))
@@ -272,9 +221,13 @@ func SlotsDoc(p *Plan, info GraphInfo, slots []SlotOutcome, seed int64) (*benchf
 	records := make([]benchfmt.Record, 0, len(p.Metas))
 	for i := range p.Metas {
 		m := &p.Metas[i]
+		label := fmt.Sprintf("%s/seed=%d/rep=%d", m.Role, m.Seed, m.Rep)
+		if !m.Know.IsExact() {
+			label += fmt.Sprintf("/lam=%g", m.Know.Looseness)
+		}
 		rec := benchfmt.Record{
 			Experiment: p.Spec.Name,
-			Label:      m.label(),
+			Label:      label,
 			Algorithm:  m.Algo.String(),
 			N:          info.N,
 			Rounds:     slots[i].Rounds,
@@ -292,59 +245,4 @@ func SlotsDoc(p *Plan, info GraphInfo, slots []SlotOutcome, seed int64) (*benchf
 		Sweep:         benchfmt.SweepStats{Jobs: len(slots)},
 		Results:       records,
 	}, nil
-}
-
-// Doc assembles the complete schema-4 benchfmt document for a completed
-// batch: one record per job in batch order (Experiment = scenario name, with
-// its node-steps), the sweep throughput block and the instruction-budget
-// block. Unlike Render it does not re-validate outputs; run Render first (or
-// check errors yourself) before trusting the records.
-func Doc(b *Batch, results []sweep.Result, stats sweep.Stats, seed int64, parallel, workers int) (*benchfmt.Doc, error) {
-	records := make([]benchfmt.Record, 0, len(b.Jobs))
-	for ji := range b.Jobs {
-		m := &b.Metas[ji]
-		r := results[ji]
-		if r.Err != nil {
-			return nil, fmt.Errorf("scenario %s: %s: %w", b.Specs[m.Spec].Name, b.Jobs[ji].Label, r.Err)
-		}
-		rec := benchfmt.Record{
-			Experiment: b.Specs[m.Spec].Name,
-			Label:      m.label(),
-			Algorithm:  m.Algo.String(),
-			N:          b.Graphs[m.Spec].N(),
-			Rounds:     r.Res.Rounds,
-			Messages:   r.Res.Messages,
-			WallNs:     r.Wall.Nanoseconds(),
-			Allocs:     r.Allocs,
-			Steps:      r.Res.Steps,
-		}
-		if m.RatioOf >= 0 && results[m.RatioOf].Res != nil {
-			rec.Ratio = float64(r.Res.Rounds) / float64(results[m.RatioOf].Res.Rounds)
-		}
-		records = append(records, rec)
-	}
-	doc := &benchfmt.Doc{
-		SchemaVersion: benchfmt.SchemaVersion,
-		GeneratedBy:   "cmd/localbench -scenarios",
-		Seed:          seed,
-		Parallel:      parallel,
-		Workers:       workers,
-		Sweep: benchfmt.SweepStats{
-			Jobs:         stats.Jobs,
-			Workers:      stats.Workers,
-			WallNs:       stats.Wall.Nanoseconds(),
-			JobsPerSec:   stats.JobsPerSec,
-			EngineAllocs: stats.EngineAllocs,
-		},
-		Results: records,
-	}
-	if stats.NodeSteps > 0 {
-		doc.Instr = &benchfmt.InstrStats{
-			NodeSteps:         stats.NodeSteps,
-			StepsPerJob:       float64(stats.NodeSteps) / float64(stats.Jobs),
-			NsPerStep:         float64(stats.Wall.Nanoseconds()) / float64(stats.NodeSteps),
-			FrontierOccupancy: stats.FrontierOccupancy,
-		}
-	}
-	return doc, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -178,11 +177,7 @@ func TestLoosenessSweepMonotone(t *testing.T) {
 			results[3].Res.Rounds, results[0].Res.Rounds)
 	}
 
-	var buf bytes.Buffer
-	if err := Render(&buf, b, results); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := renderBatch(t, b, results)
 	for _, want := range []string{
 		"knowledge: upper-bound(λ=1,2,4,16)",
 		"@ λ=16",
@@ -216,11 +211,7 @@ func TestAdversarialRenderDeterministicAcrossParallelism(t *testing.T) {
 		if err := sweep.FirstErr(results); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := Render(&buf, b, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return renderBatch(t, b, results)
 	}
 	seq := render(1)
 	for _, parallel := range []int{1, 4} {
@@ -241,11 +232,7 @@ func TestAdversarialRenderDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, _ := sweep.Run(b.Jobs, sweep.Options{Parallel: 1})
-	var buf bytes.Buffer
-	if err := Render(&buf, b, results); err != nil {
-		t.Fatal(err)
-	}
-	if strings.ReplaceAll(seq, " · scheduler: staggered-permuted(max=8, seed=7)", "") == buf.String() {
+	if strings.ReplaceAll(seq, " · scheduler: staggered-permuted(max=8, seed=7)", "") == renderBatch(t, b, results) {
 		t.Error("adversarial schedule produced the lockstep document: the scheduler is a no-op")
 	}
 }

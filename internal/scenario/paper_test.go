@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,7 +32,7 @@ func TestPaperCorpusShape(t *testing.T) {
 
 // runPaper loads the named paper specs, runs them and validates every
 // output.
-func runPaper(t *testing.T, names ...string) (*Batch, []sweep.Result, sweep.Stats) {
+func runPaper(t *testing.T, names ...string) (*Batch, []sweep.Result) {
 	t.Helper()
 	var specs []*Spec
 	for _, name := range names {
@@ -47,11 +46,9 @@ func runPaper(t *testing.T, names ...string) (*Batch, []sweep.Result, sweep.Stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats := sweep.Run(b.Jobs, sweep.Options{})
-	if err := Render(io.Discard, b, results); err != nil {
-		t.Fatal(err)
-	}
-	return b, results, stats
+	results, _ := sweep.Run(b.Jobs, sweep.Options{})
+	renderBatch(t, b, results)
+	return b, results
 }
 
 // TestObservation21 runs the two E13 specs and checks Observation 2.1's
@@ -59,7 +56,7 @@ func runPaper(t *testing.T, names ...string) (*Batch, []sweep.Result, sweep.Stat
 // id mod 17 rounds), Luby's MIS finishes within max delay + plain rounds +
 // a slack of 4.
 func TestObservation21(t *testing.T) {
-	b, results, _ := runPaper(t, "paper-e13-gnp6-plain", "paper-e13-gnp6-modular")
+	b, results := runPaper(t, "paper-e13-gnp6-plain", "paper-e13-gnp6-modular")
 	sched := b.Specs[1].Scheduler
 	if sched.Kind != SchedModular || sched.MaxDelay != 16 {
 		t.Fatalf("modular spec schedules %s, want modular(max=16)", sched)
@@ -71,25 +68,5 @@ func TestObservation21(t *testing.T) {
 	}
 	if modular <= plain {
 		t.Errorf("modular wake-up took %d rounds, plain %d: the skew had no effect", modular, plain)
-	}
-}
-
-// TestDocIsComplete pins the schema-4 document Doc writes: every record
-// carries its run's node-steps, and the instruction block sums them.
-func TestDocIsComplete(t *testing.T) {
-	b, results, stats := runPaper(t, "paper-e02-gnp6-0064")
-	doc, err := Doc(b, results, stats, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps int64
-	for i, rec := range doc.Results {
-		if rec.Steps == 0 || rec.Steps != results[i].Res.Steps {
-			t.Errorf("record %d steps %d, want %d", i, rec.Steps, results[i].Res.Steps)
-		}
-		steps += rec.Steps
-	}
-	if doc.Instr == nil || doc.Instr.NodeSteps != steps || doc.Instr.StepsPerJob != float64(steps)/float64(len(results)) {
-		t.Errorf("instr block %+v, want %d node-steps over %d jobs", doc.Instr, steps, len(results))
 	}
 }

@@ -102,38 +102,35 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestTableFromSlotsMatchesRender proves the merge path: rebuilding the
-// document from plan + graph header + per-slot outcomes (as a coordinator
-// does from shard documents) is byte-identical to Render on the full batch.
-func TestTableFromSlotsMatchesRender(t *testing.T) {
-	s := planTestSpec()
-	b, err := Expand([]*Spec{s}, ExpandOptions{})
-	if err != nil {
+// renderBatch assembles a completed batch's document the way every caller
+// of the executor does, each spec's slots through Table.Add, and writes it.
+// A failed job or an invalid output fails the test.
+func renderBatch(t *testing.T, b *Batch, results []sweep.Result) string {
+	t.Helper()
+	var tab Table
+	base := 0
+	for si, p := range b.Plans {
+		slots := make([]SlotOutcome, p.Jobs())
+		for k := range slots {
+			ji, r := base+k, results[base+k]
+			if r.Err != nil {
+				t.Fatalf("%s: %v", b.Jobs[ji].Label, r.Err)
+			}
+			if err := b.Check(ji, r.Res.Outputs); err != nil {
+				t.Fatalf("%s: invalid output: %v", b.Jobs[ji].Label, err)
+			}
+			slots[k] = SlotOutcome{Slot: k, Rounds: r.Res.Rounds, Messages: r.Res.Messages}
+		}
+		if err := tab.Add(p, InfoOf(b.Graphs[si]), slots); err != nil {
+			t.Fatal(err)
+		}
+		base += p.Jobs()
+	}
+	var buf bytes.Buffer
+	if err := tab.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	results, _ := sweep.Run(b.Jobs, sweep.Options{Parallel: 1})
-	var want bytes.Buffer
-	if err := Render(&want, b, results); err != nil {
-		t.Fatal(err)
-	}
-
-	p := b.Plans[0]
-	slots := make([]SlotOutcome, len(results))
-	for i, r := range results {
-		slots[i] = SlotOutcome{Slot: i, Rounds: r.Res.Rounds, Messages: r.Res.Messages}
-	}
-	sec, err := SectionFrom(p, InfoOf(b.Graphs[0]), slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := &Table{Jobs: len(results), Sections: []Section{sec}}
-	var got bytes.Buffer
-	if err := tab.Write(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("slot-rebuilt table diverges from Render:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
-	}
+	return buf.String()
 }
 
 func TestSectionFromSlotCountMismatch(t *testing.T) {

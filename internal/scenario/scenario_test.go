@@ -1,9 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
@@ -200,16 +200,17 @@ func TestRenderDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		results, _ := sweep.Run(b.Jobs, sweep.Options{Parallel: parallel})
-		var buf bytes.Buffer
-		if err := Render(&buf, b, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return renderBatch(t, b, results)
 	}
 	seq := render(1)
 	par := render(4)
 	if seq != par {
 		t.Fatalf("sequential and parallel renders differ:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
+	}
+	// Table.Add counts every plan's jobs into the one header: det-mis runs
+	// a baseline and the uniform algorithm at 2 seeds, det-luby 3 seeds.
+	if want := "## Scenario corpus — 2 scenarios, 7 jobs\n"; !strings.HasPrefix(seq, want) {
+		t.Errorf("document header is not %q:\n%s", want, seq)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"github.com/unilocal/unilocal/internal/core"
 	"github.com/unilocal/unilocal/internal/graph"
@@ -26,13 +27,21 @@ func InfoOf(g *graph.Graph) GraphInfo {
 	return GraphInfo{N: g.N(), Edges: g.NumEdges(), MaxDeg: g.MaxDegree(), MaxID: g.MaxIDValue()}
 }
 
-// SlotOutcome is the deterministic outcome of one job slot: the only fields
-// that cross the wire in a shard document. Outputs never travel — they are
-// validated by the registry checkers on the process that ran the slot.
+// SlotOutcome is the outcome of one job slot. Slot, Rounds and Messages are
+// deterministic and the only fields that cross the wire in a shard
+// document. Outputs never travel — they are validated by the registry
+// checkers on the process that ran the slot.
 type SlotOutcome struct {
 	Slot     int   `json:"slot"`
 	Rounds   int   `json:"rounds"`
 	Messages int64 `json:"messages"`
+	// Wall, Allocs and Steps are the run's measurements (sweep.Result's Wall
+	// and Allocs, local.Result's Steps), filled by the executor for the
+	// process that ran the slot. They never marshal, so shard documents,
+	// journals and progress events stay pure functions of (spec, seed).
+	Wall   time.Duration `json:"-"`
+	Allocs uint64        `json:"-"`
+	Steps  int64         `json:"-"`
 }
 
 // Row is one rendered table line.
@@ -74,14 +83,27 @@ type Section struct {
 	Sweep     []SweepRow
 }
 
-// Table is the deterministic render model of a whole corpus document. Both
-// execution paths reduce to it — Render from in-process sweep results,
-// the fabric coordinator from merged shard documents — so the markdown they
-// write is byte-identical by construction, not by parallel maintenance of
-// two formatters.
+// Table is the deterministic render model of a whole corpus document. Every
+// document is assembled through Add — by cmd/localbench from its one-shard
+// execution, by localserved from a spec's slots, by the fabric coordinator
+// from merged shard documents — so the markdown they write is
+// byte-identical by construction, not by parallel maintenance of two
+// formatters.
 type Table struct {
 	Jobs     int
 	Sections []Section
+}
+
+// Add appends one spec's section, built by SectionFrom from its plan, graph
+// header and full slot-indexed outcomes, and counts the plan's jobs.
+func (t *Table) Add(p *Plan, info GraphInfo, slots []SlotOutcome) error {
+	sec, err := SectionFrom(p, info, slots)
+	if err != nil {
+		return err
+	}
+	t.Jobs += p.Jobs()
+	t.Sections = append(t.Sections, sec)
+	return nil
 }
 
 // SectionFrom assembles one spec's section from its plan, the graph header

@@ -39,7 +39,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -230,8 +229,8 @@ func (s *Server) Draining() bool {
 	}
 }
 
-// ExecOptions configures one execution: ExecuteShard (every localserved
-// front) or Execute (cmd/localbench -scenarios).
+// ExecOptions configures one ExecuteShard call: every localserved front,
+// the fabric's in-process fallback and cmd/localbench -scenarios.
 type ExecOptions struct {
 	// Corpus memoizes graphs across calls; nil uses a private one.
 	Corpus *graph.Corpus
@@ -244,15 +243,17 @@ type ExecOptions struct {
 	Context context.Context
 	// OnSlot, when non-nil, receives each successfully completed slot's
 	// deterministic outcome the moment it lands — the progress feed the
-	// async job API streams over SSE. ExecuteShard alone reports, with
-	// global grid slot indices. Callbacks arrive from sweep workers
+	// async job API streams over SSE — with the slot's index in its spec's
+	// grid. Callbacks arrive from sweep workers
 	// concurrently and must be safe for concurrent use; failed or canceled
 	// slots do not report.
 	OnSlot func(out scenario.SlotOutcome)
 }
 
-// Outcome is a completed execution: the expanded batch, its results and
-// stats, and the rendered deterministic markdown document.
+// Outcome is a completed one-batch execution: the expanded batch, its
+// results and stats, and the rendered markdown document. Nothing in this
+// module builds one; it remains only for perfbench's traced replay and
+// goes with ROADMAP item 11.
 type Outcome struct {
 	Batch    *scenario.Batch
 	Results  []sweep.Result
@@ -260,40 +261,10 @@ type Outcome struct {
 	Markdown []byte
 }
 
-// Execute expands the specs, runs the batch and renders the markdown
-// document: cmd/localbench -scenarios, which runs many specs as one batch.
-// Expansion problems (the client's spec) are
-// wrapped in ErrSpec; execution problems — including cancellation, which
-// satisfies errors.Is(err, sweep.ErrCanceled) — are returned as-is.
-func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
-	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("%w: %w: batch not started", sweep.ErrCanceled, ctx.Err())
-	}
-	batch, err := scenario.Expand(specs, scenario.ExpandOptions{
-		Corpus:     opts.Corpus,
-		SeedOffset: opts.SeedOffset,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSpec, err)
-	}
-	results, stats := sweep.Run(batch.Jobs, sweep.Options{
-		Parallel:      opts.Parallel,
-		EngineWorkers: opts.EngineWorkers,
-		Context:       opts.Context,
-	})
-	var buf bytes.Buffer
-	if err := scenario.Render(&buf, batch, results); err != nil {
-		return nil, err
-	}
-	return &Outcome{Batch: batch, Results: results, Stats: stats, Markdown: buf.Bytes()}, nil
-}
-
 // DeterministicDoc builds the served JSON document of a one-spec Outcome
 // (the body a whole-grid POST /run?format=json answers for that spec and
-// seed) by handing its slot outcomes to scenario.SlotsDoc, the builder
-// behind every served document. Wall times, allocation counters, node-steps
-// and parallelism are absent, so the document is a pure function of (spec,
-// seed); localbench -json keeps them.
+// seed) by handing its slot outcomes to scenario.SlotsDoc. It remains only
+// for perfbench's traced replay and goes with ROADMAP item 11.
 func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
 	slots := make([]scenario.SlotOutcome, len(out.Results))
 	for k, r := range out.Results {
@@ -502,11 +473,12 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *execution, spec
 	if shard != nil {
 		sh = *shard
 	}
-	doc, stats, err := ExecuteShard(spec, sh, s.execOptions(ctx, seed, nil))
+	docs, stats, err := ExecuteShard([]*scenario.Spec{spec}, sh, s.execOptions(ctx, seed, nil))
 	if err != nil {
 		s.execError(w, e, err)
 		return
 	}
+	doc := docs[0]
 	s.recordStats(stats)
 	if shard != nil {
 		e.json, err = json.MarshalIndent(doc, "", "  ")
@@ -809,11 +781,11 @@ func (s *Server) ShardExecutor() func(ctx context.Context, spec *scenario.Spec, 
 			return scenario.GraphInfo{}, nil, fmt.Errorf("%w: %w: no execution slot", sweep.ErrCanceled, err)
 		}
 		defer release()
-		doc, stats, err := ExecuteShard(spec, shard, s.execOptions(ctx, seed, onSlot))
+		docs, stats, err := ExecuteShard([]*scenario.Spec{spec}, shard, s.execOptions(ctx, seed, onSlot))
 		s.recordStats(stats)
 		if err != nil {
 			return scenario.GraphInfo{}, nil, err
 		}
-		return doc.Graph, doc.Slots, nil
+		return docs[0].Graph, docs[0].Slots, nil
 	}
 }

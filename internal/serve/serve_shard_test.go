@@ -205,3 +205,69 @@ func TestServeBusyResponse(t *testing.T) {
 		t.Fatalf("429 gauges off: %+v", gauges)
 	}
 }
+
+// TestExecuteShardMultiSpec pins the multi-spec executor cmd/localbench
+// runs: for every shard, one call over two specs of different grid sizes
+// returns per spec exactly the document a one-spec call returns. The
+// marshalled slots carry only their deterministic keys, while the slots
+// themselves carry the measurements.
+func TestExecuteShardMultiSpec(t *testing.T) {
+	probe, err := scenario.Parse(shardTestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	luby, err := scenario.Parse([]byte(`{
+  "name": "shard-luby",
+  "graph": {"family": "gnp", "n": 64, "p": 0.1},
+  "algorithm": {"name": "luby-mis"},
+  "seeds": [4, 5]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []*scenario.Spec{probe, luby}
+	marshal := func(d *ShardDoc) string {
+		t.Helper()
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, sh := range []scenario.Shard{{Index: 0, Count: 1}, {Index: 0, Count: 3}, {Index: 1, Count: 3}, {Index: 2, Count: 3}} {
+		docs, _, err := ExecuteShard(specs, sh, ExecOptions{Parallel: 2})
+		if err != nil {
+			t.Fatalf("shard %s: %v", sh, err)
+		}
+		if len(docs) != len(specs) {
+			t.Fatalf("shard %s: %d documents for %d specs", sh, len(docs), len(specs))
+		}
+		for si, spec := range specs {
+			one, _, err := ExecuteShard([]*scenario.Spec{spec}, sh, ExecOptions{Parallel: 1})
+			if err != nil {
+				t.Fatalf("shard %s, %s alone: %v", sh, spec.Name, err)
+			}
+			got := marshal(docs[si])
+			if want := marshal(one[0]); got != want {
+				t.Errorf("shard %s, %s: multi-spec document\n%s\ndiffers from the one-spec document\n%s", sh, spec.Name, got, want)
+			}
+			var wire struct{ Slots []map[string]any }
+			if err := json.Unmarshal([]byte(got), &wire); err != nil {
+				t.Fatal(err)
+			}
+			for _, slot := range wire.Slots {
+				if len(slot) != 3 || slot["slot"] == nil || slot["rounds"] == nil || slot["messages"] == nil {
+					t.Errorf("shard %s, %s: marshalled slot %v, want exactly slot, rounds and messages", sh, spec.Name, slot)
+				}
+			}
+			if sh.Count != 1 {
+				continue
+			}
+			for _, slot := range docs[si].Slots {
+				if slot.Steps <= 0 || slot.Wall <= 0 {
+					t.Errorf("shard %s, %s: slot %d carries steps %d, wall %v; want both measured", sh, spec.Name, slot.Slot, slot.Steps, slot.Wall)
+				}
+			}
+		}
+	}
+}

@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/scenario"
+	"github.com/unilocal/unilocal/internal/sweep"
 )
 
 // TestSlotsDocMatchesDeterministicDoc pins the one document builder to the
 // served bodies: a spec executed as 3 job shards and reassembled through
 // scenario.Documents (what the job manager writes to its spool, after a
 // resume too) must equal the whole-grid POST /run response byte for byte in
-// both formats, and DeterministicDoc over a localbench-style Execute must
+// both formats, localbench's one-shard table must equal the served
+// markdown, and DeterministicDoc over an Outcome of the same batch must
 // equal the served JSON. If any path gains or scrubs a field, this fails
 // before the job-durability CI gate does.
 func TestSlotsDocMatchesDeterministicDoc(t *testing.T) {
@@ -81,11 +83,18 @@ func TestSlotsDocMatchesDeterministicDoc(t *testing.T) {
 		t.Errorf("reassembled JSON diverges from the served body:\n got: %s\nwant: %s", js, served["json"])
 	}
 
-	out, err := Execute([]*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1})
+	if md := localbenchMarkdown(t, []*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1}); string(md) != string(served["md"]) {
+		t.Errorf("localbench's markdown diverges from the served body:\n got: %s\nwant: %s", md, served["md"])
+	}
+
+	// DeterministicDoc over an Outcome of the same batch, as perfbench's
+	// replay builds one.
+	batch, err := scenario.Expand([]*scenario.Spec{spec}, scenario.ExpandOptions{SeedOffset: seed - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := DeterministicDoc(out, seed)
+	results, stats := sweep.Run(batch.Jobs, sweep.Options{})
+	doc, err := DeterministicDoc(&Outcome{Batch: batch, Results: results, Stats: stats}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

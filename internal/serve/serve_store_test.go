@@ -60,14 +60,8 @@ func TestGraphSourceByteIdentity(t *testing.T) {
 
 			// Fresh generation, then a memory hit on the same corpus.
 			mem := graph.NewCorpus()
-			fresh, err := Execute(specs, ExecOptions{Corpus: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
-			memHit, err := Execute(specs, ExecOptions{Corpus: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := localbenchMarkdown(t, specs, ExecOptions{Corpus: mem})
+			memHit := localbenchMarkdown(t, specs, ExecOptions{Corpus: mem})
 			if h, _ := mem.Stats(); h == 0 {
 				t.Fatal("second run did not hit the in-memory tier")
 			}
@@ -79,23 +73,18 @@ func TestGraphSourceByteIdentity(t *testing.T) {
 			}
 			warmer := graph.NewCorpus()
 			warmer.AttachStore(store)
-			if _, err := Execute(specs, ExecOptions{Corpus: warmer}); err != nil {
-				t.Fatal(err)
-			}
+			localbenchMarkdown(t, specs, ExecOptions{Corpus: warmer})
 			loader := graph.NewCorpus()
 			loader.AttachStore(store)
-			diskHit, err := Execute(specs, ExecOptions{Corpus: loader})
-			if err != nil {
-				t.Fatal(err)
-			}
+			diskHit := localbenchMarkdown(t, specs, ExecOptions{Corpus: loader})
 			if st := store.Stats(); st.Hits == 0 {
 				t.Fatalf("store-backed run never loaded from disk: %+v", st)
 			}
 
-			if !bytes.Equal(fresh.Markdown, memHit.Markdown) {
+			if !bytes.Equal(fresh, memHit) {
 				t.Error("memory-hit document diverges from fresh generation")
 			}
-			if !bytes.Equal(fresh.Markdown, diskHit.Markdown) {
+			if !bytes.Equal(fresh, diskHit) {
 				t.Error("disk-hit document diverges from fresh generation")
 			}
 		})

@@ -50,6 +50,32 @@ func postSpec(t *testing.T, client *http.Client, url string, body []byte) (*http
 	return resp, b
 }
 
+// localbenchMarkdown runs the specs as one shard 0/1 and assembles their
+// markdown document through scenario.Table.Add, as cmd/localbench -scenarios
+// does.
+func localbenchMarkdown(t *testing.T, specs []*scenario.Spec, opts ExecOptions) []byte {
+	t.Helper()
+	docs, _, err := ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab scenario.Table
+	for si, d := range docs {
+		p, err := scenario.PlanOf(specs[si], opts.SeedOffset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Add(p, d.Graph, d.Slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tab.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestServeGoldenResponses pins the served markdown and JSON bodies for the
 // committed request file. Regenerate with: go test ./internal/serve -update
 func TestServeGoldenResponses(t *testing.T) {
@@ -93,10 +119,7 @@ func TestServeByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 5} {
 		// The reference: what cmd/localbench -scenarios -seed prints.
-		ref, err := Execute([]*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1, Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := localbenchMarkdown(t, []*scenario.Spec{spec}, ExecOptions{SeedOffset: seed - 1, Parallel: 1})
 		for _, cfg := range []Config{
 			{Parallel: 1, EngineWorkers: 1},
 			{Parallel: 4},
@@ -108,7 +131,7 @@ func TestServeByteIdenticalAcrossParallelism(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("cfg %+v: status %d: %s", cfg, resp.StatusCode, body)
 			}
-			if !bytes.Equal(body, ref.Markdown) {
+			if !bytes.Equal(body, ref) {
 				t.Errorf("cfg %+v seed %d: served body diverges from render path", cfg, seed)
 			}
 			ts.Close()

@@ -68,17 +68,23 @@ func (d *ShardDoc) Validate(specName string, seed int64, shard scenario.Shard, j
 	return nil
 }
 
-// ExecuteShard expands one spec's full job grid, runs only the slots the
-// shard owns, validates their outputs and returns the shard document. It is
-// the one executor of every localserved front: a whole grid is shard 0/1.
-// Expansion still builds the whole graph — slots share it — but simulation
-// work shrinks to the shard's share, which is the resource a sweep is
-// bounded by. Error wrapping and wording match Execute, so a whole grid
-// fails with the text localbench prints: spec problems wrap ErrSpec,
-// execution problems (including sweep.ErrCanceled) return as-is, with a
-// genuine slot failure preferred over a concurrent cancellation so a
-// deterministic client error is never misreported as a transient one.
-func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (*ShardDoc, sweep.Stats, error) {
+// ExecuteShard expands the specs' full job grids, runs only the slots the
+// shard owns in every grid, validates their outputs and returns one shard
+// document per spec, in spec order. It is the one executor: every
+// localserved front passes one spec (a whole grid is shard 0/1), and
+// cmd/localbench passes all its specs as shard 0/1, so their jobs share one
+// sweep, in batch order, under one Parallel budget. Expansion still builds
+// every whole graph — slots share it — but simulation work shrinks to the
+// shard's share, which is the resource a sweep is bounded by. Each slot
+// outcome carries the run's measurements (wall time, allocations,
+// node-steps), which never marshal.
+//
+// Spec problems wrap ErrSpec. Execution problems (including
+// sweep.ErrCanceled) return as-is, worded "scenario <name>: <job label>: …".
+// A genuine slot failure is reported before a concurrent cancellation, so a
+// deterministic client error is never misreported as a transient one, and
+// before any invalid output, which is checked only once every slot ran.
+func ExecuteShard(specs []*scenario.Spec, shard scenario.Shard, opts ExecOptions) ([]*ShardDoc, sweep.Stats, error) {
 	if err := shard.Validate(); err != nil {
 		return nil, sweep.Stats{}, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
@@ -89,17 +95,31 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
 		return nil, sweep.Stats{}, fmt.Errorf("%w: %w: batch not started", sweep.ErrCanceled, ctx.Err())
 	}
-	batch, err := scenario.Expand([]*scenario.Spec{spec}, scenario.ExpandOptions{
+	batch, err := scenario.Expand(specs, scenario.ExpandOptions{
 		Corpus:     opts.Corpus,
 		SeedOffset: opts.SeedOffset,
 	})
 	if err != nil {
 		return nil, sweep.Stats{}, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
-	slots := shard.Slots(len(batch.Jobs))
-	sub := make([]sweep.Job, len(slots))
-	for k, slot := range slots {
-		sub[k] = batch.Jobs[slot]
+	// The k-th job run is batch job jobs[k], slot[k] of its spec's grid.
+	var jobs, slot []int
+	base := 0
+	for _, p := range batch.Plans {
+		for _, sl := range shard.Slots(p.Jobs()) {
+			jobs, slot = append(jobs, base+sl), append(slot, sl)
+		}
+		base += p.Jobs()
+	}
+	sub := make([]sweep.Job, len(jobs))
+	for k, ji := range jobs {
+		sub[k] = batch.Jobs[ji]
+	}
+	outcome := func(k int, r sweep.Result) scenario.SlotOutcome {
+		return scenario.SlotOutcome{
+			Slot: slot[k], Rounds: r.Res.Rounds, Messages: r.Res.Messages,
+			Wall: r.Wall, Allocs: r.Allocs, Steps: r.Res.Steps,
+		}
 	}
 	var onResult func(int, sweep.Result)
 	if opts.OnSlot != nil {
@@ -107,7 +127,7 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 		// ever sees outcomes that will appear in the final document.
 		onResult = func(k int, r sweep.Result) {
 			if r.Err == nil && r.Res != nil {
-				opts.OnSlot(scenario.SlotOutcome{Slot: slots[k], Rounds: r.Res.Rounds, Messages: r.Res.Messages})
+				opts.OnSlot(outcome(k, r))
 			}
 		}
 	}
@@ -118,24 +138,27 @@ func ExecuteShard(spec *scenario.Spec, shard scenario.Shard, opts ExecOptions) (
 		OnResult:      onResult,
 	})
 	if err := res.FirstErr(); err != nil {
-		slot := slots[res.FirstIncomplete()]
-		return nil, stats, fmt.Errorf("scenario %s: %s: %w", spec.Name, batch.Jobs[slot].Label, err)
+		ji := jobs[res.FirstIncomplete()]
+		return nil, stats, fmt.Errorf("scenario %s: %s: %w", specs[batch.Metas[ji].Spec].Name, batch.Jobs[ji].Label, err)
 	}
-	doc := &ShardDoc{
-		SchemaVersion: ShardDocSchemaVersion,
-		Spec:          spec.Name,
-		Seed:          opts.SeedOffset + 1,
-		Shard:         shard,
-		Jobs:          len(batch.Jobs),
-		Graph:         scenario.InfoOf(batch.Graphs[0]),
-		Slots:         make([]scenario.SlotOutcome, 0, len(slots)),
-	}
-	for k, slot := range slots {
-		r := res[k]
-		if err := batch.Check(slot, r.Res.Outputs); err != nil {
-			return nil, stats, fmt.Errorf("scenario %s: %s: invalid output: %w", spec.Name, batch.Jobs[slot].Label, err)
+	docs := make([]*ShardDoc, len(specs))
+	for si, p := range batch.Plans {
+		docs[si] = &ShardDoc{
+			SchemaVersion: ShardDocSchemaVersion,
+			Spec:          specs[si].Name,
+			Seed:          opts.SeedOffset + 1,
+			Shard:         shard,
+			Jobs:          p.Jobs(),
+			Graph:         scenario.InfoOf(batch.Graphs[si]),
+			Slots:         make([]scenario.SlotOutcome, 0, len(shard.Slots(p.Jobs()))),
 		}
-		doc.Slots = append(doc.Slots, scenario.SlotOutcome{Slot: slot, Rounds: r.Res.Rounds, Messages: r.Res.Messages})
 	}
-	return doc, stats, nil
+	for k, ji := range jobs {
+		si := batch.Metas[ji].Spec
+		if err := batch.Check(ji, res[k].Res.Outputs); err != nil {
+			return nil, stats, fmt.Errorf("scenario %s: %s: invalid output: %w", specs[si].Name, batch.Jobs[ji].Label, err)
+		}
+		docs[si].Slots = append(docs[si].Slots, outcome(k, res[k]))
+	}
+	return docs, stats, nil
 }

@@ -19,9 +19,10 @@
 //     placement — and hence which jobs find a warm state — is
 //     timing-dependent, though the counters themselves stay exact.)
 //
-// cmd/localbench and the repo-level benchmarks submit their experiments here;
+// serve.ExecuteShard, the one executor of cmd/localbench and every
+// localserved front, and the repo-level benchmarks submit their jobs here;
 // Stats carries the batch-level throughput (jobs/sec, cumulative engine
-// allocations) recorded in BENCH.json across PRs.
+// allocations) recorded in BENCH.json.
 package sweep
 
 import (
