@@ -242,11 +242,10 @@ type ExecOptions struct {
 	// Context cancels the batch mid-run; nil runs to completion.
 	Context context.Context
 	// OnSlot, when non-nil, receives each successfully completed slot's
-	// deterministic outcome the moment it lands — the progress feed the
-	// async job API streams over SSE — with the slot's index in its spec's
-	// grid. Callbacks arrive from sweep workers
-	// concurrently and must be safe for concurrent use; failed or canceled
-	// slots do not report.
+	// outcome, indexed in its spec's grid, the moment it lands — the
+	// progress feed the async job API streams over SSE. Callbacks arrive
+	// from sweep workers concurrently and must be safe for concurrent use;
+	// failed or canceled slots do not report.
 	OnSlot func(out scenario.SlotOutcome)
 }
 

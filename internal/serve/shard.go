@@ -102,11 +102,22 @@ func ExecuteShard(specs []*scenario.Spec, shard scenario.Shard, opts ExecOptions
 	if err != nil {
 		return nil, sweep.Stats{}, fmt.Errorf("%w: %w", ErrSpec, err)
 	}
-	// The k-th job run is batch job jobs[k], slot[k] of its spec's grid.
+	// The shard's k-th job is batch job jobs[k], slot[k] of its spec's grid.
+	docs := make([]*ShardDoc, len(specs))
 	var jobs, slot []int
 	base := 0
-	for _, p := range batch.Plans {
-		for _, sl := range shard.Slots(p.Jobs()) {
+	for si, p := range batch.Plans {
+		owned := shard.Slots(p.Jobs())
+		docs[si] = &ShardDoc{
+			SchemaVersion: ShardDocSchemaVersion,
+			Spec:          specs[si].Name,
+			Seed:          opts.SeedOffset + 1,
+			Shard:         shard,
+			Jobs:          p.Jobs(),
+			Graph:         scenario.InfoOf(batch.Graphs[si]),
+			Slots:         make([]scenario.SlotOutcome, 0, len(owned)),
+		}
+		for _, sl := range owned {
 			jobs, slot = append(jobs, base+sl), append(slot, sl)
 		}
 		base += p.Jobs()
@@ -140,18 +151,6 @@ func ExecuteShard(specs []*scenario.Spec, shard scenario.Shard, opts ExecOptions
 	if err := res.FirstErr(); err != nil {
 		ji := jobs[res.FirstIncomplete()]
 		return nil, stats, fmt.Errorf("scenario %s: %s: %w", specs[batch.Metas[ji].Spec].Name, batch.Jobs[ji].Label, err)
-	}
-	docs := make([]*ShardDoc, len(specs))
-	for si, p := range batch.Plans {
-		docs[si] = &ShardDoc{
-			SchemaVersion: ShardDocSchemaVersion,
-			Spec:          specs[si].Name,
-			Seed:          opts.SeedOffset + 1,
-			Shard:         shard,
-			Jobs:          p.Jobs(),
-			Graph:         scenario.InfoOf(batch.Graphs[si]),
-			Slots:         make([]scenario.SlotOutcome, 0, len(shard.Slots(p.Jobs()))),
-		}
 	}
 	for k, ji := range jobs {
 		si := batch.Metas[ji].Spec
