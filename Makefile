@@ -31,10 +31,11 @@ test: build
 # its crash/drain/coalesce tests race workers, SSE subscribers,
 # cancellation and simulated process death against the journal;
 # internal/bitset because the engine's parallel workers record halts into a
-# shared Set via AddAtomic, and the local package's bitset differential
-# (5 graph families × 3 schedulers × worker counts) must hold under the race
-# detector; internal/algorithms/lift and internal/algorithms/matching because
-# the line, Power and Product run-digest tables (every scheduler kind, under
+# shared Set with plain stores, each only into the words of its own range,
+# and the local package's bitset differential (5 graph families × 3
+# schedulers × worker counts) must hold under the race detector;
+# internal/algorithms/lift and internal/algorithms/matching because the
+# line, Power and Product run-digest tables (every scheduler kind, under
 # Compose and inside the transformer's Subrun windows, cases run
 # concurrently) must hold with their per-round arenas and reused buffers
 # under the race detector; internal/algorithms/linial because parallel sweep

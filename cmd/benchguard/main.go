@@ -30,9 +30,10 @@
 //     disables only this gate.
 //
 // Files that cannot be compared meaningfully — different seeds, different
-// -parallel/-workers settings, or an unknown schema version — are
-// an error, not a silent skip: a stale or misgenerated baseline must not
-// disable the gate while CI stays green.
+// -parallel settings or workers fields (localbench writes workers 0; older
+// documents may record an engine worker count), or an unknown schema
+// version — are an error, not a silent skip: a stale or misgenerated
+// baseline must not disable the gate while CI stays green.
 //
 // Usage:
 //
@@ -130,7 +131,7 @@ func guard(w io.Writer, old, fresh *benchfmt.Doc, opt options) error {
 		return nil
 	}
 	if old.Parallel != fresh.Parallel || old.Workers != fresh.Workers {
-		return fmt.Errorf("parallel/workers differ (%d/%d vs %d/%d): regenerate both files with the same flags, or pass -tolerance -1 to skip timing",
+		return fmt.Errorf("parallel/workers fields differ (%d/%d vs %d/%d): regenerate both files with the same -parallel, or pass -tolerance -1 to skip timing",
 			old.Parallel, old.Workers, fresh.Parallel, fresh.Workers)
 	}
 	return checkTimings(w, old, fresh, opt)

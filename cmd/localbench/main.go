@@ -7,17 +7,19 @@
 // Usage:
 //
 //	localbench -scenarios dir [-exp name] [-seed N] [-parallel N]
-//	           [-workers N] [-json path] [-corpus-dir dir]
+//	           [-json path] [-corpus-dir dir]
 //	           [-cpuprofile path] [-memprofile path]
 //
 // Every *.json spec in the directory is validated, expanded into sweep jobs
 // and run through the internal/sweep scheduler (N whole simulations in
 // flight with -parallel N; graphs come from a shared graph.Corpus so no
-// family is generated twice). -exp filters scenarios by name, and -seed
-// shifts every scenario's seed grid (-seed 1, the default, runs the corpus
-// exactly as committed). The output contains only deterministic fields, so
-// it is byte-identical for every -parallel and -workers value — CI diffs a
-// sequential against a fully parallel run.
+// family is generated twice). The sweep picks each simulation's engine
+// worker count: parallel engines at -parallel 1, sequential ones otherwise.
+// -exp filters scenarios by name, and -seed shifts every scenario's seed
+// grid (-seed 1, the default, runs the corpus exactly as committed). The
+// output contains only deterministic fields, so it is byte-identical for
+// every -parallel value — CI diffs a sequential against a fully parallel
+// run.
 //
 // With -corpus-dir, the graph corpus is backed by the content-addressed CSR
 // image store in that directory (the same format cmd/graphgen -store writes
@@ -64,7 +66,6 @@ var (
 	flagScen     = flag.String("scenarios", "", "directory of scenario specs to run (required; scenarios/paper holds the paper's experiments)")
 	flagSeed     = flag.Int64("seed", 1, "simulation seed")
 	flagParallel = flag.Int("parallel", 1, "simulations in flight (0 = GOMAXPROCS); output is byte-identical for any value")
-	flagWorkers  = flag.Int("workers", 0, "engine worker count per simulation (0 = auto, 1 = sequential)")
 	flagJSON     = flag.String("json", "", "write machine-readable results to this path")
 	flagCorpus   = flag.String("corpus-dir", "", "content-addressed CSR image store directory backing the graph corpus (shared with graphgen -store and localserved -corpus-dir)")
 	flagCPU      = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -135,10 +136,9 @@ func loadSpecs() ([]*scenario.Spec, error) {
 // response byte-identical to this command's output for the same spec.
 func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
 	docs, stats, err := serve.ExecuteShard(specs, scenario.Shard{Index: 0, Count: 1}, serve.ExecOptions{
-		Corpus:        corpus,
-		SeedOffset:    *flagSeed - 1,
-		Parallel:      *flagParallel,
-		EngineWorkers: *flagWorkers,
+		Corpus:     corpus,
+		SeedOffset: *flagSeed - 1,
+		Parallel:   *flagParallel,
 	})
 	if err != nil {
 		return err
@@ -178,7 +178,6 @@ func runScenarios(specs []*scenario.Spec, corpus *graph.Corpus) error {
 		GeneratedBy:   "cmd/localbench -scenarios",
 		Seed:          *flagSeed,
 		Parallel:      *flagParallel,
-		Workers:       *flagWorkers,
 		Sweep: benchfmt.SweepStats{
 			Jobs:         stats.Jobs,
 			Workers:      stats.Workers,

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	localserved [-addr host:port] [-parallel N] [-workers N]
+//	localserved [-addr host:port] [-parallel N]
 //	            [-corpus-limit N] [-corpus-dir dir] [-corpus-mem BYTES]
 //	            [-max-inflight N] [-queue N]
 //	            [-timeout D] [-drain-timeout D] [-fault exit-after=N]
@@ -94,7 +94,6 @@ import (
 var (
 	flagAddr        = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one)")
 	flagParallel    = flag.Int("parallel", 0, "simulations in flight per request (0 = GOMAXPROCS); responses are byte-identical for any value")
-	flagWorkers     = flag.Int("workers", 0, "engine worker count per simulation (0 = auto)")
 	flagCorpus      = flag.Int("corpus-limit", serve.DefaultCorpusLimit, "max cached graphs, LRU-evicted (<0 = unbounded)")
 	flagCorpusDir   = flag.String("corpus-dir", "", "content-addressed CSR image store directory; replicas sharing it build each graph once and restarts warm-start from disk")
 	flagCorpusMem   = flag.Int64("corpus-mem", 0, "max estimated in-heap graph bytes in the corpus, LRU-evicted (0 = unbounded); with -corpus-dir, evicted graphs reload from disk")
@@ -139,7 +138,6 @@ func run(ctx context.Context, addr string, ready chan<- string) error {
 	}
 	s := serve.New(serve.Config{
 		Parallel:       *flagParallel,
-		EngineWorkers:  *flagWorkers,
 		CorpusLimit:    *flagCorpus,
 		CorpusStore:    store,
 		CorpusMemBytes: *flagCorpusMem,

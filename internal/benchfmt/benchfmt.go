@@ -70,7 +70,9 @@ type Doc struct {
 	GeneratedBy   string `json:"generated_by"`
 	Seed          int64  `json:"seed"`
 	Parallel      int    `json:"parallel"`
-	Workers       int    `json:"workers"`
+	// Workers is always 0: the engine worker flag it recorded is gone, and
+	// the field stays only so documents keep their bytes (ROADMAP item 11).
+	Workers int `json:"workers"`
 	// Large is always false: the size switch it recorded is gone, and the
 	// field stays only so served documents keep their committed bytes.
 	Large bool       `json:"large"`

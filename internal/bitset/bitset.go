@@ -12,22 +12,17 @@
 // bookkeeping cost is measured in words scanned, not nodes considered.
 //
 // Invariant (tail masking): for a Set of Len n, every bit at position >= n
-// in the last word is zero. All mutators preserve it and Count, NextZero
-// and the iteration helpers rely on it; Fill establishes it explicitly.
-// Storage beyond WordsFor(n) words may hold stale data from a larger
-// previous use — Reset and Fill size the live window and never touch words
-// past it (the word-granular lazy clear the engine's RunState pooling
-// depends on).
+// in the last word is zero. All mutators preserve it and Count and
+// AppendSet rely on it; Fill establishes it explicitly. Storage beyond
+// WordsFor(n) words may hold stale data from a larger previous use — Reset
+// and Fill size the live window and never touch words past it (the
+// word-granular lazy clear the engine's RunState pooling depends on).
 //
-// A Set is not safe for concurrent mutation except through AddAtomic, which
-// may race with other AddAtomic calls (bit-or is commutative, so the final
-// word value is deterministic) but not with readers or plain mutators.
+// A Set is not safe for concurrent mutation. The engine's parallel workers
+// each write only the words of their own range, so no word is shared.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // WordsFor returns the number of 64-bit words backing a set of n bits.
 func WordsFor(n int) int { return (n + 63) >> 6 }
@@ -91,14 +86,6 @@ func (s *Set) Fill(n int) (grew bool) {
 // Add inserts i into the set.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// AddAtomic inserts i with an atomic or, safe against concurrent AddAtomic
-// calls on any bit of the set (the engine's parallel workers record halts
-// this way; or is commutative, so the final contents are deterministic).
-func (s *Set) AddAtomic(i int) { atomic.OrUint64(&s.words[i>>6], 1<<(uint(i)&63)) }
-
-// Remove deletes i from the set.
-func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Contains reports whether i is in the set.
 func (s *Set) Contains(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -110,65 +97,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// NextSet returns the smallest member >= i, or Len() when there is none.
-// The scan is branch-free within a word: mask below i, then TZCNT.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return s.n
-	}
-	wi := i >> 6
-	w := s.words[wi] &^ (1<<(uint(i)&63) - 1)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi == len(s.words) {
-			return s.n
-		}
-		w = s.words[wi]
-	}
-}
-
-// NextZero returns the smallest non-member >= i, or Len() when every
-// position from i on is a member. This is the complement scan the engine
-// uses to walk still-live nodes over a halted set: one inverted word probe
-// covers 64 nodes.
-func (s *Set) NextZero(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return s.n
-	}
-	wi := i >> 6
-	w := ^s.words[wi] &^ (1<<(uint(i)&63) - 1)
-	for {
-		if w != 0 {
-			// Tail bits of the last word are zero members, so their
-			// complement is set; clamp to the logical length.
-			return min(wi<<6+bits.TrailingZeros64(w), s.n)
-		}
-		wi++
-		if wi == len(s.words) {
-			return s.n
-		}
-		w = ^s.words[wi]
-	}
-}
-
-// ForEachSet calls fn for every member in ascending order.
-func (s *Set) ForEachSet(fn func(i int)) {
-	for wi, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-		}
-	}
 }
 
 // AppendSet appends every member to dst in ascending order and returns the

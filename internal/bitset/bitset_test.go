@@ -10,6 +10,7 @@ package bitset_test
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/bitset"
@@ -28,6 +29,18 @@ func TestWordsFor(t *testing.T) {
 	}
 }
 
+// appendRef returns the members of ref in ascending order, the reference
+// AppendSet is compared against.
+func appendRef(ref []bool) []int32 {
+	var out []int32
+	for i, in := range ref {
+		if in {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
 func TestEmptySet(t *testing.T) {
 	for _, n := range boundaryLens {
 		var s bitset.Set
@@ -40,18 +53,14 @@ func TestEmptySet(t *testing.T) {
 		if got := s.Count(); got != 0 {
 			t.Errorf("n=%d: empty Count = %d", n, got)
 		}
-		if got := s.NextSet(0); got != n {
-			t.Errorf("n=%d: empty NextSet(0) = %d, want %d", n, got, n)
-		}
-		if got := s.NextZero(0); n > 0 && got != 0 {
-			t.Errorf("n=%d: empty NextZero(0) = %d, want 0", n, got)
+		if got := s.AppendSet(nil); len(got) != 0 {
+			t.Errorf("n=%d: empty AppendSet = %v", n, got)
 		}
 		for i := 0; i < n; i++ {
 			if s.Contains(i) {
 				t.Fatalf("n=%d: empty set contains %d", n, i)
 			}
 		}
-		s.ForEachSet(func(i int) { t.Errorf("n=%d: empty ForEachSet visited %d", n, i) })
 	}
 }
 
@@ -62,14 +71,8 @@ func TestFullSet(t *testing.T) {
 		if got := s.Count(); got != n {
 			t.Errorf("n=%d: full Count = %d", n, got)
 		}
-		if got := s.NextZero(0); got != n {
-			t.Errorf("n=%d: full NextZero(0) = %d, want %d", n, got, n)
-		}
 		if n == 0 {
 			continue
-		}
-		if got := s.NextSet(0); got != 0 {
-			t.Errorf("n=%d: full NextSet(0) = %d, want 0", n, got)
 		}
 		// The tail-masking invariant, checked directly on the last word.
 		words := s.Words()
@@ -78,21 +81,27 @@ func TestFullSet(t *testing.T) {
 				t.Errorf("n=%d: last word %#x, want tail-masked %#x", n, words[len(words)-1], want)
 			}
 		}
-		visited := 0
-		s.ForEachSet(func(i int) {
-			if i != visited {
-				t.Fatalf("n=%d: ForEachSet visited %d, want %d", n, i, visited)
+		members := s.AppendSet(nil)
+		if len(members) != n {
+			t.Fatalf("n=%d: AppendSet materialized %d members", n, len(members))
+		}
+		for k, i := range members {
+			if int(i) != k {
+				t.Fatalf("n=%d: AppendSet rank %d = %d", n, k, i)
 			}
-			visited++
-		})
-		if visited != n {
-			t.Errorf("n=%d: ForEachSet visited %d members", n, visited)
+		}
+		// Removing every member through the engine's frontier update must
+		// leave nothing behind, tail bits included.
+		var all bitset.Set
+		all.Fill(n)
+		if got := s.AndNotCount(&all); got != 0 {
+			t.Errorf("n=%d: full AndNotCount(full) = %d", n, got)
 		}
 	}
 }
 
 // TestBoundaryMembership plants single bits at every position near word
-// edges and checks membership, scans and count around each.
+// edges and checks membership, rank materialization and count around each.
 func TestBoundaryMembership(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 127, 129} {
 		for _, i := range []int{0, 1, 62, 63, 64, 65, 126, 127, 128} {
@@ -105,21 +114,20 @@ func TestBoundaryMembership(t *testing.T) {
 			if !s.Contains(i) {
 				t.Fatalf("n=%d: Add(%d) not visible", n, i)
 			}
+			if i > 0 && s.Contains(i-1) || i+1 < n && s.Contains(i+1) {
+				t.Fatalf("n=%d: Add(%d) leaked into a neighbouring bit", n, i)
+			}
 			if got := s.Count(); got != 1 {
 				t.Fatalf("n=%d bit=%d: Count = %d", n, i, got)
 			}
-			if got := s.NextSet(0); got != i {
-				t.Fatalf("n=%d bit=%d: NextSet(0) = %d", n, i, got)
+			if got := s.AppendSet(nil); len(got) != 1 || int(got[0]) != i {
+				t.Fatalf("n=%d bit=%d: AppendSet = %v", n, i, got)
 			}
-			if got := s.NextSet(i + 1); got != n {
-				t.Fatalf("n=%d bit=%d: NextSet(%d) = %d, want %d", n, i, i+1, got, n)
-			}
-			if got := s.NextZero(i); got != i+1 && !(i+1 == n && got == n) {
-				t.Fatalf("n=%d bit=%d: NextZero(%d) = %d", n, i, i, got)
-			}
-			s.Remove(i)
-			if s.Contains(i) || s.Count() != 0 {
-				t.Fatalf("n=%d: Remove(%d) left the set non-empty", n, i)
+			var one bitset.Set
+			one.Reset(n)
+			one.Add(i)
+			if got := s.AndNotCount(&one); got != 0 || s.Contains(i) {
+				t.Fatalf("n=%d: AndNotCount of {%d} left %d members", n, i, got)
 			}
 		}
 	}
@@ -137,13 +145,17 @@ func TestClearThenScan(t *testing.T) {
 			if got := s.Count(); got != 0 {
 				t.Errorf("Fill(%d) then Reset(%d): Count = %d", big, small, got)
 			}
-			if got := s.NextSet(0); got != small {
-				t.Errorf("Fill(%d) then Reset(%d): NextSet(0) = %d, want %d", big, small, got, small)
+			if got := s.AppendSet(nil); len(got) != 0 {
+				t.Errorf("stale members %v survived Reset(%d)", got, small)
 			}
-			if got := s.NextZero(0); got != 0 {
-				t.Errorf("Fill(%d) then Reset(%d): NextZero(0) = %d, want 0", big, small, got)
+			if got := len(s.Words()); got != bitset.WordsFor(small) {
+				t.Errorf("Reset(%d): %d live words, want %d", small, got, bitset.WordsFor(small))
 			}
-			s.ForEachSet(func(i int) { t.Errorf("stale member %d survived Reset(%d)", i, small) })
+			// A Fill of the smaller window must mask the stale tail too.
+			s.Fill(small)
+			if got := s.Count(); got != small {
+				t.Errorf("Fill(%d) after Fill(%d): Count = %d", small, big, got)
+			}
 			// And the other direction: growing back must not resurrect bits.
 			if small < big {
 				s.Reset(big)
@@ -197,24 +209,10 @@ func TestAppendSetRanks(t *testing.T) {
 	}
 }
 
-func TestAddAtomicMatchesAdd(t *testing.T) {
-	var a, b bitset.Set
-	a.Reset(129)
-	b.Reset(129)
-	for i := 0; i < 129; i += 5 {
-		a.Add(i)
-		b.AddAtomic(i)
-	}
-	for i := 0; i < 129; i++ {
-		if a.Contains(i) != b.Contains(i) {
-			t.Fatalf("bit %d: Add=%v AddAtomic=%v", i, a.Contains(i), b.Contains(i))
-		}
-	}
-}
-
 // FuzzSetVsBool drives a Set and a []bool reference through the same
 // operation stream and requires every observable — membership, count,
-// scans, iteration order — to agree. Each op byte selects an operation and
+// rank order, and-not — to agree. Each op byte selects an operation (add,
+// remove through AndNotCount of a singleton, or a mid-stream check) and
 // each following byte a position; lengths cycle through word boundaries.
 func FuzzSetVsBool(f *testing.F) {
 	f.Add(63, []byte{0, 1, 2, 3})
@@ -233,31 +231,21 @@ func FuzzSetVsBool(f *testing.F) {
 				break
 			}
 			i := int(ops[k+1]) % n
-			switch ops[k] % 4 {
+			switch ops[k] % 3 {
 			case 0:
 				s.Add(i)
 				ref[i] = true
 			case 1:
-				s.Remove(i)
+				var one bitset.Set
+				one.Reset(n)
+				one.Add(i)
 				ref[i] = false
-			case 2:
-				s.AddAtomic(i)
-				ref[i] = true
-			case 3: // scan checkpoints mid-stream
-				wantSet, wantZero := n, n
-				for j := i; j < n; j++ {
-					if ref[j] && wantSet == n {
-						wantSet = j
-					}
-					if !ref[j] && wantZero == n {
-						wantZero = j
-					}
+				if got, want := s.AndNotCount(&one), len(appendRef(ref)); got != want {
+					t.Fatalf("AndNotCount(%d) = %d, want %d", i, got, want)
 				}
-				if got := s.NextSet(i); got != wantSet {
-					t.Fatalf("NextSet(%d) = %d, want %d", i, got, wantSet)
-				}
-				if got := s.NextZero(i); got != wantZero {
-					t.Fatalf("NextZero(%d) = %d, want %d", i, got, wantZero)
+			case 2: // rank checkpoints mid-stream
+				if got, want := s.AppendSet(nil), appendRef(ref); !slices.Equal(got, want) {
+					t.Fatalf("AppendSet = %v, want %v", got, want)
 				}
 			}
 		}
@@ -273,19 +261,8 @@ func FuzzSetVsBool(f *testing.F) {
 		if got := s.Count(); got != count {
 			t.Fatalf("Count = %d, want %d", got, count)
 		}
-		var visited []int
-		s.ForEachSet(func(i int) { visited = append(visited, i) })
-		k := 0
-		for i := range ref {
-			if ref[i] {
-				if k >= len(visited) || visited[k] != i {
-					t.Fatalf("ForEachSet order diverged at rank %d", k)
-				}
-				k++
-			}
-		}
-		if appended := s.AppendSet(nil); len(appended) != count {
-			t.Fatalf("AppendSet materialized %d members, want %d", len(appended), count)
+		if got, want := s.AppendSet(nil), appendRef(ref); !slices.Equal(got, want) {
+			t.Fatalf("AppendSet = %v, want %v", got, want)
 		}
 		// AndNotCount against a random-ish mask derived from the op bytes.
 		var mask bitset.Set

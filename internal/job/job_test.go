@@ -435,6 +435,87 @@ func TestQuotaMaxPerClient(t *testing.T) {
 	}
 }
 
+// TestResubmitPaysQuota: requeueing a canceled job is admitted like a new
+// submission, so a client at its queue quota cannot grow past it by
+// canceling jobs and resubmitting them.
+func TestResubmitPaysQuota(t *testing.T) {
+	specA := parseSpec(t, testSpec)
+	specB := parseSpec(t, strings.Replace(testSpec, "job-luby", "job-luby-b", 1))
+	exec := func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
+		<-ctx.Done()
+		return scenario.GraphInfo{}, nil, ctx.Err()
+	}
+	m := newManager(t, t.TempDir(), func(c *Config) { c.Exec = exec; c.MaxPerClient = 1 })
+	defer drainNow(t, m)
+
+	stA, _, err := m.Submit(specA, 1, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(stA.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Submit(specB, 1, "alice"); err != nil {
+		t.Fatalf("alice's first live job: %v", err)
+	}
+	_, _, err = m.Submit(specA, 1, "alice")
+	var qe *QuotaError
+	if !asQuota(err, &qe) {
+		t.Fatalf("over-quota resubmit of a canceled job: %v", err)
+	}
+	if st, _ := m.Status(stA.ID); st.State != StateCanceled {
+		t.Fatalf("refused resubmit changed the job: %+v", st)
+	}
+}
+
+// TestReplayResubmitClient: a job canceled by one client and resubmitted by
+// another is charged to the resubmitter after a restart, and compaction
+// keeps the resubmitter in the job's submit record.
+func TestReplayResubmitClient(t *testing.T) {
+	dir := t.TempDir()
+	spec := parseSpec(t, testSpec)
+	exec := func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
+		<-ctx.Done()
+		return scenario.GraphInfo{}, nil, ctx.Err()
+	}
+	m1 := newManager(t, dir, func(c *Config) { c.Exec = exec })
+	st, _, err := m1.Submit(spec, 1, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m1.Submit(spec, 1, "b"); err != nil {
+		t.Fatal(err)
+	}
+	drainNow(t, m1)
+
+	m2 := newManager(t, dir, func(c *Config) { c.Exec = exec })
+	defer drainNow(t, m2)
+	m2.mu.Lock()
+	defer m2.mu.Unlock()
+	if m2.active["b"] != 1 || m2.active["a"] != 0 {
+		t.Fatalf("replayed quota charges %v, want b charged once", m2.active)
+	}
+	for _, rec := range m2.liveRecords() {
+		if rec.Op == OpSubmit && rec.ID == st.ID && rec.Client != "b" {
+			t.Fatalf("compacted submit record names client %q, want b", rec.Client)
+		}
+	}
+}
+
+// drainNow drains m without waiting for a shard boundary: running
+// executions have their contexts fired at once.
+func drainNow(t *testing.T, m *Manager) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
 func TestRateLimit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	q := newQuotas(1, 2, func() time.Time { return now })

@@ -294,12 +294,14 @@ func (m *Manager) replay(recs []*Record) error {
 		switch rec.Op {
 		case OpSubmit:
 			if e, ok := m.jobs[rec.ID]; ok {
-				// Resubmission after a terminal record requeues the job;
+				// Resubmission after a terminal record requeues the job on
+				// behalf of the resubmitting client, as Submit does;
 				// checkpoints survive (a canceled job resumes cheaply).
 				if terminalState(e.state) {
 					e.state = StateQueued
 					e.errMsg = ""
 					e.exhausted = false
+					e.client = rec.Client
 				}
 				continue
 			}
@@ -440,8 +442,8 @@ func (m *Manager) append(rec *Record) error {
 // its status. If a job with the same execution identity already exists the
 // submission coalesces onto it (coalesced=true): done/failed/running/queued
 // jobs answer with their current state; canceled ones, and failed ones that
-// only ran out of transient retries, are requeued. New
-// submissions pay the client's rate-limit token and queue quota, and are
+// only ran out of transient retries, are requeued. New submissions and
+// requeues pay the client's queue quota and rate-limit token, and are
 // journaled durably before Submit returns. A spec the client got wrong
 // fails with ErrInvalid; a journal failure does not wrap it.
 func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Status, coalesced bool, err error) {
@@ -456,39 +458,29 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 	if m.draining {
 		return Status{}, false, ErrDraining
 	}
-	if e, ok := m.jobs[id]; ok {
-		if e.state != StateCanceled && (e.state != StateFailed || !e.exhausted) {
-			m.coalescedN.Add(1)
-			return m.statusLocked(e), true, nil
-		}
-		// Requeue a canceled or retry-exhausted job: journal a fresh submit
-		// (replay requeues on the same rule), keep its checkpoints, give it a
-		// fresh retry budget.
-		if err := m.append(&Record{V: RecordVersion, Op: OpSubmit, ID: id, Seed: seed, Spec: canonical, Shards: e.shards, Client: client}); err != nil {
-			return Status{}, false, err
-		}
-		e.state = StateQueued
-		e.errMsg = ""
-		e.exhausted = false
-		e.retries = 0
-		e.client = client
-		e.hub = newHub()
-		m.queue = append(m.queue, id)
-		m.active[client]++
-		m.submitted.Add(1)
-		e.hub.publish(Event{Type: EventQueued, Shards: e.shards, ShardsDone: len(e.ckpts), Slots: e.slots, SlotsDone: e.ckptSlots()})
-		m.cond.Signal()
-		return m.statusLocked(e), false, nil
+	e, requeue := m.jobs[id]
+	if requeue && e.state != StateCanceled && (e.state != StateFailed || !e.exhausted) {
+		m.coalescedN.Add(1)
+		return m.statusLocked(e), true, nil
 	}
-
-	if m.cfg.CheckSpec != nil {
-		if err := m.cfg.CheckSpec(spec); err != nil {
+	if !requeue {
+		if m.cfg.CheckSpec != nil {
+			if err := m.cfg.CheckSpec(spec); err != nil {
+				return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
+			}
+		}
+		plan, err := scenario.PlanOf(spec, seed-1)
+		if err != nil {
 			return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
-	}
-	plan, err := scenario.PlanOf(spec, seed-1)
-	if err != nil {
-		return Status{}, false, fmt.Errorf("%w: %w", ErrInvalid, err)
+		e = &entry{
+			id:        id,
+			seed:      seed,
+			spec:      spec,
+			canonical: canonical,
+			shards:    min(m.cfg.ShardsPerJob, plan.Jobs()),
+			slots:     plan.Jobs(),
+		}
 	}
 	if m.cfg.MaxPerClient > 0 && m.active[client] >= m.cfg.MaxPerClient {
 		m.limitedN.Add(1)
@@ -503,30 +495,26 @@ func (m *Manager) Submit(spec *scenario.Spec, seed int64, client string) (st Sta
 		m.limitedN.Add(1)
 		return Status{}, false, err
 	}
-	shards := m.cfg.ShardsPerJob
-	if shards > plan.Jobs() {
-		shards = plan.Jobs()
-	}
-	if err := m.append(&Record{V: RecordVersion, Op: OpSubmit, ID: id, Seed: seed, Spec: canonical, Shards: shards, Client: client}); err != nil {
+	// A requeued job (canceled or out of retries) journals a fresh submit,
+	// which replay requeues on the same rule, keeps its checkpoints and gets
+	// a fresh retry budget.
+	if err := m.append(&Record{V: RecordVersion, Op: OpSubmit, ID: id, Seed: seed, Spec: canonical, Shards: e.shards, Client: client}); err != nil {
 		return Status{}, false, err
 	}
-	e := &entry{
-		id:        id,
-		seed:      seed,
-		spec:      spec,
-		canonical: canonical,
-		client:    client,
-		shards:    shards,
-		slots:     plan.Jobs(),
-		state:     StateQueued,
-		hub:       newHub(),
+	if !requeue {
+		m.jobs[id] = e
+		m.order = append(m.order, id)
 	}
-	m.jobs[id] = e
-	m.order = append(m.order, id)
+	e.state = StateQueued
+	e.errMsg = ""
+	e.exhausted = false
+	e.retries = 0
+	e.client = client
+	e.hub = newHub()
 	m.queue = append(m.queue, id)
 	m.active[client]++
 	m.submitted.Add(1)
-	e.hub.publish(Event{Type: EventQueued, Shards: shards, Slots: e.slots})
+	e.hub.publish(Event{Type: EventQueued, Shards: e.shards, ShardsDone: len(e.ckpts), Slots: e.slots, SlotsDone: e.ckptSlots()})
 	m.cond.Signal()
 	return m.statusLocked(e), false, nil
 }

@@ -589,10 +589,6 @@ func (s *Subrun) Output() any {
 	return s.inner.Output()
 }
 
-// Rounds returns the inner round after the last one executed: the number
-// of inner rounds elapsed, stepped or slept through.
-func (s *Subrun) Rounds() int { return s.t }
-
 // Wake returns the first inner round at which the inner node must be
 // stepped, given that its inbox stays empty until then (see Sleeper):
 // math.MaxInt once the inner node is done, the next inner round if it is

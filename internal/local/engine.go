@@ -44,6 +44,7 @@ type Options struct {
 	Context context.Context
 	// Sequential forces single-threaded execution. Results are identical to
 	// parallel execution; this is exercised by tests and useful for tracing.
+	// Workers: 1 does the same; perfbench sets it (see ROADMAP item 11).
 	Sequential bool
 	// Workers overrides the worker count for parallel execution; 0 means
 	// GOMAXPROCS.
@@ -58,11 +59,11 @@ type Options struct {
 	// message-delivery permutation of the synchronous model. The permutation
 	// is applied to set-bit ranks: the round's live set is materialized from
 	// the frontier bitset in ascending order (member k is the rank-k live
-	// node) and that rank list is shuffled. A round's sends are invisible
-	// until the next round (the two message lanes), so results are
-	// byte-identical to the lockstep order at any worker count; what the
-	// permutation diversifies is the memory-access and worker-partition
-	// order, which the determinism tests pin.
+	// node) and that rank list is shuffled. A permuted run steps on one
+	// worker whatever Workers says, so the order is a function of the seeds
+	// alone. A round's sends are invisible until the next round (the two
+	// message lanes), so results are byte-identical to the lockstep order;
+	// what the permutation diversifies is the memory-access order.
 	Permute *Permute
 }
 
@@ -110,11 +111,9 @@ type workerTally struct {
 }
 
 // job is one round's work assignment for a pooled worker: the round number
-// and either an explicit node list (the permuted scheduler's shuffled
-// ranks) or a word range [loW, hiW) of the frontier bitset to scan.
+// and a word range [loW, hiW) of the frontier bitset to scan.
 type job struct {
 	r        int
-	items    []int32
 	loW, hiW int32
 }
 
@@ -146,7 +145,7 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Sequential || workers > n {
+	if opts.Sequential || opts.Permute != nil || workers > n {
 		workers = 1
 	}
 
@@ -193,12 +192,12 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 	next := st.next
 
 	// The frontier bitset holds the live nodes; all n are live at wake-up.
-	// Halts recorded during a round go to the halted bitset — atomically
-	// when workers can share a word — and are folded into the frontier
-	// between rounds, so the frontier is immutable while a round is stepped.
+	// Halts recorded during a round go to the halted bitset — each word
+	// written only by the worker whose range holds it — and are folded into
+	// the frontier between rounds, so the frontier is immutable while a
+	// round is stepped.
 	activeWords := active.Words()
 	numWords := int32(len(activeWords))
-	atomicHalt := workers > 1
 
 	tallies := st.tallies
 	// stepNode advances one live node one round; the returned count is the
@@ -235,11 +234,7 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 			}
 		}
 		if done {
-			if atomicHalt {
-				halted.AddAtomic(u)
-			} else {
-				halted.Add(u)
-			}
+			halted.Add(u)
 			haltRounds[u] = r
 			outputs[u] = states[u].Output()
 		}
@@ -262,20 +257,6 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 		}
 		t.msgs += sent
 	}
-	// stepList steps an explicit node list — the permuted scheduler's
-	// shuffled ranks, where nodes of one word may land on different workers
-	// (hence the atomic halt recording).
-	stepList := func(w, r int, items []int32) {
-		t := &tallies[w]
-		sent := int64(0)
-		for _, un := range items {
-			sent += stepNode(t, r, int(un))
-			if t.err != nil {
-				break
-			}
-		}
-		t.msgs += sent
-	}
 
 	// Persistent pool: workers-1 goroutines live for the whole run, each fed
 	// by its own buffered channel; the coordinator steps the first partition
@@ -289,11 +270,7 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 			pool[i] = ch
 			go func(w int) {
 				for j := range ch {
-					if j.items != nil {
-						stepList(w, j.r, j.items)
-					} else {
-						stepWords(w, j.r, j.loW, j.hiW)
-					}
+					stepWords(w, j.r, j.loW, j.hiW)
 					wg.Done()
 				}
 			}(i + 1)
@@ -327,30 +304,21 @@ func Run(g *graph.Graph, a Algorithm, opts Options) (*Result, error) {
 			default:
 			}
 		}
-		nw := workers
-		if nw > live {
-			nw = live
-		}
+		nw := min(workers, live)
 		if permRng != nil {
 			// Rank-based adversarial permutation: materialize the frontier's
-			// members in ascending order and shuffle the rank list.
+			// members in ascending order, shuffle the rank list and step it
+			// on the one worker a permuted run has.
 			ranks := active.AppendSet(st.permScratch(n))
 			st.perm = ranks
 			permRng.Shuffle(len(ranks), func(i, j int) {
 				ranks[i], ranks[j] = ranks[j], ranks[i]
 			})
-			if nw <= 1 {
-				stepList(0, r, ranks)
-			} else {
-				chunk := (live + nw - 1) / nw
-				for w := 1; w*chunk < live; w++ {
-					lo := w * chunk
-					hi := min(lo+chunk, live)
-					wg.Add(1)
-					pool[w-1] <- job{r: r, items: ranks[lo:hi]}
+			t := &tallies[0]
+			for _, u := range ranks {
+				if t.msgs += stepNode(t, r, int(u)); t.err != nil {
+					break
 				}
-				stepList(0, r, ranks[:chunk])
-				wg.Wait()
 			}
 		} else if nw <= 1 {
 			stepWords(0, r, 0, numWords)

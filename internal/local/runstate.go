@@ -30,6 +30,8 @@ type RunState struct {
 	idArena []int64
 	inbox   []Message
 	next    []Message
+	// tallies holds one message counter per worker: the coordinator's is
+	// tallies[0], the only one a sequential or permuted run writes.
 	tallies []workerTally
 
 	// halted and active are the engine's two word-level node sets: active is
@@ -42,8 +44,8 @@ type RunState struct {
 	halted bitset.Set
 	active bitset.Set
 	// perm is the adversarial permutation scratch: the frontier's members
-	// materialized by rank, then shuffled. Lazily grown — lockstep runs never
-	// allocate it.
+	// materialized by rank, then shuffled and stepped in that order on one
+	// worker. Lazily grown — lockstep runs never allocate it.
 	perm []int32
 	// cuts holds the popcount-balanced word-partition boundaries of a
 	// parallel round (at most workers-1 entries).

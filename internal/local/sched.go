@@ -29,11 +29,12 @@ func StaggeredWakeup(a Algorithm, seed int64, maxDelay int) Algorithm {
 // frontier bitset: each round the live set is materialized in ascending node
 // order (rank k = the frontier's k-th member) and that rank list is shuffled,
 // so the scheduler composes with the word-level frontier representation
-// without ever mutating it. Output-invariance holds regardless: a round's
-// sends land in the next round's lane, so the order nodes step within a
-// round cannot change any Result byte (the differential tests pin this
-// against the frozen legacy lockstep oracle). The zero Seed is a valid
-// schedule of its own.
+// without ever mutating it. One worker steps the shuffled list, so the order
+// is a function of the seeds alone, whatever Options.Workers says.
+// Output-invariance holds regardless: a round's sends land in the next
+// round's lane, so the order nodes step within a round cannot change any
+// Result byte (the differential tests pin this against the frozen legacy
+// lockstep oracle). The zero Seed is a valid schedule of its own.
 type Permute struct {
 	// Seed drives the permutation sequence; it is mixed with the run seed,
 	// so the schedule is reproducible from (run seed, permute seed) alone.

@@ -126,7 +126,8 @@ const defaultMaxDelay = 8
 
 // SchedSpec selects a deterministic adversarial scheduler for every run of a
 // spec. All schedules are pure functions of (spec, seed): byte-identical at
-// any -workers/-parallel setting and reproducible from the seeds alone.
+// any engine worker count or -parallel setting and reproducible from the
+// seeds alone.
 type SchedSpec struct {
 	// Kind is one of "", "lockstep", "staggered", "permuted",
 	// "staggered-permuted", "modular" ("" = lockstep).

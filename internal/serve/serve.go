@@ -83,6 +83,7 @@ type Config struct {
 	// Parallel is the sweep parallelism per request; 0 means GOMAXPROCS.
 	Parallel int
 	// EngineWorkers pins the per-simulation engine worker count; 0 = auto.
+	// Only perfbench sets it (ROADMAP item 11).
 	EngineWorkers int
 	// CorpusLimit bounds the shared graph corpus (entries, LRU-evicted);
 	// 0 means DefaultCorpusLimit, negative means unbounded.
@@ -236,7 +237,8 @@ type ExecOptions struct {
 	Corpus *graph.Corpus
 	// SeedOffset shifts every spec seed (CLI -seed N maps to N-1).
 	SeedOffset int64
-	// Parallel / EngineWorkers configure the sweep (see sweep.Options).
+	// Parallel / EngineWorkers configure the sweep (see sweep.Options);
+	// only Config.EngineWorkers sets the latter (ROADMAP item 11).
 	Parallel      int
 	EngineWorkers int
 	// Context cancels the batch mid-run; nil runs to completion.

@@ -119,7 +119,7 @@ type Options struct {
 	// sensible default for the batch shape: sequential engines when the
 	// scheduler itself is parallel (run-level parallelism replaces
 	// round-level parallelism without oversubscribing), GOMAXPROCS engines
-	// when Parallel == 1.
+	// when Parallel == 1. Only perfbench sets it (ROADMAP item 11).
 	EngineWorkers int
 	// Context, when non-nil, cancels the batch: no new job starts after it
 	// fires, jobs already running stop at their next round boundary (the
