@@ -441,11 +441,7 @@ func TestQuotaMaxPerClient(t *testing.T) {
 func TestResubmitPaysQuota(t *testing.T) {
 	specA := parseSpec(t, testSpec)
 	specB := parseSpec(t, strings.Replace(testSpec, "job-luby", "job-luby-b", 1))
-	exec := func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
-		<-ctx.Done()
-		return scenario.GraphInfo{}, nil, ctx.Err()
-	}
-	m := newManager(t, t.TempDir(), func(c *Config) { c.Exec = exec; c.MaxPerClient = 1 })
+	m := newManager(t, t.TempDir(), func(c *Config) { c.Exec = blockExec; c.MaxPerClient = 1 })
 	defer drainNow(t, m)
 
 	stA, _, err := m.Submit(specA, 1, "alice")
@@ -474,11 +470,7 @@ func TestResubmitPaysQuota(t *testing.T) {
 func TestReplayResubmitClient(t *testing.T) {
 	dir := t.TempDir()
 	spec := parseSpec(t, testSpec)
-	exec := func(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
-		<-ctx.Done()
-		return scenario.GraphInfo{}, nil, ctx.Err()
-	}
-	m1 := newManager(t, dir, func(c *Config) { c.Exec = exec })
+	m1 := newManager(t, dir, func(c *Config) { c.Exec = blockExec })
 	st, _, err := m1.Submit(spec, 1, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +483,7 @@ func TestReplayResubmitClient(t *testing.T) {
 	}
 	drainNow(t, m1)
 
-	m2 := newManager(t, dir, func(c *Config) { c.Exec = exec })
+	m2 := newManager(t, dir, func(c *Config) { c.Exec = blockExec })
 	defer drainNow(t, m2)
 	m2.mu.Lock()
 	defer m2.mu.Unlock()
@@ -503,6 +495,13 @@ func TestReplayResubmitClient(t *testing.T) {
 			t.Fatalf("compacted submit record names client %q, want b", rec.Client)
 		}
 	}
+}
+
+// blockExec finishes no shard: it returns only when its context fires, so
+// every job it is given stays queued or running until a drain.
+func blockExec(ctx context.Context, spec *scenario.Spec, seed int64, shard scenario.Shard, onSlot func(scenario.SlotOutcome)) (scenario.GraphInfo, []scenario.SlotOutcome, error) {
+	<-ctx.Done()
+	return scenario.GraphInfo{}, nil, ctx.Err()
 }
 
 // drainNow drains m without waiting for a shard boundary: running
