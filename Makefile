@@ -61,8 +61,8 @@ race:
 # rulingset-smallworld and deg-coloring-hypercube-dense shapes, the composed
 # colorings under lockstep, staggered and loose-guess workloads, the
 # arboricity MIS under loose guesses and its uniform transform (the
-# silent-stretch skip path), the derived-construction builds and the
-# run-level sweep benchmarks, one iteration each and every line with
+# silent-stretch skip path), the graph corpus lookup and the run-level sweep
+# benchmarks, one iteration each and every line with
 # -benchmem, so an allocation regression in any pooled/flattened path is
 # visible in the log: a regression that breaks or grossly slows a hot path
 # fails loudly. CI's "Perf smoke" step runs this target, so the list exists
@@ -73,7 +73,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkCompose' -benchmem -benchtime=1x ./internal/local
 	$(GO) test -run xxx -bench BenchmarkBitset -benchmem -benchtime=1x ./internal/bitset
 	$(GO) test -run xxx -bench 'BenchmarkAlternating|BenchmarkPlanStep' -benchmem -benchtime=1x ./internal/core
-	$(GO) test -run xxx -bench 'BenchmarkDerive|BenchmarkCorpus' -benchmem -benchtime=1x ./internal/graph
+	$(GO) test -run xxx -bench BenchmarkCorpus -benchmem -benchtime=1x ./internal/graph
 	$(GO) test -run xxx -bench 'BenchmarkLineLift|BenchmarkPowerLift|BenchmarkProductLift' -benchmem -benchtime=1x ./internal/algorithms/lift
 	$(GO) test -run xxx -bench 'BenchmarkArbMISLoose|BenchmarkArbMISUniform' -benchmem -benchtime=1x ./internal/algorithms/arbmis
 

@@ -84,10 +84,10 @@ func BenchmarkPaper(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var results []sweep.Result
+			var results sweep.Results
 			for i := 0; i < b.N; i++ {
 				results, _ = sweep.Run(batch.Jobs, sweep.Options{Parallel: 1})
-				if err := sweep.FirstErr(results); err != nil {
+				if err := results.FirstErr(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -200,7 +200,7 @@ func BenchmarkAblation_TransformerOverhead(b *testing.B) {
 					{Graph: g, Algo: func() local.Algorithm { return baseline }, Seed: int64(i)},
 					{Graph: g, Algo: func() local.Algorithm { return uniform }, Seed: int64(i)},
 				}, sweep.Options{Parallel: 1})
-				if err := sweep.FirstErr(results); err != nil {
+				if err := results.FirstErr(); err != nil {
 					b.Fatal(err)
 				}
 				nu, un = results[0].Res, results[1].Res
@@ -291,7 +291,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			var stats sweep.Stats
 			for i := 0; i < b.N; i++ {
 				results, s := sweep.Run(jobs, sweep.Options{Parallel: mode.parallel})
-				if err := sweep.FirstErr(results); err != nil {
+				if err := results.FirstErr(); err != nil {
 					b.Fatal(err)
 				}
 				stats = s

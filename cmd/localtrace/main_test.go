@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,11 @@ func TestTraceValidationAndOutput(t *testing.T) {
 			name:    "negative degree",
 			cfg:     traceConfig{Algo: "lasvegas-mis", N: 16, Deg: -1, Seed: 1},
 			wantErr: "cannot be negative",
+		},
+		{
+			name:    "NaN degree",
+			cfg:     traceConfig{Algo: "lasvegas-mis", N: 64, Deg: math.NaN(), Seed: 1},
+			wantErr: "must be a number",
 		},
 		{
 			name:    "degree above n-1",

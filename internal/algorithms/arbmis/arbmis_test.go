@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
@@ -22,7 +23,7 @@ func TestArbMISOnSparseSuites(t *testing.T) {
 		"forest2": {graph.ForestUnion(100, 2, 7), 2},
 		"forest3": {graph.ForestUnion(100, 3, 8), 3},
 		"grid":    {graph.Grid(9, 9), 2},
-		"empty":   {graph.Empty(5), 1},
+		"empty":   {graphtest.Empty(5), 1},
 	}
 	for name, tc := range graphs {
 		t.Run(name, func(t *testing.T) {

@@ -71,12 +71,6 @@ func Lambda(lambda, deltaHat int, mHat int64) local.Algorithm {
 // LambdaPalette returns the number of colors used by Lambda.
 func LambdaPalette(lambda, deltaHat int) int { return reduce.BatchedPalette(lambda, deltaHat) }
 
-// LambdaRounds bounds the running time of Lambda.
-func LambdaRounds(lambda, deltaHat int, mHat int64) int {
-	k := StartPalette(deltaHat, mHat)
-	return linial.RoundsBound(deltaHat, mHat) + reduce.BatchedRounds(k, lambda, deltaHat) + composeSlack
-}
-
 // PaletteEnvelope is a monotone envelope on the Linial palette: tests verify
 // StartPalette(Δ̃, ·) <= (3Δ̃+4)².
 func PaletteEnvelope(d int) int {

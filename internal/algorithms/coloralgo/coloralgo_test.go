@@ -3,6 +3,8 @@ package coloralgo
 import (
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/algorithms/linial"
+	"github.com/unilocal/unilocal/internal/algorithms/reduce"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
@@ -80,7 +82,7 @@ func TestLambdaColoring(t *testing.T) {
 		if err := problems.ValidColoring(g, colors, LambdaPalette(lambda, d)); err != nil {
 			t.Fatalf("λ=%d: %v", lambda, err)
 		}
-		if bound := LambdaRounds(lambda, d, m); res.Rounds > bound {
+		if bound := lambdaRounds(lambda, d, m); res.Rounds > bound {
 			t.Errorf("λ=%d: rounds %d exceed bound %d", lambda, res.Rounds, bound)
 		}
 		if env := LambdaBoundDelta(lambda, d) + BoundM(int(m)); res.Rounds > env {
@@ -103,7 +105,7 @@ func TestEnvelopesDominateComputedBounds(t *testing.T) {
 				t.Errorf("Δ+1: exact(%d,%d)=%d > envelope %d", d, m, exact, env)
 			}
 			for _, lambda := range []int{1, 3, 10} {
-				if exact, env := LambdaRounds(lambda, d, m), LambdaBoundDelta(lambda, d)+BoundM(int(min64(m, 1<<62))); exact > env {
+				if exact, env := lambdaRounds(lambda, d, m), LambdaBoundDelta(lambda, d)+BoundM(int(min64(m, 1<<62))); exact > env {
 					t.Errorf("λ: exact(λ=%d,%d,%d)=%d > envelope %d", lambda, d, m, exact, env)
 				}
 			}
@@ -134,4 +136,10 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// lambdaRounds bounds the running time of Lambda.
+func lambdaRounds(lambda, deltaHat int, mHat int64) int {
+	k := StartPalette(deltaHat, mHat)
+	return linial.RoundsBound(deltaHat, mHat) + reduce.BatchedRounds(k, lambda, deltaHat) + composeSlack
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
@@ -27,7 +28,7 @@ func TestColorMISOnSuites(t *testing.T) {
 		"grid":    graph.Grid(9, 9),
 		"gnp":     gnp,
 		"regular": reg,
-		"empty":   graph.Empty(6),
+		"empty":   graphtest.Empty(6),
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {

@@ -7,9 +7,6 @@
 //     (Panconesi–Rizzi regime): the line graph has maximum degree at most
 //     2Δ̃−2, so its (Δ_L+1)-coloring uses 2Δ̃−1 colors.
 //
-//   - Lambda: the trade-off variant with λ(2Δ̃−1) colors in
-//     O(Δ̃²/λ + log* m̃) rounds (Barenboim–Elkin regime; see DESIGN.md §4).
-//
 // The host output at each node is a []int of colors, one per port, agreed
 // with the neighbour on the shared edge.
 package edgecolor
@@ -21,7 +18,6 @@ import (
 	"github.com/unilocal/unilocal/internal/algorithms/lift"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
-	"github.com/unilocal/unilocal/internal/mathutil"
 )
 
 // lineParams derives line-graph guesses from host guesses.
@@ -53,33 +49,6 @@ func New(deltaHat int, mHat int64) local.Algorithm {
 	dL, mL := lineParams(deltaHat, mHat)
 	return wrap(fmt.Sprintf("edgecolor(Δ̃=%d)", deltaHat),
 		lift.LineGraph(coloralgo.DeltaPlusOne(dL, mL), nil))
-}
-
-// LambdaPalette returns the number of colors used by Lambda: λ(2Δ̃−1).
-func LambdaPalette(lambda, deltaHat int) int {
-	dL, _ := lineParams(deltaHat, 1)
-	return coloralgo.LambdaPalette(lambda, dL)
-}
-
-// Lambda returns the trade-off edge coloring with λ(2Δ̃−1) colors.
-func Lambda(lambda, deltaHat int, mHat int64) local.Algorithm {
-	dL, mL := lineParams(deltaHat, mHat)
-	return wrap(fmt.Sprintf("edgecolor-λ(λ=%d,Δ̃=%d)", lambda, deltaHat),
-		lift.LineGraph(coloralgo.Lambda(lambda, dL, mL), nil))
-}
-
-// BoundDelta is the ascending Δ̃-term of the additive envelope of New.
-func BoundDelta(d int) int {
-	dL, _ := lineParams(d, 1)
-	return mathutil.SatAdd(mathutil.SatMul(2, coloralgo.BoundDelta(dL)), 8)
-}
-
-// BoundM is the ascending m̃-term (packed identities: constant log* term).
-func BoundM(m int) int {
-	if m < 1 {
-		m = 1
-	}
-	return mathutil.LogStar(m) + 2*(5+16) + 8
 }
 
 // wrap converts the lift's per-port []any output into a []int of colors.

@@ -3,8 +3,10 @@ package edgecolor
 import (
 	"testing"
 
+	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
+	"github.com/unilocal/unilocal/internal/mathutil"
 	"github.com/unilocal/unilocal/internal/problems"
 )
 
@@ -19,7 +21,7 @@ func collect(t *testing.T, g *graph.Graph, outputs []any) []int {
 			t.Fatalf("node %d output %T", e.U, outputs[e.U])
 		}
 		for p := 0; p < g.Degree(int(e.U)); p++ {
-			if g.Neighbor(int(e.U), p) == int(e.V) {
+			if g.Neighbors(int(e.U))[p] == e.V {
 				colors[i] = outs[p]
 				break
 			}
@@ -27,7 +29,7 @@ func collect(t *testing.T, g *graph.Graph, outputs []any) []int {
 		// Endpoint agreement.
 		outsV := outputs[e.V].([]int)
 		for p := 0; p < g.Degree(int(e.V)); p++ {
-			if g.Neighbor(int(e.V), p) == int(e.U) {
+			if g.Neighbors(int(e.V))[p] == e.U {
 				if outsV[p] != colors[i] {
 					t.Fatalf("edge %v: endpoints disagree (%d vs %d)", e, colors[i], outsV[p])
 				}
@@ -62,33 +64,10 @@ func TestEdgeColoringOnSuites(t *testing.T) {
 			if err := problems.ValidEdgeColoring(g, colors, Palette(d)); err != nil {
 				t.Fatal(err)
 			}
-			if env := BoundDelta(d) + BoundM(int(m)); res.Rounds > env {
+			if env := boundDelta(d) + boundM(int(m)); res.Rounds > env {
 				t.Errorf("rounds %d exceed envelope %d", res.Rounds, env)
 			}
 		})
-	}
-}
-
-func TestEdgeColoringLambdaTradeoff(t *testing.T) {
-	g, err := graph.RandomRegular(80, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, m := g.MaxDegree(), g.MaxIDValue()
-	prev := 1 << 30
-	for _, lambda := range []int{1, 3, 9} {
-		res, err := local.Run(g, Lambda(lambda, d, m), local.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		colors := collect(t, g, res.Outputs)
-		if err := problems.ValidEdgeColoring(g, colors, LambdaPalette(lambda, d)); err != nil {
-			t.Fatalf("λ=%d: %v", lambda, err)
-		}
-		if res.Rounds > prev+4 {
-			t.Errorf("λ=%d slower than smaller λ: %d after %d", lambda, res.Rounds, prev)
-		}
-		prev = res.Rounds
 	}
 }
 
@@ -96,7 +75,18 @@ func TestPalettes(t *testing.T) {
 	if Palette(4) != 7 {
 		t.Errorf("Palette(4) = %d, want 2Δ-1 = 7", Palette(4))
 	}
-	if LambdaPalette(2, 4) != 2*7 {
-		t.Errorf("LambdaPalette(2,4) = %d, want 14", LambdaPalette(2, 4))
+}
+
+// boundDelta is the ascending Δ̃-term of the additive envelope of New.
+func boundDelta(d int) int {
+	dL, _ := lineParams(d, 1)
+	return mathutil.SatAdd(mathutil.SatMul(2, coloralgo.BoundDelta(dL)), 8)
+}
+
+// boundM is the ascending m̃-term (packed identities: constant log* term).
+func boundM(m int) int {
+	if m < 1 {
+		m = 1
 	}
+	return mathutil.LogStar(m) + 2*(5+16) + 8
 }

@@ -15,10 +15,10 @@
 //     virtual round costs one host round). Maximal independent sets of the
 //     product are exactly (deg+1)-colorings of G.
 //
-// Virtual identities match the explicit constructions in the graph package
-// (graph.LineGraph, graph.Power, graph.ProductDegPlusOne), so a lifted run
-// and a direct run on the explicit derived graph are behaviourally
-// identical; the tests verify this correspondence output-by-output.
+// Virtual identities match the explicit constructions the tests build in
+// graphtest (LineGraph, Power, ProductDegPlusOne), so a lifted run and a
+// direct run on the explicit derived graph are behaviourally identical; the
+// tests verify this correspondence output-by-output.
 package lift
 
 import (

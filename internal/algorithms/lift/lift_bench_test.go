@@ -9,6 +9,7 @@ import (
 	"github.com/unilocal/unilocal/internal/algorithms/lift"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 )
 
@@ -117,7 +118,7 @@ func TestProductLiftSteadyStateAllocs(t *testing.T) {
 func TestPowerLiftInComposeMatchesExplicitPower(t *testing.T) {
 	const k = 3
 	for name, g := range lineHosts(t, quickN(80)) {
-		pg, err := graph.Power(g, k)
+		pg, err := graphtest.Power(g, k)
 		if err != nil {
 			t.Fatal(err)
 		}

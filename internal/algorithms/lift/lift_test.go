@@ -9,6 +9,7 @@ import (
 	"github.com/unilocal/unilocal/internal/algorithms/linial"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
@@ -27,7 +28,7 @@ func hostSuite(t *testing.T) map[string]*graph.Graph {
 		"clique": graph.Complete(6),
 		"grid":   graph.Grid(4, 5),
 		"gnp":    gnp,
-		"lonely": graph.Empty(3),
+		"lonely": graphtest.Empty(3),
 	}
 }
 
@@ -37,7 +38,7 @@ func hostSuite(t *testing.T) map[string]*graph.Graph {
 func TestLineLiftMatchesExplicitLineGraph(t *testing.T) {
 	for name, g := range hostSuite(t) {
 		t.Run(name, func(t *testing.T) {
-			lg, edges, err := graph.LineGraph(g)
+			lg, edges, err := graphtest.LineGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +63,7 @@ func TestLineLiftMatchesExplicitLineGraph(t *testing.T) {
 				u := int(e.U)
 				p := -1
 				for q := 0; q < g.Degree(u); q++ {
-					if g.Neighbor(u, q) == int(e.V) {
+					if g.Neighbors(u)[q] == e.V {
 						p = q
 						break
 					}
@@ -77,7 +78,7 @@ func TestLineLiftMatchesExplicitLineGraph(t *testing.T) {
 			for u := 0; u < g.N(); u++ {
 				outs := lifted.Outputs[u].([]any)
 				for p := 0; p < g.Degree(u); p++ {
-					v := g.Neighbor(u, p)
+					v := int(g.Neighbors(u)[p])
 					back := g.BackPort(u, p)
 					if !reflect.DeepEqual(outs[p], lifted.Outputs[v].([]any)[back]) {
 						t.Fatalf("endpoints of edge %d-%d disagree", u, v)
@@ -90,7 +91,7 @@ func TestLineLiftMatchesExplicitLineGraph(t *testing.T) {
 
 func TestLineLiftRoundsOverhead(t *testing.T) {
 	g := graph.Grid(6, 6)
-	lg, _, err := graph.LineGraph(g)
+	lg, _, err := graphtest.LineGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestLineLiftRoundsOverhead(t *testing.T) {
 func TestLineLiftMatching(t *testing.T) {
 	for name, g := range hostSuite(t) {
 		t.Run(name, func(t *testing.T) {
-			lg, _, err := graph.LineGraph(g)
+			lg, _, err := graphtest.LineGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestLineLiftMatching(t *testing.T) {
 				outs := lifted.Outputs[u].([]any)
 				for p := 0; p < g.Degree(u); p++ {
 					if in, ok := outs[p].(bool); ok && in {
-						claim = problems.NewEdgeClaim(g.ID(u), g.ID(g.Neighbor(u, p)))
+						claim = problems.NewEdgeClaim(g.ID(u), g.ID(int(g.Neighbors(u)[p])))
 						break
 					}
 				}
@@ -157,7 +158,7 @@ func TestPowerLiftMatchesExplicitPower(t *testing.T) {
 	for name, g := range hostSuite(t) {
 		for _, k := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				pg, err := graph.Power(g, k)
+				pg, err := graphtest.Power(g, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +211,7 @@ func TestPowerLiftLubyRulingSet(t *testing.T) {
 func TestProductLiftMatchesExplicitProduct(t *testing.T) {
 	for name, g := range hostSuite(t) {
 		t.Run(name, func(t *testing.T) {
-			pg, copies, err := graph.ProductDegPlusOne(g)
+			pg, copies, err := graphtest.ProductDegPlusOne(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +248,7 @@ func TestProductLiftGivesColoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, _, err := graph.ProductDegPlusOne(g)
+	pg, _, err := graphtest.ProductDegPlusOne(g)
 	if err != nil {
 		t.Fatal(err)
 	}

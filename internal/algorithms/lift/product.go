@@ -16,7 +16,7 @@ import (
 // exchange degrees.
 //
 // Copy i of host u carries identity graph.PackIDs(Id(u), i), matching
-// graph.ProductDegPlusOne. The host output is a []any with the outputs of
+// graphtest.ProductDegPlusOne. The host output is a []any with the outputs of
 // copies 1..deg+1 in order.
 //
 // Routing and delivery are tables built once at setup: a virtual port is

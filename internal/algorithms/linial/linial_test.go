@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
 	"github.com/unilocal/unilocal/internal/problems"
@@ -47,7 +48,7 @@ func TestLinialOnSuites(t *testing.T) {
 		"regular":  reg,
 		"tree":     graph.RandomTree(120, 3),
 		"shuffled": shuffled,
-		"empty":    graph.Empty(7),
+		"empty":    graphtest.Empty(7),
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
 	"github.com/unilocal/unilocal/internal/problems"
@@ -42,7 +43,7 @@ func TestLubyOnSuites(t *testing.T) {
 		"gnp":      gnp,
 		"regular":  reg,
 		"tree":     graph.RandomTree(150, 4),
-		"isolated": graph.Empty(10),
+		"isolated": graphtest.Empty(10),
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {

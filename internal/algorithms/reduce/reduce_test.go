@@ -6,17 +6,18 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
 
 // withGreedyColors feeds each node its greedy color as input.
 func withGreedyColors(g *graph.Graph, inner local.Algorithm) local.Algorithm {
-	colors := problems.GreedyColoring(g)
+	colors := graphtest.GreedyColoring(g)
 	return local.AlgorithmFunc{
 		AlgoName: inner.Name() + "+input",
 		NewNode: func(info local.Info) local.Node {
-			info.Input = colors[g.IndexOfID(info.ID)]
+			info.Input = colors[graphtest.NodeWithID(g, info.ID)]
 			return inner.New(info)
 		},
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
 )
@@ -26,7 +27,7 @@ func TestSeqMISOnSuites(t *testing.T) {
 		"star":     graph.Star(25),
 		"gnp":      gnp,
 		"shuffled": shuffled,
-		"empty":    graph.Empty(4),
+		"empty":    graphtest.Empty(4),
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
@@ -63,7 +64,7 @@ func TestSeqMISEqualsGreedyByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := problems.GreedyMIS(g, nil)
+	want := graphtest.GreedyMIS(g)
 	for u := range want {
 		if in[u] != want[u] {
 			t.Fatalf("node %d: got %v, want greedy %v", u, in[u], want[u])

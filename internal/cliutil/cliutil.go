@@ -12,6 +12,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"strings"
@@ -29,6 +30,9 @@ func Nodes(flag string, n int) error {
 // simple graph on n nodes supports average degree in [0, n-1]. Callers
 // should validate the node count first (see Nodes).
 func AvgDegree(flag string, n int, deg float64) error {
+	if math.IsNaN(deg) {
+		return fmt.Errorf("%s %g: average degree must be a number", flag, deg)
+	}
 	if deg < 0 {
 		return fmt.Errorf("%s %g: average degree cannot be negative", flag, deg)
 	}

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +30,9 @@ func TestAvgDegree(t *testing.T) {
 	}
 	if err := AvgDegree("-deg", 16, -1); err == nil || !strings.Contains(err.Error(), "cannot be negative") {
 		t.Fatalf("negative degree: %v", err)
+	}
+	if err := AvgDegree("-deg", 16, math.NaN()); err == nil || !strings.Contains(err.Error(), "must be a number") {
+		t.Fatalf("NaN degree: %v", err)
 	}
 	err := AvgDegree("-deg", 16, 20)
 	if err == nil || !strings.Contains(err.Error(), "average degree at most 15") {

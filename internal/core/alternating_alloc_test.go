@@ -15,8 +15,8 @@ import (
 
 	"github.com/unilocal/unilocal/internal/algorithms/colormis"
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
-	"github.com/unilocal/unilocal/internal/problems"
 )
 
 // falseAlgo outputs false immediately: under the MIS pruner nobody is
@@ -91,7 +91,7 @@ func TestGatherFirstWindowBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mis := problems.GreedyMIS(g, nil)
+	mis := graphtest.GreedyMIS(g)
 	member := make(map[int64]bool, g.N())
 	for u, in := range mis {
 		member[g.ID(u)] = in

@@ -30,9 +30,6 @@ type Knowledge struct {
 	Looseness float64
 }
 
-// Exact returns the exact-knowledge regime.
-func Exact() Knowledge { return Knowledge{Regime: KnowExact} }
-
 // UpperBound returns the upper-bound regime with looseness lambda.
 func UpperBound(lambda float64) Knowledge {
 	return Knowledge{Regime: KnowUpperBound, Looseness: lambda}

@@ -30,15 +30,17 @@ func TestNewParamsClampPolicy(t *testing.T) {
 	}
 }
 
-func TestParamsValueWithRoundTrip(t *testing.T) {
+func TestParamsWith(t *testing.T) {
 	p := NewParams(10, 4, 2, 99)
-	for _, q := range []Param{ParamN, ParamMaxDegree, ParamArboricity, ParamMaxID} {
-		if got := p.With(q, 7).Value(q); got != 7 {
-			t.Errorf("With/Value round trip on %s: got %d, want 7", q, got)
+	for q, want := range map[Param]Params{
+		ParamN:          {N: 7, Delta: 4, Arb: 2, M: 99},
+		ParamMaxDegree:  {N: 10, Delta: 7, Arb: 2, M: 99},
+		ParamArboricity: {N: 10, Delta: 4, Arb: 7, M: 99},
+		ParamMaxID:      {N: 10, Delta: 4, Arb: 2, M: 7},
+	} {
+		if got := p.With(q, 7); got != want {
+			t.Errorf("With(%s, 7) = %+v, want %+v", q, got, want)
 		}
-	}
-	if p.Value(ParamN) != 10 || p.Value(ParamMaxDegree) != 4 || p.Value(ParamArboricity) != 2 || p.Value(ParamMaxID) != 99 {
-		t.Errorf("Value read back %d/%d/%d/%d", p.Value(ParamN), p.Value(ParamMaxDegree), p.Value(ParamArboricity), p.Value(ParamMaxID))
 	}
 }
 
@@ -68,7 +70,7 @@ func TestParamsFromVector(t *testing.T) {
 }
 
 func TestKnowledgeValidate(t *testing.T) {
-	good := []Knowledge{{}, Exact(), None(), UpperBound(1), UpperBound(1.5), UpperBound(16)}
+	good := []Knowledge{{}, {Regime: KnowExact}, None(), UpperBound(1), UpperBound(1.5), UpperBound(16)}
 	for _, k := range good {
 		if err := k.Validate(); err != nil {
 			t.Errorf("%v rejected: %v", k, err)
@@ -95,7 +97,7 @@ func TestKnowledgeValidate(t *testing.T) {
 func TestKnowledgeAdvertise(t *testing.T) {
 	true_ := NewParams(100, 7, 3, 512)
 
-	for _, k := range []Knowledge{{}, Exact()} {
+	for _, k := range []Knowledge{{}, {Regime: KnowExact}} {
 		got, err := k.Advertise(true_)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

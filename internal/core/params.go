@@ -85,22 +85,6 @@ func NewParams(n, delta, arb int, m int64) Params {
 	return Params{N: n, Delta: delta, Arb: arb, M: m}
 }
 
-// Value returns the named parameter as a guess value. M is reported as int:
-// guesses are bounded by GuessCap, which fits the required 64-bit int.
-func (p Params) Value(q Param) int {
-	switch q {
-	case ParamN:
-		return p.N
-	case ParamMaxDegree:
-		return p.Delta
-	case ParamArboricity:
-		return p.Arb
-	case ParamMaxID:
-		return int(p.M)
-	}
-	panic(fmt.Sprintf("core: unknown parameter %q", q))
-}
-
 // With returns a copy of p with the named parameter set to v.
 func (p Params) With(q Param, v int) Params {
 	switch q {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"github.com/unilocal/unilocal/internal/idindex"
-)
+import "github.com/unilocal/unilocal/internal/idindex"
 
 // This file defines the pruning-algorithm abstraction of Section 3. A
 // pruning algorithm P takes a triplet (G, x, ŷ) — graph, input vector,
@@ -68,37 +64,6 @@ type Ball struct {
 
 	refs  []ballRef
 	index *idindex.Index
-}
-
-// NewBall assembles a ball from loose records and their distances from the
-// centre (dist[i] belongs to records[i]; one record must carry ID =
-// centerID). It is the constructor used by tests and by central
-// (non-distributed) gathers; the transformer hot path builds balls in place
-// from its pooled arena instead. Entries are ordered canonically: the
-// centre first, then by (distance, ID).
-func NewBall(centerID int64, records []BallRecord, dist []int) *Ball {
-	refs := make([]ballRef, len(records))
-	for i := range records {
-		refs[i] = ballRef{rec: &records[i], dist: int32(dist[i])}
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].rec.ID == centerID {
-			return refs[j].rec.ID != centerID
-		}
-		if refs[j].rec.ID == centerID {
-			return false
-		}
-		if refs[i].dist != refs[j].dist {
-			return refs[i].dist < refs[j].dist
-		}
-		return refs[i].rec.ID < refs[j].rec.ID
-	})
-	b := &Ball{CenterID: centerID, refs: refs, index: new(idindex.Index)}
-	b.index.Reset(len(refs))
-	for i := range refs {
-		b.index.Add(refs[i].rec.ID, int32(i))
-	}
-	return b
 }
 
 // reset points the ball at an externally pooled arena and index. The arena

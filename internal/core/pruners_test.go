@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
+	"github.com/unilocal/unilocal/internal/idindex"
 	"github.com/unilocal/unilocal/internal/problems"
 )
 
@@ -53,7 +56,37 @@ func buildBall(g *graph.Graph, radius, u int, inputs, outputs []any) *Ball {
 		})
 		dists = append(dists, dist[x])
 	}
-	return NewBall(g.ID(u), records, dists)
+	return newBall(g.ID(u), records, dists)
+}
+
+// newBall assembles a ball from loose records and their distances from the
+// centre (dist[i] belongs to records[i]; one record must carry ID =
+// centerID); the transformer builds balls in place from its pooled arena
+// instead. Entries are ordered canonically: the centre first, then by
+// (distance, ID).
+func newBall(centerID int64, records []BallRecord, dist []int) *Ball {
+	refs := make([]ballRef, len(records))
+	for i := range records {
+		refs[i] = ballRef{rec: &records[i], dist: int32(dist[i])}
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		if refs[i].rec.ID == centerID {
+			return refs[j].rec.ID != centerID
+		}
+		if refs[j].rec.ID == centerID {
+			return false
+		}
+		if refs[i].dist != refs[j].dist {
+			return refs[i].dist < refs[j].dist
+		}
+		return refs[i].rec.ID < refs[j].rec.ID
+	})
+	b := &Ball{CenterID: centerID, refs: refs, index: new(idindex.Index)}
+	b.index.Reset(len(refs))
+	for i := range refs {
+		b.index.Add(refs[i].rec.ID, int32(i))
+	}
+	return b
 }
 
 func boolsToAny(bs []bool) []any {
@@ -84,7 +117,7 @@ func testGraphSuite(t *testing.T) map[string]*graph.Graph {
 
 func TestRulingSetPrunerSolutionDetection(t *testing.T) {
 	for name, g := range testGraphSuite(t) {
-		in := problems.GreedyMIS(g, nil)
+		in := graphtest.GreedyMIS(g)
 		pruned := decideAll(g, MISPruner(), nil, boolsToAny(in))
 		for u, p := range pruned {
 			if !p {
@@ -107,12 +140,12 @@ func TestRulingSetPrunerGluing(t *testing.T) {
 			}
 			pruned := decideAll(g, MISPruner(), nil, boolsToAny(tentative))
 			// Solve the surviving induced subgraph (any valid solution works;
-			// greedy MIS blocked by nothing is one).
-			sub, orig, err := graph.InducedSubgraph(g, invert(pruned))
+			// the greedy MIS is one).
+			sub, orig, err := graphtest.InducedSubgraph(g, invert(pruned))
 			if err != nil {
 				t.Fatal(err)
 			}
-			subMIS := problems.GreedyMIS(sub, nil)
+			subMIS := graphtest.GreedyMIS(sub)
 			combined := make([]bool, g.N())
 			for u := range combined {
 				if pruned[u] {
@@ -145,11 +178,11 @@ func TestRulingSetPrunerBeta2Gluing(t *testing.T) {
 			tentative[u] = rng.IntN(4) == 0
 		}
 		pruned := decideAll(g, p, nil, boolsToAny(tentative))
-		sub, orig, err := graph.InducedSubgraph(g, invert(pruned))
+		sub, orig, err := graphtest.InducedSubgraph(g, invert(pruned))
 		if err != nil {
 			t.Fatal(err)
 		}
-		subSol := problems.GreedyMIS(sub, nil) // an MIS is a (2,2)-ruling set
+		subSol := graphtest.GreedyMIS(sub) // an MIS is a (2,2)-ruling set
 		combined := make([]bool, g.N())
 		for u := range combined {
 			if pruned[u] {
@@ -182,7 +215,7 @@ func TestRulingSetPrunerGarbageOutputs(t *testing.T) {
 
 func TestMatchingPrunerSolutionDetection(t *testing.T) {
 	for name, g := range testGraphSuite(t) {
-		y := problems.GreedyMatching(g)
+		y := graphtest.GreedyMatching(g)
 		pruned := decideAll(g, MatchingPruner(), nil, y)
 		for u, p := range pruned {
 			if !p {
@@ -198,11 +231,11 @@ func TestMatchingPrunerGluing(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			tentative := randomClaims(rng, g)
 			pruned := decideAll(g, MatchingPruner(), nil, tentative)
-			sub, orig, err := graph.InducedSubgraph(g, invert(pruned))
+			sub, orig, err := graphtest.InducedSubgraph(g, invert(pruned))
 			if err != nil {
 				t.Fatal(err)
 			}
-			subSol := problems.GreedyMatching(sub)
+			subSol := graphtest.GreedyMatching(sub)
 			combined := make([]any, g.N())
 			for u := range combined {
 				if pruned[u] {
@@ -230,7 +263,7 @@ func randomClaims(rng *rand.Rand, g *graph.Graph) []any {
 		switch rng.IntN(5) {
 		case 0: // canonical claim with a random neighbour (possibly one-sided)
 			if g.Degree(u) > 0 {
-				v := g.Neighbor(u, rng.IntN(g.Degree(u)))
+				v := int(g.Neighbors(u)[rng.IntN(g.Degree(u))])
 				claim := problems.NewEdgeClaim(g.ID(u), g.ID(v))
 				y[u] = claim
 				if rng.IntN(2) == 0 {
@@ -261,7 +294,7 @@ func invert(mask []bool) []bool {
 }
 
 func TestMatchingPrunerIsolatedNode(t *testing.T) {
-	g := graph.Empty(3)
+	g := graphtest.Empty(3)
 	pruned := decideAll(g, MatchingPruner(), nil, []any{problems.EdgeClaim{}, nil, "junk"})
 	for u, p := range pruned {
 		if !p {

@@ -8,6 +8,7 @@ import (
 	"github.com/unilocal/unilocal/internal/algorithms/linial"
 	"github.com/unilocal/unilocal/internal/algorithms/luby"
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
 	"github.com/unilocal/unilocal/internal/problems"
@@ -194,7 +195,7 @@ func TestSLCPrunerSolutionDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A valid SLC solution: greedy proper coloring mapped into the lists.
-	colors := problems.GreedyColoring(g)
+	colors := graphtest.GreedyColoring(g)
 	inputs := make([]any, g.N())
 	outputs := make([]any, g.N())
 	deltaHat := g.MaxDegree() + 1

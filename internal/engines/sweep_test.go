@@ -74,7 +74,7 @@ func TestRatioFlatAcrossSizes(t *testing.T) {
 		}
 	}
 	results, _ := sweeppkg.Run(jobs, sweeppkg.Options{Parallel: 4})
-	if err := sweeppkg.FirstErr(results); err != nil {
+	if err := results.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	for ri, r := range rows {
@@ -163,7 +163,7 @@ func TestLubyLogShape(t *testing.T) {
 		}
 	}
 	results, _ := sweeppkg.Run(jobs, sweeppkg.Options{Parallel: 3})
-	if err := sweeppkg.FirstErr(results); err != nil {
+	if err := results.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	rounds := make([]int, 0, len(sizes))

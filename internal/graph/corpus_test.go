@@ -130,3 +130,20 @@ func TestCorpusConcurrentBuildOnce(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want %d/1", h, m, goroutines-1)
 	}
 }
+
+// BenchmarkCorpusWarm measures the steady-state cost of going through the
+// corpus for an already-built family — the per-lookup overhead every cached
+// experiment pays.
+func BenchmarkCorpusWarm(b *testing.B) {
+	c := NewCorpus()
+	if _, err := cachedGNP(c, 4096, 8/4095.0, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cachedGNP(c, 4096, 8/4095.0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

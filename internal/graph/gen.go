@@ -24,9 +24,6 @@ func mustBuild(b *Builder) *Graph {
 	return g
 }
 
-// Empty returns the edgeless graph on n nodes.
-func Empty(n int) *Graph { return mustBuild(NewBuilder(n)) }
-
 // Path returns the path on n nodes (0-1-2-...-n-1).
 func Path(n int) *Graph {
 	b := NewBuilder(n)
@@ -119,16 +116,6 @@ func Hypercube(dim int) (*Graph, error) {
 	return b.Build()
 }
 
-// CompleteBinaryTree returns the complete binary tree on n nodes using heap
-// indexing (node u has children 2u+1 and 2u+2).
-func CompleteBinaryTree(n int) *Graph {
-	b := NewBuilder(n)
-	for u := 1; u < n; u++ {
-		b.AddEdge(u, (u-1)/2)
-	}
-	return mustBuild(b)
-}
-
 // RandomTree returns a uniformly random recursive tree on n nodes: node u
 // attaches to a uniform node among 0..u-1.
 func RandomTree(n int, seed int64) *Graph {
@@ -178,7 +165,7 @@ func Lollipop(k, tail int) *Graph {
 // skipping, so the cost is proportional to the number of edges rather than
 // n^2.
 func GNP(n int, p float64, seed int64) (*Graph, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("graph: GNP probability %v out of [0,1]", p)
 	}
 	b := NewBuilder(n)
@@ -393,9 +380,9 @@ func DisjointUnion(gs ...*Graph) *Graph {
 // value collides until the rejection loop finds the remaining ones — the
 // coupon-collector worst case, still O(n log n) expected draws). With maxID
 // far above MaxID (the scenario layer's sparse-huge regime uses 2^40) the
-// identities exceed what the pair-packing derived constructions can encode:
-// LineGraph and ProductDegPlusOne reject such graphs, while Power and every
-// direct simulation handle them unchanged.
+// identities exceed what PackIDs can encode, so the line-graph and product
+// lifts cannot run on the graph, while the power lift and every direct
+// simulation handle it unchanged.
 func WithShuffledIDs(g *Graph, maxID int64, seed int64) (*Graph, error) {
 	n := g.N()
 	if maxID < int64(n) || maxID > MaxPackedID {
@@ -672,7 +659,7 @@ func WattsStrogatz(n, k int, beta float64, seed int64) (*Graph, error) {
 	if k < 2 || k%2 != 0 || k >= n {
 		return nil, fmt.Errorf("graph: lattice degree %d must be even and in [2, n=%d)", k, n)
 	}
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("graph: rewiring probability %v out of [0, 1]", beta)
 	}
 	rng := newRNG(seed)

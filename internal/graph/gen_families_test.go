@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -153,5 +154,8 @@ func TestWattsStrogatz(t *testing.T) {
 	}
 	if _, err := WattsStrogatz(10, 4, 1.5, 1); err == nil {
 		t.Error("beta > 1 not rejected")
+	}
+	if _, err := WattsStrogatz(10, 4, math.NaN(), 1); err == nil {
+		t.Error("beta = NaN not rejected")
 	}
 }

@@ -1,8 +1,9 @@
 // Package graph provides the static network topologies on which LOCAL-model
 // algorithms run: an immutable adjacency representation with unique node
 // identities, a builder, generators for the standard benchmark families, and
-// derived constructions (line graphs, graph powers, the clique product of
-// Section 5.1 of Korman–Sereni–Viennot, induced subgraphs).
+// the identity packing of the derived nodes that the lifts of Section 5 of
+// Korman–Sereni–Viennot simulate (line graphs, the clique product). The
+// explicit derived graphs those lifts are checked against live in graphtest.
 //
 // Nodes are indexed 0..N()-1; every node additionally carries a positive
 // 64-bit identity, unique within the graph, which is what the distributed
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // MaxID is the largest identity a node of a base (non-derived) graph may
@@ -51,15 +51,6 @@ type Graph struct {
 	maxDeg int
 	edges  int
 	maxID  int64
-
-	// idIdx maps identity -> node index. Graphs built through the Builder (or
-	// newFromSortedCSR) populate it eagerly, because identity validation needs
-	// the table anyway; graphs loaded from a store image (whose identities
-	// were validated when the image was written) build it lazily on the first
-	// IndexOfID call via idOnce, so an out-of-core graph does not pay an O(n)
-	// heap map it may never use.
-	idIdx  map[int64]int32
-	idOnce sync.Once
 
 	// mapped is non-nil when the CSR arrays are zero-copy views into an
 	// mmap'ed store image rather than Go heap slices; it retains the mapping
@@ -92,11 +83,8 @@ func (g *Graph) MaxIDValue() int64 { return g.maxID }
 // modified.
 func (g *Graph) Neighbors(u int) []int32 { return g.data[g.off[u]:g.off[u+1]] }
 
-// Neighbor returns the index of the k-th neighbour (port k) of u.
-func (g *Graph) Neighbor(u, k int) int { return int(g.data[int(g.off[u])+k]) }
-
 // BackPort returns the port under which u appears at its k-th neighbour:
-// if v = Neighbor(u, k), then Neighbor(v, BackPort(u, k)) == u.
+// if v = Neighbors(u)[k], then Neighbors(v)[BackPort(u, k)] == u.
 func (g *Graph) BackPort(u, k int) int { return int(g.back[int(g.off[u])+k]) }
 
 // AdjOffset returns the dense index of u's port 0 in the directed-edge
@@ -105,7 +93,7 @@ func (g *Graph) BackPort(u, k int) int { return int(g.back[int(g.off[u])+k]) }
 func (g *Graph) AdjOffset(u int) int { return int(g.off[u]) }
 
 // ReverseEdges returns, for each port k of u, the dense directed-edge index
-// of the reverse edge: with v = Neighbor(u, k), ReverseEdges(u)[k] ==
+// of the reverse edge: with v = Neighbors(u)[k], ReverseEdges(u)[k] ==
 // AdjOffset(v) + BackPort(u, k). The slice is shared with the graph's
 // internal storage and must not be modified.
 func (g *Graph) ReverseEdges(u int) []int32 { return g.cross[g.off[u]:g.off[u+1]] }
@@ -126,31 +114,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return i < len(a) && int(a[i]) == v
 }
 
-// IndexOfID returns the node index carrying identity id, or -1. The lookup
-// table is precomputed at Build for generator-built graphs and built lazily
-// (once, safe for concurrent use) for graphs loaded from a store image.
-func (g *Graph) IndexOfID(id int64) int {
-	g.idOnce.Do(g.ensureIDIndex)
-	if u, ok := g.idIdx[id]; ok {
-		return int(u)
-	}
-	return -1
-}
-
-// ensureIDIndex builds the identity lookup table when construction skipped
-// it (store-loaded graphs). Identities in a store image were validated when
-// the image was written, so no duplicate/range checking is repeated here.
-func (g *Graph) ensureIDIndex() {
-	if g.idIdx != nil {
-		return
-	}
-	idx := make(map[int64]int32, len(g.ids))
-	for u, id := range g.ids {
-		idx[id] = int32(u)
-	}
-	g.idIdx = idx
-}
-
 // CSRBytes returns the raw size of the graph's flat arrays (identities plus
 // the four CSR tables) — the bytes a store image's payload occupies, and the
 // heap cost of holding the graph in memory without mmap.
@@ -160,23 +123,15 @@ func (g *Graph) CSRBytes() int64 {
 }
 
 // HeapBytes estimates the graph's resident Go-heap footprint, the quantity a
-// byte-bounded Corpus budgets. A heap-built graph costs its CSR arrays plus
-// the identity index; an mmap-backed graph costs almost nothing on the heap —
-// its arrays are views into the page cache, reclaimable by the OS — which is
-// exactly what lets a bounded corpus hold out-of-core graphs far larger than
-// its budget. (A lazily built identity index on a mapped graph is not
-// re-accounted; callers that need IndexOfID on huge graphs pay for it
-// knowingly.)
+// byte-bounded Corpus budgets. A heap-built graph costs its CSR arrays; an
+// mmap-backed graph costs almost nothing on the heap — its arrays are views
+// into the page cache, reclaimable by the OS — which is exactly what lets a
+// bounded corpus hold out-of-core graphs far larger than its budget.
 func (g *Graph) HeapBytes() int64 {
 	if g.mapped != nil {
 		return 512 // struct header, offsets into the mapping
 	}
-	b := g.CSRBytes()
-	if g.idIdx != nil {
-		// ~24 bytes per map entry (key, value, bucket overhead).
-		b += 24 * int64(len(g.idIdx))
-	}
-	return b
+	return g.CSRBytes()
 }
 
 // Edge is an undirected edge given by its endpoint indices with U < V.
@@ -242,24 +197,24 @@ func (b *Builder) markBad(u, v int) {
 	b.bad = append(b.bad, badEdge{u, v})
 }
 
-// makeIDIndex validates a node-identity slice and returns the id→index
-// lookup table and the maximum identity.
-func makeIDIndex(ids []int64) (map[int64]int32, int64, error) {
-	idIdx := make(map[int64]int32, len(ids))
+// validateIDs rejects out-of-range and duplicate identities and returns the
+// maximum identity.
+func validateIDs(ids []int64) (int64, error) {
+	seen := make(map[int64]int32, len(ids))
 	var maxID int64
 	for u, id := range ids {
 		if id <= 0 || id > MaxPackedID {
-			return nil, 0, fmt.Errorf("graph: node %d has out-of-range identity %d", u, id)
+			return 0, fmt.Errorf("graph: node %d has out-of-range identity %d", u, id)
 		}
-		if prev, dup := idIdx[id]; dup {
-			return nil, 0, fmt.Errorf("graph: nodes %d and %d share identity %d", prev, u, id)
+		if prev, dup := seen[id]; dup {
+			return 0, fmt.Errorf("graph: nodes %d and %d share identity %d", prev, u, id)
 		}
-		idIdx[id] = int32(u)
+		seen[id] = int32(u)
 		if id > maxID {
 			maxID = id
 		}
 	}
-	return idIdx, maxID, nil
+	return maxID, nil
 }
 
 // finishCSR derives everything a Graph precomputes from its sorted CSR
@@ -285,34 +240,10 @@ func (g *Graph) finishCSR() {
 	}
 }
 
-// newFromSortedCSR builds a Graph directly from ids and a sorted CSR
-// adjacency, bypassing the Builder's arc accumulation, counting sort and
-// deduplication. The caller guarantees structural validity: off has len(ids)+1
-// monotone entries, each segment data[off[u]:off[u+1]] is strictly increasing,
-// self-loop free and symmetric. The derived constructions (LineGraph, Power)
-// produce exactly this shape, so they skip the Builder entirely; identity
-// validation still runs.
-func newFromSortedCSR(ids []int64, off, data []int32) (*Graph, error) {
-	idIdx, maxID, err := makeIDIndex(ids)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{
-		ids:   ids,
-		off:   off,
-		data:  data,
-		maxID: maxID,
-		idIdx: idIdx,
-	}
-	g.finishCSR()
-	return g, nil
-}
-
 // newGeneratedCSR assembles a Graph from a sorted, deduplicated, symmetric
 // CSR adjacency emitted directly by a streaming generator. Identities are
-// the Builder default u+1, which needs no validation, so the identity index
-// is left to build lazily — at 10^8 nodes the eager map would cost more
-// than the coordinates the generator sampled.
+// the Builder default u+1, which needs no validation — at 10^8 nodes the
+// validation map would cost more than the coordinates the generator sampled.
 func newGeneratedCSR(n int, off, data []int32) *Graph {
 	ids := make([]int64, n)
 	for u := range ids {
@@ -326,9 +257,8 @@ func newGeneratedCSR(n int, off, data []int32) *Graph {
 // newFromStoredCSR assembles a Graph from the fully precomputed arrays of a
 // store image, possibly zero-copy views into an mmap'ed file (m non-nil). No
 // validation and no finishCSR: the image was written from a validated Graph
-// and its integrity was checksum-verified by the loader. The identity index
-// is deliberately left nil — it builds lazily on first IndexOfID, so loading
-// a 10^8-node image stays O(1) heap.
+// and its integrity was checksum-verified by the loader, so loading a
+// 10^8-node image stays O(1) heap.
 func newFromStoredCSR(ids []int64, off, data, back, cross []int32, maxDeg, edges int, maxID int64, m *mapping) *Graph {
 	return &Graph{
 		ids:    ids,
@@ -349,14 +279,13 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, fmt.Errorf("%w: {%d,%d} (n=%d)", errBadEdge, b.bad[0].u, b.bad[0].v, len(b.ids))
 	}
 	n := len(b.ids)
-	idIdx, maxID, err := makeIDIndex(b.ids)
+	maxID, err := validateIDs(b.ids)
 	if err != nil {
 		return nil, err
 	}
 	g := &Graph{
 		ids:   append([]int64(nil), b.ids...),
 		maxID: maxID,
-		idIdx: idIdx,
 	}
 
 	// Counting sort of the arcs by source into CSR segments.

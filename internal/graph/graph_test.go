@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -21,8 +22,7 @@ func checkSimple(t *testing.T, g *Graph) {
 			if !g.HasEdge(int(v), u) {
 				t.Fatalf("edge %d-%d not symmetric", u, v)
 			}
-			bp := g.BackPort(u, k)
-			if g.Neighbor(int(v), bp) != u {
+			if g.Neighbors(int(v))[g.BackPort(u, k)] != int32(u) {
 				t.Fatalf("back port wrong for (%d,%d)", u, k)
 			}
 		}
@@ -80,6 +80,16 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// completeBinaryTree returns the complete binary tree on n nodes using heap
+// indexing (node u has children 2u+1 and 2u+2).
+func completeBinaryTree(n int) *Graph {
+	b := NewBuilder(n)
+	for u := 1; u < n; u++ {
+		b.AddEdge(u, (u-1)/2)
+	}
+	return mustBuild(b)
+}
+
 func TestGenerators(t *testing.T) {
 	cyc, err := Cycle(10)
 	if err != nil {
@@ -108,7 +118,7 @@ func TestGenerators(t *testing.T) {
 		wantEdges int // -1 to skip
 		wantMaxD  int // -1 to skip
 	}{
-		{"empty", Empty(5), 5, 0, 0},
+		{"empty", mustBuild(NewBuilder(5)), 5, 0, 0},
 		{"path", Path(6), 6, 5, 2},
 		{"cycle", cyc, 10, 10, 2},
 		{"complete", Complete(7), 7, 21, 6},
@@ -116,7 +126,7 @@ func TestGenerators(t *testing.T) {
 		{"grid", Grid(3, 4), 12, 17, 4},
 		{"torus", torus, 20, 40, 4},
 		{"hypercube", cube, 16, 32, 4},
-		{"bintree", CompleteBinaryTree(15), 15, 14, 3},
+		{"bintree", completeBinaryTree(15), 15, 14, 3},
 		{"randomtree", RandomTree(50, 1), 50, 49, -1},
 		{"caterpillar", Caterpillar(5, 3), 20, 19, 5},
 		{"lollipop", Lollipop(5, 4), 9, 14, -1},
@@ -188,6 +198,11 @@ func TestGNPEdgeCount(t *testing.T) {
 	if err != nil || g1.NumEdges() != 50*49/2 {
 		t.Errorf("GNP(50,1) edges = %d, err = %v", g1.NumEdges(), err)
 	}
+	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
+		if _, err := GNP(50, p, 1); err == nil {
+			t.Errorf("GNP(50, %v) not rejected", p)
+		}
+	}
 }
 
 func TestForestUnionArboricity(t *testing.T) {
@@ -213,7 +228,7 @@ func TestDegeneracy(t *testing.T) {
 		g    *Graph
 		want int
 	}{
-		{"empty", Empty(4), 0},
+		{"empty", mustBuild(NewBuilder(4)), 0},
 		{"path", Path(5), 1},
 		{"tree", RandomTree(40, 9), 1},
 		{"cycle", cyc, 2},
@@ -229,7 +244,7 @@ func TestDegeneracy(t *testing.T) {
 }
 
 func TestComponentsAndDiameter(t *testing.T) {
-	g := DisjointUnion(Path(4), Complete(3), Empty(2))
+	g := DisjointUnion(Path(4), Complete(3), mustBuild(NewBuilder(2)))
 	checkSimple(t, g)
 	_, c := Components(g)
 	if c != 4 {
@@ -247,135 +262,6 @@ func TestComponentsAndDiameter(t *testing.T) {
 	g2, _ := Cycle(8)
 	if d := Diameter(g2); d != 4 {
 		t.Errorf("cycle diameter = %d, want 4", d)
-	}
-}
-
-func TestLineGraph(t *testing.T) {
-	g := Grid(3, 3)
-	lg, edges, err := LineGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSimple(t, lg)
-	if lg.N() != g.NumEdges() {
-		t.Fatalf("line graph has %d nodes, want %d", lg.N(), g.NumEdges())
-	}
-	// Brute-force adjacency: edges adjacent iff they share an endpoint.
-	for i := 0; i < lg.N(); i++ {
-		for j := i + 1; j < lg.N(); j++ {
-			share := edges[i].U == edges[j].U || edges[i].U == edges[j].V ||
-				edges[i].V == edges[j].U || edges[i].V == edges[j].V
-			if share != lg.HasEdge(i, j) {
-				t.Fatalf("line graph adjacency wrong for %v, %v", edges[i], edges[j])
-			}
-		}
-	}
-	// Identities are packed endpoint identities.
-	for i, e := range edges {
-		a, b := g.ID(int(e.U)), g.ID(int(e.V))
-		if a > b {
-			a, b = b, a
-		}
-		if lg.ID(i) != PackIDs(a, b) {
-			t.Fatalf("line graph identity mismatch at %d", i)
-		}
-	}
-	// Max degree of L(G) is at most 2(Δ-1).
-	if lg.MaxDegree() > 2*(g.MaxDegree()-1) {
-		t.Errorf("line graph max degree %d > 2(Δ-1) = %d", lg.MaxDegree(), 2*(g.MaxDegree()-1))
-	}
-}
-
-func TestPower(t *testing.T) {
-	g := Path(7)
-	p2, err := Power(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSimple(t, p2)
-	// Brute force: adjacency iff BFS distance <= 2.
-	for u := 0; u < g.N(); u++ {
-		dist := BFSDistances(g, u)
-		for v := 0; v < g.N(); v++ {
-			want := u != v && dist[v] >= 1 && dist[v] <= 2
-			if p2.HasEdge(u, v) != want {
-				t.Fatalf("power adjacency wrong for %d,%d", u, v)
-			}
-		}
-	}
-	if _, err := Power(g, 0); err == nil {
-		t.Error("Power(k=0) not rejected")
-	}
-	// Power of a cycle.
-	c, _ := Cycle(9)
-	p3, err := Power(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 9; u++ {
-		if p3.Degree(u) != 6 {
-			t.Fatalf("cycle^3 degree %d at %d, want 6", p3.Degree(u), u)
-		}
-	}
-}
-
-func TestProductDegPlusOne(t *testing.T) {
-	g := Path(4)
-	pg, copies, err := ProductDegPlusOne(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSimple(t, pg)
-	// Size: sum of deg+1 = 2E + N.
-	want := 2*g.NumEdges() + g.N()
-	if pg.N() != want {
-		t.Fatalf("product has %d nodes, want %d", pg.N(), want)
-	}
-	// Check adjacency semantics by brute force.
-	for a := 0; a < pg.N(); a++ {
-		for b := a + 1; b < pg.N(); b++ {
-			ca, cb := copies[a], copies[b]
-			var wantAdj bool
-			switch {
-			case ca.V == cb.V:
-				wantAdj = true // same clique
-			case g.HasEdge(int(ca.V), int(cb.V)):
-				limit := int32(min(g.Degree(int(ca.V)), g.Degree(int(cb.V))) + 1)
-				wantAdj = ca.I == cb.I && ca.I <= limit
-			}
-			if pg.HasEdge(a, b) != wantAdj {
-				t.Fatalf("product adjacency wrong for %+v,%+v", ca, cb)
-			}
-		}
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := Grid(4, 4)
-	keep := make([]bool, g.N())
-	for u := 0; u < g.N(); u += 2 {
-		keep[u] = true
-	}
-	sg, orig, err := InducedSubgraph(g, keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSimple(t, sg)
-	if len(orig) != sg.N() {
-		t.Fatalf("orig mapping length %d != %d", len(orig), sg.N())
-	}
-	for i := 0; i < sg.N(); i++ {
-		if sg.ID(i) != g.ID(int(orig[i])) {
-			t.Fatal("identity not preserved")
-		}
-		for j := i + 1; j < sg.N(); j++ {
-			if sg.HasEdge(i, j) != g.HasEdge(int(orig[i]), int(orig[j])) {
-				t.Fatal("induced adjacency wrong")
-			}
-		}
-	}
-	if _, _, err := InducedSubgraph(g, make([]bool, 3)); err == nil {
-		t.Error("mask length mismatch not rejected")
 	}
 }
 
@@ -405,8 +291,8 @@ func TestPackIDs(t *testing.T) {
 	f := func(a, b uint32) bool {
 		x := int64(a%(1<<31-1)) + 1
 		y := int64(b%(1<<31-1)) + 1
-		ga, gb := UnpackIDs(PackIDs(x, y))
-		return ga == x && gb == y
+		p := PackIDs(x, y)
+		return p>>31 == x && p&MaxID == y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -437,7 +323,7 @@ func TestCSRDirectedEdgeNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*Graph{gnp, Star(30), Path(12), Complete(9), Empty(4)} {
+	for _, g := range []*Graph{gnp, Star(30), Path(12), Complete(9), mustBuild(NewBuilder(4))} {
 		prev := 0
 		for u := 0; u < g.N(); u++ {
 			if got := g.AdjOffset(u); got != prev {
@@ -449,8 +335,8 @@ func TestCSRDirectedEdgeNumbering(t *testing.T) {
 				t.Fatalf("ReverseEdges(%d) has %d entries for degree %d", u, len(rev), g.Degree(u))
 			}
 			for k := range rev {
-				v := g.Neighbor(u, k)
-				want := g.AdjOffset(v) + g.BackPort(u, k)
+				v := g.Neighbors(u)[k]
+				want := g.AdjOffset(int(v)) + g.BackPort(u, k)
 				if int(rev[k]) != want {
 					t.Fatalf("ReverseEdges(%d)[%d] = %d, want %d", u, k, rev[k], want)
 				}
@@ -477,15 +363,7 @@ func TestPrecomputedLookups(t *testing.T) {
 	if g.MaxIDValue() != wantMax {
 		t.Fatalf("MaxIDValue = %d, want %d", g.MaxIDValue(), wantMax)
 	}
-	for u := 0; u < g.N(); u++ {
-		if got := g.IndexOfID(g.ID(u)); got != u {
-			t.Fatalf("IndexOfID(%d) = %d, want %d", g.ID(u), got, u)
-		}
-	}
-	if g.IndexOfID(wantMax+1) != -1 {
-		t.Fatalf("IndexOfID of absent identity should be -1")
-	}
-	if Empty(0).MaxIDValue() != 0 {
+	if mustBuild(NewBuilder(0)).MaxIDValue() != 0 {
 		t.Fatal("empty graph MaxIDValue should be 0")
 	}
 }

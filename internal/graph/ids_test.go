@@ -35,9 +35,9 @@ func TestWithShuffledIDsMaxIDCollisions(t *testing.T) {
 }
 
 // TestWithShuffledIDsSparseHuge pins the sparse end used by the scenario
-// layer's sparse-huge regime: identities drawn from [1, 2^40] exceed the
-// pair-packing range, so direct use works while the packing constructions
-// reject the graph.
+// layer's sparse-huge regime: identities drawn from [1, 2^40], beyond the
+// pair-packing range (graphtest's TestPackingRange covers what the packing
+// constructions do with them).
 func TestWithShuffledIDsSparseHuge(t *testing.T) {
 	g := Grid(8, 8)
 	h, err := WithShuffledIDs(g, 1<<40, 5)
@@ -53,20 +53,6 @@ func TestWithShuffledIDsSparseHuge(t *testing.T) {
 	}
 	if !sameEdges(g, h) {
 		t.Error("shuffling ids changed the edge set")
-	}
-	for u := 0; u < h.N(); u++ {
-		if h.IndexOfID(h.ID(u)) != u {
-			t.Fatalf("id index lookup broken for huge id %d", h.ID(u))
-		}
-	}
-	if _, _, err := LineGraph(h); err == nil {
-		t.Error("LineGraph accepted identities beyond the packing range")
-	}
-	if _, _, err := ProductDegPlusOne(h); err == nil {
-		t.Error("ProductDegPlusOne accepted identities beyond the packing range")
-	}
-	if _, err := Power(h, 2); err != nil {
-		t.Errorf("Power should accept huge identities (no packing): %v", err)
 	}
 }
 

@@ -184,9 +184,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns the store's counters.
 func (s *Store) Stats() StoreStats {
 	return StoreStats{

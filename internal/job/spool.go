@@ -120,9 +120,6 @@ func OpenSpool(dir string, hooks Hooks) (*Spool, []*Record, error) {
 
 func (s *Spool) journalPath() string { return filepath.Join(s.dir, journalName) }
 
-// Dir returns the spool directory.
-func (s *Spool) Dir() string { return s.dir }
-
 // Append journals one record durably: framed bytes, then fsync. An error
 // means the record may or may not have reached the disk — the caller must
 // treat the transition as not having happened (replay's torn-tail handling

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 )
 
 // TestComposeObservation21Property is the property-test form of
@@ -67,7 +68,7 @@ func TestComposeDeepPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := g.IndexOfID(1)
+	src := graphtest.NodeWithID(g, 1)
 	want := graph.BFSDistances(g, src)
 	for u := 0; u < g.N(); u++ {
 		if res.Outputs[u] != want[u] {

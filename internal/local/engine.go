@@ -87,19 +87,6 @@ type Result struct {
 	Steps int64
 }
 
-// FrontierOccupancy returns the mean fraction of nodes live per round:
-// Steps / (Rounds × n), counting node-rounds live, stepped or skipped. The
-// paper's uniform algorithms spend most rounds in sparse pseudo-halted
-// tails, so low occupancy is the common steady state — the regime the
-// bitset frontier representation is shaped for.
-func (r *Result) FrontierOccupancy() float64 {
-	slots := int64(r.Rounds) * int64(len(r.HaltRounds))
-	if slots == 0 {
-		return 0
-	}
-	return float64(r.Steps) / float64(slots)
-}
-
 // workerTally accumulates one worker's round statistics. It is padded to a
 // cache line so the per-message counters of different workers never share a
 // line (the per-node counter array of the previous engine caused false

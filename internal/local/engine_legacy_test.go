@@ -73,7 +73,7 @@ func runLegacy(g *graph.Graph, a local.Algorithm, opts local.Options) (*local.Re
 				}
 				for k, msg := range send {
 					if msg != nil {
-						v := g.Neighbor(u, k)
+						v := int(g.Neighbors(u)[k])
 						next[v][g.BackPort(u, k)] = msg
 						msgs[u]++
 					}

@@ -177,7 +177,7 @@ func TestEngineFrontierStaggeredWaves(t *testing.T) {
 				hu := waveHalt(g.ID(u), waves, gap)
 				var sum, count int64
 				for k := 0; k < g.Degree(u); k++ {
-					v := g.Neighbor(u, k)
+					v := int(g.Neighbors(u)[k])
 					hv := waveHalt(g.ID(v), waves, gap)
 					times := int64(min(hu, hv))
 					sum += g.ID(v) * times

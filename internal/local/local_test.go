@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/graph"
+	"github.com/unilocal/unilocal/internal/graph/graphtest"
 )
 
 // idExchange broadcasts the node's identity and checks that the messages
@@ -199,7 +200,7 @@ func TestRunMaxRounds(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	res, err := Run(graph.Empty(0), idExchange, Options{})
+	res, err := Run(graphtest.Empty(0), idExchange, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestComposeObservation21RandomDelays(t *testing.T) {
 		}
 		// Flood must still be correct despite skew.
 		for u := 0; u < g.N(); u++ {
-			want := graph.BFSDistances(g, g.IndexOfID(1))[u]
+			want := graph.BFSDistances(g, graphtest.NodeWithID(g, 1))[u]
 			if res.Outputs[u] != want {
 				t.Fatalf("seed %d: node %d distance %v, want %d", seed, u, res.Outputs[u], want)
 			}

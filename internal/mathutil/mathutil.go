@@ -26,18 +26,6 @@ func CeilLog2(x int) int {
 	return n
 }
 
-// FloorLog2 returns floor(log2(x)) for x >= 1, and 0 for x <= 1.
-func FloorLog2(x int) int {
-	if x <= 1 {
-		return 0
-	}
-	n := -1
-	for v := x; v > 0; v >>= 1 {
-		n++
-	}
-	return n
-}
-
 // LogStar returns the iterated logarithm log*(x): the number of times log2
 // must be applied to x before the result is at most 2. LogStar(x) is 0 for
 // x <= 2.

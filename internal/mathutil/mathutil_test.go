@@ -19,19 +19,6 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
-func TestFloorLog2(t *testing.T) {
-	tests := []struct {
-		in, want int
-	}{
-		{1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1 << 20, 20}, {(1 << 20) + 5, 20},
-	}
-	for _, tt := range tests {
-		if got := FloorLog2(tt.in); got != tt.want {
-			t.Errorf("FloorLog2(%d) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestLogStar(t *testing.T) {
 	tests := []struct {
 		in, want int

@@ -1,7 +1,6 @@
 package problems
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/graph"
@@ -29,7 +28,7 @@ func tinyGraphs(t *testing.T) []*graph.Graph {
 	}
 	return []*graph.Graph{
 		graph.Path(5), cyc, graph.Star(5), graph.Complete(4), g1, g2,
-		graph.DisjointUnion(graph.Path(2), graph.Empty(1)),
+		graph.DisjointUnion(graph.Path(2), graph.Path(1)),
 	}
 }
 
@@ -136,25 +135,6 @@ func TestValidColoringAgainstEnumeration(t *testing.T) {
 			if got != want {
 				t.Fatalf("graph %d code %d: checker %v, definition %v", gi, code, got, want)
 			}
-		}
-	}
-}
-
-// TestGreedySolversAgainstEnumeration cross-checks the reference solvers on
-// random tiny graphs: a greedy MIS must be among the enumerated valid sets,
-// and a greedy matching must pass the enumerated maximality predicate.
-func TestGreedySolversAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for trial := 0; trial < 50; trial++ {
-		g, err := graph.GNP(7, 0.3+0.4*rng.Float64(), int64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ValidMIS(g, GreedyMIS(g, nil)); err != nil {
-			t.Fatalf("trial %d: greedy MIS invalid: %v", trial, err)
-		}
-		if err := ValidMaximalMatching(g, GreedyMatching(g)); err != nil {
-			t.Fatalf("trial %d: greedy matching invalid: %v", trial, err)
 		}
 	}
 }

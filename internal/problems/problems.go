@@ -338,70 +338,3 @@ func ValidEdgeColoring(g *graph.Graph, colors []int, palette int) error {
 	}
 	return nil
 }
-
-// GreedyMIS returns the lexicographic greedy MIS by node index; used as a
-// reference solution and as the gluing witness in property tests.
-func GreedyMIS(g *graph.Graph, blocked []bool) []bool {
-	in := make([]bool, g.N())
-	for u := 0; u < g.N(); u++ {
-		if blocked != nil && blocked[u] {
-			continue
-		}
-		ok := true
-		for _, v := range g.Neighbors(u) {
-			if in[v] {
-				ok = false
-				break
-			}
-		}
-		in[u] = ok
-	}
-	return in
-}
-
-// GreedyColoring returns the greedy (degree+1)-coloring by node index.
-func GreedyColoring(g *graph.Graph) []int {
-	colors := make([]int, g.N())
-	// The greedy color of u is at most deg(u)+1, so a Δ+2 palette bitmap
-	// reused across nodes replaces the per-node map scratch.
-	used := make([]bool, g.MaxDegree()+2)
-	for u := 0; u < g.N(); u++ {
-		nbs := g.Neighbors(u)
-		for _, v := range nbs {
-			if c := colors[v]; c > 0 && c < len(used) {
-				used[c] = true
-			}
-		}
-		c := 1
-		for used[c] {
-			c++
-		}
-		colors[u] = c
-		for _, v := range nbs {
-			if c := colors[v]; c > 0 && c < len(used) {
-				used[c] = false
-			}
-		}
-	}
-	return colors
-}
-
-// GreedyMatching returns a maximal matching as EdgeClaim outputs, scanning
-// edges lexicographically; used as a reference solution in tests.
-func GreedyMatching(g *graph.Graph) []any {
-	y := make([]any, g.N())
-	taken := make([]bool, g.N())
-	for _, e := range g.Edges() {
-		if !taken[e.U] && !taken[e.V] {
-			taken[e.U], taken[e.V] = true, true
-			claim := NewEdgeClaim(g.ID(int(e.U)), g.ID(int(e.V)))
-			y[e.U], y[e.V] = claim, claim
-		}
-	}
-	for u := range y {
-		if y[u] == nil {
-			y[u] = EdgeClaim{}
-		}
-	}
-	return y
-}

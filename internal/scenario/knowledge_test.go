@@ -156,7 +156,7 @@ func TestLoosenessSweepMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, _ := sweep.Run(b.Jobs, sweep.Options{Parallel: 4})
-	if err := sweep.FirstErr(results); err != nil {
+	if err := results.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range b.Jobs {
@@ -208,7 +208,7 @@ func TestAdversarialRenderDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		results, _ := sweep.Run(b.Jobs, sweep.Options{Parallel: parallel})
-		if err := sweep.FirstErr(results); err != nil {
+		if err := results.FirstErr(); err != nil {
 			t.Fatal(err)
 		}
 		return renderBatch(t, b, results)

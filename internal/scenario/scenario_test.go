@@ -309,7 +309,7 @@ func starEdgeColoring(g *graph.Graph, c int) []any {
 			if p == len(colors)-1 {
 				colors[p] = c
 			}
-			out[g.Neighbor(u, p)] = []int{colors[p]}
+			out[g.Neighbors(u)[p]] = []int{colors[p]}
 		}
 		out[u] = colors
 	}

@@ -52,8 +52,4 @@ func TestFirstErrPrefersFailureOverCancellation(t *testing.T) {
 	if err := (sweep.Results{rs[0], rs[3]}).FirstErr(); err != nil {
 		t.Fatalf("clean batch: FirstErr = %v", err)
 	}
-	// The free function keeps working on plain slices.
-	if err := sweep.FirstErr(rs); !errors.Is(err, errBoom) {
-		t.Fatalf("free FirstErr = %v, want errBoom", err)
-	}
 }

@@ -295,9 +295,3 @@ func Run(jobs []Job, opts Options) (Results, Stats) {
 	}
 	return results, stats
 }
-
-// FirstErr is Results.FirstErr as a free function, for callers holding a
-// plain slice.
-func FirstErr(results []Result) error {
-	return Results(results).FirstErr()
-}

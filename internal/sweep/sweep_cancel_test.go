@@ -70,7 +70,7 @@ func TestSweepCanceledBeforeStart(t *testing.T) {
 			t.Fatalf("job %d: err = %v, want it to wrap context.Canceled", i, results[i].Err)
 		}
 	}
-	if err := sweep.FirstErr(results); !errors.Is(err, sweep.ErrCanceled) {
+	if err := results.FirstErr(); !errors.Is(err, sweep.ErrCanceled) {
 		t.Fatalf("FirstErr = %v, want ErrCanceled", err)
 	}
 }
@@ -177,7 +177,7 @@ func TestSweepUnfiredContextByteIdentical(t *testing.T) {
 	jobs := testJobs(t)
 	ref, _ := sweep.Run(jobs, sweep.Options{Parallel: 1})
 	got, _ := sweep.Run(jobs, sweep.Options{Parallel: 3, Context: context.Background()})
-	if err := sweep.FirstErr(got); err != nil {
+	if err := got.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {

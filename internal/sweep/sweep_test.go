@@ -76,7 +76,7 @@ func testJobs(t testing.TB) []sweep.Job {
 func TestSweepDeterministicOrdering(t *testing.T) {
 	jobs := testJobs(t)
 	ref, refStats := sweep.Run(jobs, sweep.Options{Parallel: 1})
-	if err := sweep.FirstErr(ref); err != nil {
+	if err := ref.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	if refStats.Jobs != len(jobs) || refStats.Workers != 1 {
@@ -84,7 +84,7 @@ func TestSweepDeterministicOrdering(t *testing.T) {
 	}
 	for _, parallel := range []int{2, 4, 16} {
 		res, stats := sweep.Run(jobs, sweep.Options{Parallel: parallel})
-		if err := sweep.FirstErr(res); err != nil {
+		if err := res.FirstErr(); err != nil {
 			t.Fatal(err)
 		}
 		if want := min(parallel, len(jobs)); stats.Workers != want {
@@ -141,7 +141,7 @@ func TestSweepErrorIsolation(t *testing.T) {
 			t.Fatalf("job %d polluted by failing neighbour: err=%v", i, res[i].Err)
 		}
 	}
-	if err := sweep.FirstErr(res); !errors.Is(err, local.ErrMaxRounds) {
+	if err := res.FirstErr(); !errors.Is(err, local.ErrMaxRounds) {
 		t.Fatalf("FirstErr = %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestSweepMetrics(t *testing.T) {
 		})
 	}
 	res, stats := sweep.Run(jobs, sweep.Options{Parallel: 1})
-	if err := sweep.FirstErr(res); err != nil {
+	if err := res.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	var allocs uint64
